@@ -25,10 +25,12 @@ from .degree import (
     PoorSetReport,
     degree_of,
     degree_table,
+    eps_exceptions,
     eps_min_degree,
     kth_min_degree,
     min_degree,
     poor_sets,
+    table_poor_sets,
 )
 from .errors import DegexError, FormatError, LimitExceeded, ValidationError
 from .extraction import (
@@ -101,6 +103,7 @@ __all__ = [
     "dump",
     "e111",
     "e12",
+    "eps_exceptions",
     "eps_min_degree",
     "erdos_renyi",
     "extract_exhaustive",
@@ -114,5 +117,6 @@ __all__ = [
     "poor_sets",
     "random_ksubset",
     "serialize",
+    "table_poor_sets",
     "theorem_params",
 ]

@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from fractions import Fraction
 
 from . import generators, jsonio
-from .degree import degree_table, eps_min_degree, min_degree, poor_sets
+from .degree import degree_table, eps_exceptions, kth_min_degree, table_poor_sets
 from .errors import DegexError, LimitExceeded, ValidationError
 from .extraction import (
     DEFAULT_ENUM_BUDGET,
@@ -79,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="output file (default: stdout)",
         )
 
-    def add_threads(p):
-        # worker cap; outputs are identical for every K, and serial runs
-        # are always a valid schedule
-        p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="cap on worker processes")
-
     # gen ------------------------------------------------------------------
     gen = sub.add_parser("gen", help="generate instances")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
@@ -95,20 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen_er.add_argument("--p", type=_fraction_arg, required=True)
     gen_er.add_argument("--seed", type=int, required=True)
     add_io(gen_er)
-    add_threads(gen_er)
 
     gen_complete = gen_sub.add_parser("complete", help="complete r-graph")
     gen_complete.add_argument("--n", type=int, required=True)
     gen_complete.add_argument("--r", type=int, default=3)
     add_io(gen_complete)
-    add_threads(gen_complete)
 
     gen_pd = gen_sub.add_parser(
         "partition-del", help="delete edges doubling up inside a balanced partition"
     )
     gen_pd.add_argument("--N", type=int, required=True, help="number of parts")
     add_io(gen_pd, out_required=True)
-    add_threads(gen_pd)
 
     # stats ------------------------------------------------------------------
     stats = sub.add_parser("stats", help="degree summary for an l")
@@ -120,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="json summary or the full degree table as csv",
     )
     add_io(stats)
-    add_threads(stats)
 
     # extract ------------------------------------------------------------------
     extract = sub.add_parser("extract", help="find m-subsets with high min l-degree")
@@ -136,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse exhaustive enumerations above this many subsets",
     )
     add_io(extract)
-    add_threads(extract)
 
     # audit ------------------------------------------------------------------
     audit = sub.add_parser("audit", help="exact counting audits of the extraction bounds")
@@ -150,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     add_io(audit)
-    add_threads(audit)
 
     # qr ------------------------------------------------------------------
     qr = sub.add_parser("qr", help="quasirandomness deviation of a 3-graph")
@@ -164,7 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, help="override the exact-mode vertex limit",
     )
     add_io(qr)
-    add_threads(qr)
+    # worker cap; outputs are identical for every K, and serial runs are
+    # always a valid schedule
+    qr.add_argument("--threads", type=int, default=1, metavar="K",
+                    help="cap on worker processes")
 
     return parser
 
@@ -203,29 +193,28 @@ def _cmd_stats(args) -> None:
         writer.writerows(table.csv_rows())
         _write_text(args.output, out.getvalue())
         return
+    exceptions = eps_exceptions(table, args.eps) if args.eps is not None else None
     summary = {
         "n": G.n,
         "r": G.r,
         "ell": args.ell,
         "edge_count": G.edge_count,
-        "min_degree": min_degree(G, args.ell) if G.n >= args.ell else None,
+        "min_degree": min(table.degrees) if table.degrees else None,
         "max_possible_degree": table.max_possible,
         "eps": args.eps,
         "eps_min_degree": (
-            eps_min_degree(G, args.ell, args.eps) if args.eps is not None else None
+            kth_min_degree(table, exceptions) if exceptions is not None else None
         ),
         # capped: every subset may be an exception, so the value is the
         # maximum possible degree rather than an order statistic
         "eps_min_degree_capped": (
-            math.floor(args.eps * len(table.degrees)) >= len(table.degrees)
-            if args.eps is not None
-            else None
+            exceptions >= len(table.degrees) if exceptions is not None else None
         ),
         "p": args.p,
         "histogram": {str(d): c for d, c in table.histogram().items()},
     }
     if args.p is not None:
-        report = poor_sets(G, args.ell, args.p)
+        report = table_poor_sets(table, args.p)
         summary["poor_count"] = len(report.poor)
         summary["poor_fraction"] = report.fraction
         summary["poor_fraction_float"] = report.fraction_float

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .combinatorics import binom, colex_rank, colex_unrank
+from .combinatorics import binom, colex_unrank, ksubsets
 from .errors import ValidationError
 from .hypergraph import Hypergraph
-from .rational import to_fraction
+from .rational import to_fraction, to_probability
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,6 @@ class DegreeTable:
         if self.n < self.ell:
             return 0
         return binom(self.n - self.ell, self.r - self.ell)
-
-    def degree(self, S: Sequence[int]) -> int:
-        return self.degrees[colex_rank(S).rank]
-
-    def subsets(self) -> Iterator[tuple[int, ...]]:
-        for rank in range(len(self.degrees)):
-            yield colex_unrank(rank, self.ell, self.n)
 
     def histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -95,17 +89,16 @@ def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
 
 
 def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
-    """All l-subset degrees in one pass: each edge bumps its C(r, l) sub-subsets."""
+    """All l-subset degrees in one pass: each edge bumps its C(r, l) sub-subsets.
+
+    The counts are keyed by subset and read out in colex order, so no rank
+    is ever computed.
+    """
     _check_ell(G, ell)
-    degrees = [0] * binom(G.n, ell)
-    comb = math.comb
-    for e in G.edges:
-        for sub in itertools.combinations(e, ell):
-            rank = 0
-            for j, v in enumerate(sub):
-                rank += comb(v, j + 1)
-            degrees[rank] += 1
-    return DegreeTable(G.n, G.r, ell, tuple(degrees))
+    counts = Counter(
+        itertools.chain.from_iterable(itertools.combinations(e, ell) for e in G.edges)
+    )
+    return DegreeTable(G.n, G.r, ell, tuple(counts[S] for S in ksubsets(G.n, ell)))
 
 
 def min_degree(G: Hypergraph, ell: int) -> int:
@@ -128,26 +121,32 @@ def kth_min_degree(table: DegreeTable, exceptions: int) -> int:
     return sorted(table.degrees)[exceptions]
 
 
-def eps_min_degree(G: Hypergraph, ell: int, eps) -> int:
-    """The epsilon-relaxed minimum l-degree: floor(eps * C(n, l)) exceptions allowed."""
+def eps_exceptions(table: DegreeTable, eps) -> int:
+    """floor(eps * C(n, l)): how many subsets the eps-relaxed minimum may skip."""
     eps = to_fraction(eps, "eps")
     if eps < 0:
         raise ValidationError(f"eps must be nonnegative, got {eps}")
-    table = degree_table(G, ell)
-    k = math.floor(eps * binom(G.n, ell))
-    return kth_min_degree(table, k)
+    return math.floor(eps * len(table.degrees))
 
 
-def poor_sets(G: Hypergraph, ell: int, p) -> PoorSetReport:
-    """Classify l-subsets as poor (deg < p * C(n-l, r-l)) at threshold p."""
-    p = to_fraction(p, "p")
-    if not 0 <= p <= 1:
-        raise ValidationError(f"p must be in [0, 1], got {p}")
-    table = degree_table(G, ell)
+def table_poor_sets(table: DegreeTable, p) -> PoorSetReport:
+    """Classify the table's l-subsets as poor (deg < p * C(n-l, r-l))."""
+    p = to_probability(p)
     threshold = p * table.max_possible
     poor = tuple(
         rank for rank, d in enumerate(table.degrees) if d < threshold
     )
     return PoorSetReport(
-        p=p, ell=ell, threshold=threshold, poor=poor, total=len(table.degrees)
+        p=p, ell=table.ell, threshold=threshold, poor=poor, total=len(table.degrees)
     )
+
+
+def eps_min_degree(G: Hypergraph, ell: int, eps) -> int:
+    """The epsilon-relaxed minimum l-degree: floor(eps * C(n, l)) exceptions allowed."""
+    table = degree_table(G, ell)
+    return kth_min_degree(table, eps_exceptions(table, eps))
+
+
+def poor_sets(G: Hypergraph, ell: int, p) -> PoorSetReport:
+    """Classify l-subsets as poor (deg < p * C(n-l, r-l)) at threshold p."""
+    return table_poor_sets(degree_table(G, ell), p)

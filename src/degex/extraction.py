@@ -28,11 +28,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import binom, ksubsets, random_ksubset, subset_mask
+from .combinatorics import binom, colex_unrank, ksubsets, random_ksubset, subset_mask
 from .degree import degree_of, min_degree, poor_sets
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
-from .rational import to_fraction
+from .rational import to_fraction, to_probability
 
 DEFAULT_ENUM_BUDGET = 100_000_000
 
@@ -141,52 +141,54 @@ def good_threshold(p: Fraction, delta: Fraction, m: int, ell: int, r: int) -> tu
 
 
 class _LinkTable:
-    """Per-(r-1)-subset neighbour bitmasks, for fast induced codegree checks."""
+    """Link bitmask of every (r-1)-subset of an edge, keyed by its sorted tuple.
+
+    link(T) has bit v set when T + {v} is an edge.  For X with bitmask xmask
+    and an l-subset S of X, each edge e with S <= e <= X is counted once for
+    every vertex of e outside S (dropping that vertex leaves an (r-1)-set
+    between S and X), so
+
+        deg_X(S) = sum of |link(T) & X| over (r-1)-sets S <= T <= X, / (r - l)
+
+    which for l = r-1 is the single popcount |link(S) & X|.
+    """
 
     def __init__(self, G: Hypergraph):
-        self.ell = G.r - 1
-        masks = [0] * binom(G.n, self.ell)
-        comb = math.comb
+        self.n = G.n
+        self.r = G.r
+        masks: dict[tuple[int, ...], int] = {}
+        get = masks.get
         for e in G.edges:
-            for i in range(G.r):
-                sub = e[:i] + e[i + 1 :]
-                rank = 0
-                for j, v in enumerate(sub):
-                    rank += comb(v, j + 1)
-                masks[rank] |= 1 << e[i]
+            # combinations drops the vertices of the sorted edge last to first
+            for sub, v in zip(itertools.combinations(e, G.r - 1), reversed(e)):
+                masks[sub] = get(sub, 0) | 1 << v
         self.masks = masks
 
-    def induced_min_degree(self, X: Sequence[int], xmask: int) -> int:
-        comb = math.comb
-        best = None
-        for sub in itertools.combinations(X, self.ell):
-            rank = 0
-            for j, v in enumerate(sub):
-                rank += comb(v, j + 1)
-            d = (self.masks[rank] & xmask).bit_count()
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    break
-        return 0 if best is None else best
+    def induced_min_degree(self, X: Sequence[int], ell: int, stop_below: int = 1) -> int:
+        """Minimum l-degree of G[X], for sorted X.
 
-    def is_good(self, X: Sequence[int], xmask: int, need: int) -> bool:
-        if need <= 0:
-            return True
-        comb = math.comb
+        May stop early and return any degree below `stop_below` that it
+        finds, so a result >= stop_below is always the exact minimum.
+        """
+        xmask = subset_mask(X)
         masks = self.masks
-        for sub in itertools.combinations(X, self.ell):
-            rank = 0
-            for j, v in enumerate(sub):
-                rank += comb(v, j + 1)
-            if (masks[rank] & xmask).bit_count() < need:
-                return False
-        return True
-
-
-def _induced_min_degree(G: Hypergraph, X: Sequence[int], ell: int) -> int:
-    sub, _ = G.induced(X)
-    return min_degree(sub, ell)
+        k = self.r - ell
+        if k == 1:
+            best = len(X)  # above any codegree inside X
+            for S in itertools.combinations(X, ell):
+                d = (masks.get(S, 0) & xmask).bit_count()
+                if d < best:
+                    best = d
+                    if d < stop_below:
+                        break
+            return best
+        totals = dict.fromkeys(itertools.combinations(X, ell), 0)
+        for T in itertools.combinations(X, self.r - 1):
+            c = (masks.get(T, 0) & xmask).bit_count()
+            if c:
+                for S in itertools.combinations(T, ell):
+                    totals[S] += c
+        return min(totals.values()) // k
 
 
 def _check_extract_args(G: Hypergraph, ell: int, m: int) -> None:
@@ -238,13 +240,13 @@ def extract_random(
     recomputed on the induced subgraph, never trusted from the search loop.
     """
     _check_extract_args(G, ell, m)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     delta = to_fraction(delta, "delta")
     if budget < 1:
         raise ValidationError(f"budget must be at least 1, got {budget}")
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    links = _LinkTable(G) if ell == G.r - 1 else None
+    links = _LinkTable(G)
     best_deg = -1
     best_subset: tuple[int, ...] = ()
     success = False
@@ -253,10 +255,7 @@ def extract_random(
         attempts = attempt
         rng = random.Random(_attempt_seed(seed, attempt))
         X = random_ksubset(G.n, m, rng)
-        if links is not None:
-            achieved = links.induced_min_degree(X, subset_mask(X))
-        else:
-            achieved = _induced_min_degree(G, X, ell)
+        achieved = links.induced_min_degree(X, ell)
         if achieved > best_deg:
             best_deg = achieved
             best_subset = X
@@ -265,7 +264,8 @@ def extract_random(
             best_subset = X
             break
 
-    verified = _induced_min_degree(G, best_subset, ell)
+    sub, _ = G.induced(best_subset)
+    verified = min_degree(sub, ell)
     if success and verified < need:
         raise DegexError(
             f"internal error: subset {best_subset} failed recheck "
@@ -317,20 +317,17 @@ def extract_exhaustive(
 ) -> ExhaustiveExtraction:
     """Exact list of good m-subsets; the finite oracle behind extract_random."""
     _check_extract_args(G, ell, m)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     delta = to_fraction(delta, "delta")
     _check_enum_budget(binom(G.n, m), f"extract_exhaustive with C({G.n}, {m})", enum_budget)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    links = _LinkTable(G) if ell == G.r - 1 else None
-    good = []
-    for rank, X in enumerate(ksubsets(G.n, m)):
-        if links is not None:
-            ok = links.is_good(X, subset_mask(X), need)
-        else:
-            ok = _induced_min_degree(G, X, ell) >= need
-        if ok:
-            good.append(rank)
+    links = _LinkTable(G)
+    good = [
+        rank
+        for rank, X in enumerate(ksubsets(G.n, m))
+        if links.induced_min_degree(X, ell, stop_below=need) >= need
+    ]
     return ExhaustiveExtraction(m=m, ell=ell, threshold=need, good_ranks=tuple(good))
 
 
@@ -349,28 +346,17 @@ class AuditReport:
     context: dict = field(default_factory=dict)
 
 
-def _poor_rank_set(G: Hypergraph, ell: int, p: Fraction) -> frozenset[int]:
-    return frozenset(poor_sets(G, ell, p).poor)
+def _poor_subsets(G: Hypergraph, ell: int, p: Fraction) -> set[tuple[int, ...]]:
+    return {colex_unrank(rank, ell, G.n) for rank in poor_sets(G, ell, p).poor}
 
 
-def _count_poor_free(G: Hypergraph, ell: int, m: int, poor_ranks: frozenset[int]) -> int:
+def _count_poor_free(G: Hypergraph, ell: int, m: int, poor: set[tuple[int, ...]]) -> int:
     """m-subsets containing no poor l-subset, by direct enumeration."""
-    if not poor_ranks:
+    if not poor:
         return binom(G.n, m)
-    comb = math.comb
-    count = 0
-    for X in ksubsets(G.n, m):
-        ok = True
-        for sub in itertools.combinations(X, ell):
-            rank = 0
-            for j, v in enumerate(sub):
-                rank += comb(v, j + 1)
-            if rank in poor_ranks:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(
+        1 for X in ksubsets(G.n, m) if poor.isdisjoint(itertools.combinations(X, ell))
+    )
 
 
 def audit_eq3(
@@ -382,11 +368,11 @@ def audit_eq3(
 ) -> AuditReport:
     """Poor-free m-subset count against the union bound (must always hold)."""
     _check_extract_args(G, ell, m)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     _check_enum_budget(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget)
-    poor_ranks = _poor_rank_set(G, ell, p)
-    lhs = _count_poor_free(G, ell, m, poor_ranks)
-    eps_eff = Fraction(len(poor_ranks), binom(G.n, ell))
+    poor = _poor_subsets(G, ell, p)
+    lhs = _count_poor_free(G, ell, m, poor)
+    eps_eff = Fraction(len(poor), binom(G.n, ell))
     rhs = (1 - eps_eff * m**ell) * binom(G.n, m)
     return AuditReport(
         inequality_id="eq3_rich_count",
@@ -399,49 +385,45 @@ def audit_eq3(
             "ell": ell,
             "m": m,
             "p": p,
-            "poor_count": len(poor_ranks),
+            "poor_count": len(poor),
             "eps_eff": eps_eff,
         },
     )
 
 
-def _neighbour_masks(G: Hypergraph, S: Sequence[int]) -> list[int]:
-    """Bitmasks of the (r-l)-sets completing S to an edge."""
-    sset = set(S)
-    out = []
-    for e in G.edges:
-        if sset.issubset(e):
-            out.append(subset_mask(v for v in e if v not in sset))
-    return out
-
-
 def _phi_count(
-    G: Hypergraph,
-    S: Sequence[int],
+    links: _LinkTable,
+    S: tuple[int, ...],
     m: int,
     boundary: Fraction,
 ) -> int:
-    """phi_S: (m-l)-subsets T of V minus S with |N(S) cap T^(r-l)| <= boundary."""
+    """phi_S: (m-l)-subsets T of V minus S with deg_{S+T}(S) <= boundary."""
     ell = len(S)
-    complement = [v for v in range(G.n) if v not in set(S)]
-    if G.r - ell == 1:
-        link = 0
-        for nm in _neighbour_masks(G, S):
-            link |= nm
-        cap = math.floor(boundary)  # cnt <= boundary iff cnt <= floor(boundary)
-        if cap < 0:
-            return 0
+    k = links.r - ell
+    complement = [v for v in range(links.n) if v not in S]
+    cap = math.floor(boundary)  # deg <= boundary iff deg <= floor(boundary)
+    if cap < 0:
+        return 0
+    if k == 1:
+        link = links.masks.get(S, 0)
         count = 0
         for T in itertools.combinations(complement, m - ell):
             if (link & subset_mask(T)).bit_count() <= cap:
                 count += 1
         return count
-    nbrs = _neighbour_masks(G, S)
+    # (mask of U, link(S + U)) for the (k-1)-sets U outside S whose link is nonempty
+    parts = []
+    for U in itertools.combinations(complement, k - 1):
+        link = links.masks.get(tuple(sorted(S + U)), 0)
+        if link:
+            parts.append((subset_mask(U), link))
     count = 0
     for T in itertools.combinations(complement, m - ell):
         tmask = subset_mask(T)
-        inside = sum(1 for nm in nbrs if nm & tmask == nm)
-        if inside <= boundary:
+        inside = sum(
+            (link & tmask).bit_count() for umask, link in parts if umask & tmask == umask
+        )
+        if inside // k <= cap:
             count += 1
     return count
 
@@ -462,7 +444,7 @@ def audit_eq2_phi(
     S = tuple(sorted(S))
     ell = len(S)
     _check_extract_args(G, ell, m)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     delta = to_fraction(delta, "delta")
     deg = degree_of(G, S)
     rich_floor = p * binom(G.n - ell, G.r - ell)
@@ -474,7 +456,7 @@ def audit_eq2_phi(
         binom(G.n - ell, m - ell), f"audit_eq2_phi with C({G.n - ell}, {m - ell})", enum_budget
     )
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
-    lhs = _phi_count(G, S, m, boundary)
+    lhs = _phi_count(_LinkTable(G), S, m, boundary)
     rhs = binom(G.n - ell, m - ell) * _tail_bound_factor(delta, m, G.r, ell)
     return AuditReport(
         inequality_id="eq2_phi_bound",
@@ -505,7 +487,7 @@ def audit_bad_total(
 ) -> AuditReport:
     """Sum of phi_S over rich S against C(n, m)/2 (diagnostic, not asserted)."""
     _check_extract_args(G, ell, m)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     delta = to_fraction(delta, "delta")
     _check_enum_budget(binom(G.n, m), f"audit_bad_total with C({G.n}, {m})", enum_budget)
     _check_enum_budget(
@@ -513,15 +495,16 @@ def audit_bad_total(
         f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
         enum_budget,
     )
-    poor_ranks = _poor_rank_set(G, ell, p)
+    poor = _poor_subsets(G, ell, p)
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
+    links = _LinkTable(G)
     lhs = 0
     rich_count = 0
-    for rank, S in enumerate(ksubsets(G.n, ell)):
-        if rank in poor_ranks:
+    for S in ksubsets(G.n, ell):
+        if S in poor:
             continue
         rich_count += 1
-        lhs += _phi_count(G, S, m, boundary)
+        lhs += _phi_count(links, S, m, boundary)
     rhs = Fraction(binom(G.n, m), 2)
     intermediate = (
         binom(G.n, m) * binom(m, ell) * _tail_bound_factor(delta, m, G.r, ell)
@@ -539,7 +522,7 @@ def audit_bad_total(
             "p": p,
             "delta": delta,
             "rich_count": rich_count,
-            "poor_count": len(poor_ranks),
+            "poor_count": len(poor),
             "intermediate_bound": intermediate,
         },
     )

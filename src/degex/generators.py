@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .combinatorics import binom, ksubsets
 from .errors import ValidationError
 from .hypergraph import Hypergraph
-from .rational import to_fraction
+from .rational import to_probability
 
 
 def complete(n: int, r: int) -> Hypergraph:
@@ -28,9 +28,7 @@ def complete(n: int, r: int) -> Hypergraph:
 
 def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
     """Each r-subset is an edge independently with probability p, seeded."""
-    p = to_fraction(p, "p")
-    if not 0 <= p <= 1:
-        raise ValidationError(f"p must be in [0, 1], got {p}")
+    p = to_probability(p)
     if r < 1:
         raise ValidationError(f"uniformity must be at least 1, got {r}")
     rng = random.Random(seed)
@@ -52,12 +50,6 @@ class PartitionSpec:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(stop - start for start, stop in self.parts)
-
-    def part_of(self, v: int) -> int:
-        for i, (start, stop) in enumerate(self.parts):
-            if start <= v < stop:
-                return i
-        raise ValidationError(f"vertex {v} outside the partitioned range")
 
 
 def balanced_partition(n: int, N: int) -> PartitionSpec:

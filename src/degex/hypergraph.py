@@ -1,10 +1,7 @@
 """Immutable r-uniform hypergraphs on vertex set [0, n).
 
-Edges are strictly sorted r-tuples of 0-based vertex indices.  Two edge
-backends live behind the same surface: a frozenset of edge tuples for O(1)
-membership, and (on demand) the set/bitset of colex edge ranks for dense
-enumeration loops.  Both are derived from the same canonical edge list, so
-observable behaviour never depends on the backend.
+Edges are strictly sorted r-tuples of 0-based vertex indices, kept in colex
+order, with a frozenset of the same tuples for O(1) membership tests.
 
 .hg text format:
     line 1:             "<r> <n>"
@@ -17,10 +14,8 @@ rank.  UTF-8, LF line endings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .combinatorics import colex_rank
 from .errors import FormatError, ValidationError
 
 
@@ -70,22 +65,6 @@ class Hypergraph:
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return tuple(sorted(vertices)) in self._edge_set
 
-    @cached_property
-    def edge_ranks(self) -> frozenset[int]:
-        """Colex ranks of all edges (hash-set backend)."""
-        return frozenset(colex_rank(e).rank for e in self.edges)
-
-    @cached_property
-    def edge_bitset(self) -> int:
-        """Bitset over colex edge ranks (dense backend)."""
-        bits = 0
-        for rank in self.edge_ranks:
-            bits |= 1 << rank
-        return bits
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def induced(self, X: Iterable[int]) -> tuple["Hypergraph", "InducedMap"]:
         """Induced subgraph on X, relabeled order-preservingly to [0, |X|)."""
         xs = sorted(set(X))
@@ -98,7 +77,7 @@ class Hypergraph:
             for e in self.edges
             if xset.issuperset(e)
         ]
-        return Hypergraph(len(xs), self.r, sub_edges), InducedMap(tuple(xs), relabel)
+        return Hypergraph(len(xs), self.r, sub_edges), InducedMap(tuple(xs))
 
 
 @dataclass(frozen=True)
@@ -106,7 +85,6 @@ class InducedMap:
     """Order-preserving relabeling of an induced subgraph back to its parent."""
 
     parent_vertices: tuple[int, ...]
-    relabeling: dict[int, int]
 
     def to_parent(self, v: int) -> int:
         return self.parent_vertices[v]

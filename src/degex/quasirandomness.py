@@ -34,7 +34,7 @@ from .combinatorics import binom, mask_vertices
 from .degree import degree_table, kth_min_degree
 from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
-from .rational import floor_sqrt_scaled, to_fraction
+from .rational import floor_sqrt_scaled, to_probability
 
 DEFAULT_EXACT_LIMIT_12 = 22
 DEFAULT_EXACT_LIMIT_111 = 13
@@ -114,7 +114,9 @@ def _pair_link_indexes(G: Hypergraph) -> list[list[int]]:
 
 
 def _weight_dtype(n: int, num: int, den: int):
-    # worst-case |sum of weights| <= C(n,2) * n * (num + den)
+    # worst-case |sum of weights| <= C(n,2) * n * (num + den); this needs
+    # num >= 0, which holds because every entry point takes p through
+    # to_probability (0 <= p <= 1)
     bound = binom(n, 2) * max(n, 1) * (num + den)
     return np.int64 if bound < INT64_SAFE else object
 
@@ -226,7 +228,7 @@ def deviation_12_exact(
     X across processes; results are identical for every thread count.
     """
     _require_3graph(G)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     limit = DEFAULT_EXACT_LIMIT_12 if exact_limit is None else exact_limit
     if G.n > limit:
         raise LimitExceeded(
@@ -279,7 +281,7 @@ def deviation_12_sampled(
     seed.  The inner P is still exactly optimal, hence D <= the true maximum.
     """
     _require_3graph(G)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     num, den = p.numerator, p.denominator
@@ -335,6 +337,7 @@ def deviation_12_sampled(
 
 
 def _dev111_weight_dtype(n: int, num: int, den: int):
+    # num >= 0 here too, as in _weight_dtype
     bound = max(n, 1) ** 3 * (num + den)
     return np.int64 if bound < INT64_SAFE else object
 
@@ -361,7 +364,7 @@ def deviation_111_exact(
     `exact_limit` vertices (default 13).
     """
     _require_3graph(G)
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     limit = DEFAULT_EXACT_LIMIT_111 if exact_limit is None else exact_limit
     if G.n > limit:
         raise LimitExceeded(
@@ -495,7 +498,7 @@ def check_qr_codegree_implication(
     _require_3graph(G)
     if G.n < 2:
         raise ValidationError("the implication check needs at least 2 vertices")
-    p = to_fraction(p, "p")
+    p = to_probability(p)
     report = deviation_12_exact(G, p, exact_limit=exact_limit, threads=threads)
     n = G.n
     eps_star = report.eps_star

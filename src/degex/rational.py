@@ -22,6 +22,16 @@ def to_fraction(value, name: str = "value") -> Fraction:
         raise ValidationError(f"{name} is not a rational number: {value!r}") from exc
 
 
+def to_probability(value) -> Fraction:
+    """Convert a probability p with to_fraction and check that it lies in [0, 1]."""
+    from .errors import ValidationError
+
+    p = to_fraction(value, "p")
+    if not 0 <= p <= 1:
+        raise ValidationError(f"p must be in [0, 1], got {p}")
+    return p
+
+
 def floor_sqrt_scaled(q: Fraction, scale: int) -> int:
     """Return floor(sqrt(q) * scale) exactly, for q >= 0.
 

@@ -84,6 +84,26 @@ class TestStats:
         assert payload["poor_fraction"] == {"num": 9, "den": 10}
         assert payload["histogram"] == {"1": 9, "3": 1}
 
+    def test_summary_builds_one_degree_table(self, capsys, example_file, monkeypatch):
+        import degex.cli
+        import degex.degree
+
+        calls = []
+        original = degex.degree.degree_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(degex.degree, "degree_table", counting)
+        monkeypatch.setattr(degex.cli, "degree_table", counting)
+        code, _, _ = run(
+            capsys, "stats", "--in", example_file, "--ell", "2",
+            "--eps", "95/100", "--p", "1/2",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_eps_cap_flagged(self, capsys, example_file):
         code, out, _ = run(
             capsys, "stats", "--in", example_file, "--ell", "2", "--eps", "1",
@@ -171,19 +191,25 @@ class TestExtract:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    def test_thread_cap_accepted_and_inert(self, capsys, tmp_path):
+    def test_thread_flag_rejected_outside_qr(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
+        code, _, _ = run(
+            capsys, "gen", "er", "--n", "12", "--r", "3", "--p", "1/2", "--seed", "2",
+            "--out", str(g), "--threads", "8",
+        )
+        assert code == 2
+        assert not g.exists()
         run(capsys, "gen", "er", "--n", "12", "--r", "3", "--p", "1/2", "--seed", "2", "--out", str(g))
-        base = run(
-            capsys, "extract", "--in", str(g), "--ell", "2", "--m", "5",
-            "--p", "1/2", "--delta", "1/5", "--budget", "10", "--seed", "1",
-        )
-        capped = run(
-            capsys, "extract", "--in", str(g), "--ell", "2", "--m", "5",
-            "--p", "1/2", "--delta", "1/5", "--budget", "10", "--seed", "1",
-            "--threads", "8",
-        )
-        assert base == capped
+        common = ("--in", str(g), "--ell", "2", "--m", "5", "--p", "1/2", "--threads", "8")
+        for argv in (
+            ("stats", "--in", str(g), "--ell", "2", "--threads", "8"),
+            ("extract", *common, "--delta", "1/5", "--budget", "10", "--seed", "1"),
+            ("audit", "--which", "eq3", *common),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "--threads" in err
 
 
 class TestAudit:
@@ -282,6 +308,16 @@ class TestQr:
         _, out1, _ = run(capsys, "qr", "--in", str(g), "--kind", "12", "--p", "1/2", "--threads", "1")
         _, out8, _ = run(capsys, "qr", "--in", str(g), "--kind", "12", "--p", "1/2", "--threads", "8")
         assert out1 == out8
+
+    def test_p_out_of_range_is_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "1", "--out", str(g))
+        code, out, err = run(
+            capsys, "qr", "--in", str(g), "--kind", "12", "--p=-1000000000000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "[0, 1]" in err
 
     def test_sampled_111_unsupported(self, capsys, tmp_path):
         g = tmp_path / "e.hg"

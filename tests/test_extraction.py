@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degex.combinatorics import binom, colex_unrank
-from degex.degree import degree_of
+from degex.combinatorics import binom, colex_rank, colex_unrank
+from degex.degree import degree_of, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
+    _LinkTable,
     audit_bad_total,
     audit_eq2_phi,
     audit_eq3,
@@ -253,16 +256,35 @@ class TestExtractExhaustive:
             )
 
     def test_random_successes_are_sound(self):
-        for seed in range(6):
-            G = erdos_renyi(11, 3, Fraction(3, 5), seed=80 + seed)
-            res = extract_exhaustive(G, 2, 6, Fraction(1, 2), Fraction(1, 4))
-            report = extract_random(
-                G, 2, 6, Fraction(1, 2), Fraction(1, 4), budget=40, seed=seed
-            )
-            if report.success:
-                from degex.combinatorics import colex_rank
+        # (n, r, l, m, p): l = r-1 and l < r-1, so both table paths are checked
+        cases = ((11, 3, 2, 6, Fraction(1, 2)), (11, 3, 1, 6, Fraction(1, 2)),
+                 (9, 4, 2, 6, Fraction(1, 2)), (9, 4, 1, 6, Fraction(2, 5)))
+        successes = 0
+        for n, r, ell, m, p in cases:
+            for seed in range(6):
+                G = erdos_renyi(n, r, Fraction(3, 5), seed=80 + seed)
+                res = extract_exhaustive(G, ell, m, p, Fraction(1, 4))
+                report = extract_random(G, ell, m, p, Fraction(1, 4), budget=40, seed=seed)
+                assert report.success == (
+                    colex_rank(report.subset).rank in res.good_ranks
+                )
+                successes += report.success
+        assert successes > 0
 
-                assert colex_rank(report.subset).rank in res.good_ranks
+
+class TestLinkTable:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_min_degree_matches_oracle(self, data):
+        r = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(r, 8))
+        possible = list(itertools.combinations(range(n), r))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+        G = build(n, r, itertools.compress(possible, keep))
+        X = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        links = _LinkTable(G)
+        for ell in range(1, min(r, len(X) + 1)):
+            assert links.induced_min_degree(X, ell) == brute_min_induced_degree(G, X, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +404,17 @@ class TestAuditBadTotal:
             binom(12, 6) * binom(6, 2) * math.exp(-float(delta) ** 2 * 6 / 2)
         )
 
+    def test_r4_matches_brute_oracle(self):
+        G = erdos_renyi(9, 4, Fraction(3, 5), seed=73)
+        for ell, m, p, delta in ((2, 6, Fraction(1, 2), Fraction(1, 5)),
+                                 (1, 5, Fraction(1, 2), Fraction(1, 10))):
+            report = audit_bad_total(G, ell, m, p, delta)
+            poor = brute_poor_pairs(G, ell, p)
+            rich = [S for S in itertools.combinations(range(9), ell) if S not in poor]
+            assert rich
+            assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
+            assert report.lhs > 0
+
     def test_good_count_dominates_poorfree_minus_bad(self):
         for seed in range(8):
             G = erdos_renyi(11, 3, Fraction(1, 2), seed=400 + seed)
@@ -390,6 +423,26 @@ class TestAuditBadTotal:
             poor_free = audit_eq3(G, 2, 6, p).lhs
             bad_sum = audit_bad_total(G, 2, 6, p, delta).lhs
             assert good >= poor_free - bad_sum
+
+
+class TestProbabilityDomain:
+    def test_p_out_of_range_rejected(self):
+        G = erdos_renyi(8, 3, Fraction(1, 2), seed=2)
+        S = max(itertools.combinations(range(8), 2), key=lambda s: degree_of(G, s))
+        delta = Fraction(1, 10)
+        for p in (Fraction(-10**18), Fraction(-1, 2), Fraction(3, 2)):
+            calls = (
+                lambda: extract_random(G, 2, 5, p, delta, budget=3, seed=0),
+                lambda: extract_exhaustive(G, 2, 5, p, delta),
+                lambda: audit_eq3(G, 2, 5, p),
+                lambda: audit_eq2_phi(G, S, 5, p, delta),
+                lambda: audit_bad_total(G, 2, 5, p, delta),
+                lambda: poor_sets(G, 2, p),
+                lambda: erdos_renyi(6, 3, p, seed=0),
+            )
+            for call in calls:
+                with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                    call()
 
 
 class TestReportSerialization:

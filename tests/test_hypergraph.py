@@ -57,11 +57,10 @@ class TestBuild:
 
     def test_backends_agree(self):
         G = erdos_renyi(7, 3, "1/2", seed=5)
+        edges = set(G.edges)
         for e in itertools.combinations(range(7), 3):
-            rank = colex_rank(e).rank
-            in_set = rank in G.edge_ranks
-            in_bits = bool(G.edge_bitset >> rank & 1)
-            assert in_set == in_bits == G.has_edge(e)
+            assert G.has_edge(e) == (e in edges)
+            assert G.has_edge(e[::-1]) == (e in edges)
 
 
 class TestInduced:
@@ -89,7 +88,6 @@ class TestInduced:
         H, m = G.induced({1, 3, 5})
         assert H.edges == ((0, 1, 2),)
         assert m.parent_vertices == (1, 3, 5)
-        assert [m.relabeling[v] for v in (1, 3, 5)] == [0, 1, 2]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):

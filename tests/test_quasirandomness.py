@@ -152,6 +152,20 @@ class TestDeviation12Exact:
         assert one == four
         assert dumps(one) == dumps(four)
 
+    def test_p_out_of_range_rejected(self):
+        # a huge negative p used to overflow the int64 weights and trip the
+        # witness recheck with an AssertionError
+        G = erdos_renyi(6, 3, "1/2", seed=1)
+        for p in (Fraction(-10**18), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                deviation_12_exact(G, p)
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                deviation_12_sampled(G, p, trials=5, seed=0)
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                deviation_111_exact(G, p)
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                check_qr_codegree_implication(G, p)
+
     def test_limit_refusal_names_sampling(self):
         G = build(30, 3, [])
         with pytest.raises(LimitExceeded, match="sampled"):
