@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     # worker cap; outputs are identical for every K, and serial runs are
     # always a valid schedule
     qr.add_argument("--threads", type=int, default=1, metavar="K",
-                    help="cap on worker processes")
+                    help="cap on worker processes (exact --kind 12 only)")
 
     return parser
 
@@ -272,6 +272,8 @@ def _exact_limit_from_env(flag_value: int | None) -> int | None:
 def _cmd_qr(args) -> None:
     G = _load_input(args.input)
     limit = _exact_limit_from_env(args.exact_limit)
+    if args.threads != 1 and (args.kind != "12" or args.mode != "exact"):
+        raise ValidationError("--threads applies only to exact --kind 12")
     if args.kind == "12":
         if args.mode == "sampled":
             report = deviation_12_sampled(G, args.p, args.trials, args.seed)
@@ -309,6 +311,9 @@ def main(argv=None) -> int:
         return 2
     except DegexError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

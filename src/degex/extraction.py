@@ -400,17 +400,18 @@ def _phi_count(
     """phi_S: (m-l)-subsets T of V minus S with deg_{S+T}(S) <= boundary."""
     ell = len(S)
     k = links.r - ell
-    complement = [v for v in range(links.n) if v not in S]
     cap = math.floor(boundary)  # deg <= boundary iff deg <= floor(boundary)
     if cap < 0:
         return 0
     if k == 1:
-        link = links.masks.get(S, 0)
-        count = 0
-        for T in itertools.combinations(complement, m - ell):
-            if (link & subset_mask(T)).bit_count() <= cap:
-                count += 1
-        return count
+        # deg_{S+T}(S) = |link(S) & T|: count the T meeting the a link
+        # vertices in j <= cap places, among the n - l vertices outside S
+        a = links.masks.get(S, 0).bit_count()
+        rest = links.n - ell - a
+        return sum(
+            binom(a, j) * binom(rest, m - ell - j) for j in range(min(cap, a, m - ell) + 1)
+        )
+    complement = [v for v in range(links.n) if v not in S]
     # (mask of U, link(S + U)) for the (k-1)-sets U outside S whose link is nonempty
     parts = []
     for U in itertools.combinations(complement, k - 1):

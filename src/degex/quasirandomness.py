@@ -6,22 +6,32 @@ The (1,2) deviation of G at density p is
 
 For fixed X the optimal P is analytic: with w(uv) = d_X(uv) - p|X|, where
 d_X(uv) counts x in X with xuv an edge, the maximum over P is
-max(sum of positive w, -(sum of negative w)), attained at the positive or
-negative support.  So only the 2^n sets X are enumerated, in Gray-code
-order, maintaining the pair counts d_X incrementally; each step costs a few
-vectorized passes over the C(n, 2) pairs.
+max(sum of positive w, -(sum of negative w)) = (sum |w| + |sum w|) / 2,
+attained at the positive or negative support.  The (1,1,1) deviation
+quantifies over X and Y, with the set Z optimal in the same way from the
+per-vertex weights e_XY(z) - p|X||Y|.
 
-Everything is exact: p is a Fraction with denominator q, the loop works on
-integer weights q*d_X(uv) - p.numerator*|X|, and results are returned as
-Fractions.  When the integer weights could overflow int64 the same loop
-runs on an object-dtype array of Python ints.
+One kernel, _sweep, scores every deviation.  It walks subsets of a set of
+dense integer rows in Gray-code order, keeping their sum vec and count k,
+and scores each state from vec - step*k with the formula above:
 
-The (1,1,1) deviation quantifies over X and Y (4^n pairs, nested Gray
-sweeps) with the set Z optimal analytically in the same way.
+* (1,2) exact: row x is den at the pairs uv with xuv an edge, so
+  vec = den * d_X.  The 2^n sets X are one sweep, or one sweep per block
+  of top bits with threads > 1.
+* (1,2) sampled: each sampled X is a sweep of zero bits.
+* (1,1,1) exact: a Gray walk over X keeps M[y, z] = den * #{x in X : xyz
+  an edge}; for each X one sweep over the rows of M gives vec = den * e_XY.
+
+Everything is exact: p is a Fraction num/den, the kernel works on integer
+weights scaled by den, and results are returned as Fractions.  When the
+weights could overflow int64 the same kernel runs on object-dtype arrays of
+Python ints.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +42,7 @@ import numpy as np
 
 from .combinatorics import binom, mask_vertices
 from .degree import degree_table, kth_min_degree
-from .errors import LimitExceeded, ValidationError
+from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import floor_sqrt_scaled, to_probability
 
@@ -95,7 +105,7 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 # shared geometry: pairs in colex order
 
 
-def _pair_rank(u: int, v: int) -> int:
+def _pair_rank(u, v):
     return u + v * (v - 1) // 2
 
 
@@ -103,98 +113,134 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(n) for u in range(v)]
 
 
-def _pair_link_indexes(G: Hypergraph) -> list[list[int]]:
-    """For each vertex x, the colex pair ranks {u,v} with {x,u,v} an edge."""
-    idx: list[list[int]] = [[] for _ in range(G.n)]
-    for a, b, c in G.edges:
-        idx[a].append(_pair_rank(b, c))
-        idx[b].append(_pair_rank(a, c))
-        idx[c].append(_pair_rank(a, b))
-    return idx
+def _pair_links(G: Hypergraph) -> np.ndarray:
+    """0/1 int64 matrix whose entry (x, rank of uv) is 1 when {x, u, v} is an edge."""
+    links = np.zeros((G.n, binom(G.n, 2)), dtype=np.int64)
+    a, b, c = np.array(G.edges, dtype=np.intp).reshape(-1, 3).T
+    links[a, _pair_rank(b, c)] = 1
+    links[b, _pair_rank(a, c)] = 1
+    links[c, _pair_rank(a, b)] = 1
+    return links
+
+
+def _link_start(links: np.ndarray, mask: int, dtype, den: int) -> np.ndarray:
+    """den times the summed link rows of the vertices in mask."""
+    # sum in int64 and cast after: summing object-dtype rows is several times slower
+    return links[list(mask_vertices(mask))].sum(axis=0).astype(dtype) * den
 
 
 def _weight_dtype(n: int, num: int, den: int):
-    # worst-case |sum of weights| <= C(n,2) * n * (num + den); this needs
-    # num >= 0, which holds because every entry point takes p through
-    # to_probability (0 <= p <= 1)
-    bound = binom(n, 2) * max(n, 1) * (num + den)
-    return np.int64 if bound < INT64_SAFE else object
+    # Every integer the kernel keeps in an array, den included, is at most
+    # max(n, 1)^3 (num + den) in absolute value, for both kinds; partial sums
+    # of |w| stay below the full sum.
+    #   (1,2):   an entry of vec is den*d_X(uv) <= den*n and step*k = num*|X|
+    #            <= num*n, so |w| <= n(num + den); over the C(n, 2) < n^2
+    #            pairs, sum |w| and |total - step*k*width| stay under
+    #            n^3 (num + den).
+    #   (1,1,1): M[y, z] <= den*n, an entry of vec is den*e_XY(z) <= den*n^2
+    #            and step*k = num*|X||Y| <= num*n^2, so |w| <= n^2 (num + den);
+    #            over the n vertices z both sums stay under n^3 (num + den).
+    # This needs num >= 0, which holds because every entry point takes p
+    # through to_probability (0 <= p <= 1).
+    return np.int64 if max(n, 1) ** 3 * (num + den) < INT64_SAFE else object
 
 
 # ---------------------------------------------------------------------------
-# (1,2) exact deviation
+# the sweep kernel
 
 
-def _sweep_12_block(
-    n: int,
-    edges: tuple[tuple[int, int, int], ...],
-    num: int,
-    den: int,
-    base_mask: int,
+def _sweep(
+    rows: np.ndarray,
+    sums: Sequence[int],
+    step: int,
+    start: np.ndarray,
+    mask: int,
     low_bits: int,
 ) -> tuple[int, int]:
-    """Gray sweep over the low bits with the high bits fixed to base_mask.
+    """Best score over the masks that agree with `mask` above its low bits.
 
-    Returns (best scaled deviation, best X mask); the scaled deviation is
-    den * D_X, tie-broken toward the smallest mask.
+    Walks the low `low_bits` bits of mask in Gray-code order, starting from
+    mask, whose rows sum to `start`.  In each state vec is the sum of rows[x]
+    over the bits x of the mask, k their number, and sums[x] = sum(rows[x]).
+    The state scores (sum |vec - step*k| + |sum(vec) - step*k*width|) // 2:
+    the larger of the positive and the negative support weight of
+    vec - step*k.  Returns (best score, its mask), ties toward the smallest
+    mask.  A sweep with low_bits = 0 scores `mask` alone and reads no rows.
     """
-    G = Hypergraph(n, 3, edges)
-    idx = _pair_link_indexes(G)
-    deg = [len(ii) for ii in idx]
-    npairs = binom(n, 2)
-    dtype = _weight_dtype(n, num, den)
-    idx_arrays = [np.array(ii, dtype=np.intp) for ii in idx]
-    wd = np.zeros(npairs, dtype=dtype)  # den * d_X per pair
-    buf = np.empty(npairs, dtype=dtype)
-
-    mask = base_mask
-    k = 0
-    sum_d = 0
-    for x in mask_vertices(base_mask):
-        wd[idx_arrays[x]] += den
-        sum_d += deg[x]
-        k += 1
-
-    def evaluate() -> int:
-        c = num * k
-        np.subtract(wd, c, out=buf)
+    vec = start.copy()
+    buf = np.empty_like(vec)
+    width = vec.shape[0]
+    total = int(vec.sum())
+    k = mask.bit_count()
+    best, best_mask = -1, mask
+    for i in range(1 << low_bits):
+        if i:
+            x = (i & -i).bit_length() - 1
+            mask ^= 1 << x
+            if mask >> x & 1:
+                k += 1
+                total += sums[x]
+                np.add(vec, rows[x], out=vec)
+            else:
+                k -= 1
+                total -= sums[x]
+                np.subtract(vec, rows[x], out=vec)
+        c = step * k
+        np.subtract(vec, c, out=buf)
         np.abs(buf, out=buf)
-        s_abs = int(buf.sum())
-        s_w = den * sum_d - c * npairs
-        return (s_abs + abs(s_w)) // 2
-
-    best = evaluate()
-    best_mask = mask
-    for i in range(1, 1 << low_bits):
-        x = (i & -i).bit_length() - 1
-        bit = 1 << x
-        if mask & bit:
-            mask ^= bit
-            k -= 1
-            sum_d -= deg[x]
-            wd[idx_arrays[x]] -= den
-        else:
-            mask ^= bit
-            k += 1
-            sum_d += deg[x]
-            wd[idx_arrays[x]] += den
-        dx = evaluate()
-        if dx > best or (dx == best and mask < best_mask):
-            best = dx
-            best_mask = mask
+        score = (int(buf.sum()) + abs(total - c * width)) // 2
+        if score > best or (score == best and mask < best_mask):
+            best, best_mask = score, mask
     return best, best_mask
 
 
-def _sweep_12_block_star(args) -> tuple[int, int]:
-    return _sweep_12_block(*args)
+def _best_support(w: Sequence[int]) -> tuple[int, list[int]]:
+    """max(sum of positive w, -(sum of negative w)) and the indexes attaining it.
+
+    Ties prefer the positive support.
+    """
+    if sum(w) >= 0:
+        indexes = [i for i, wi in enumerate(w) if wi > 0]
+        return sum(w[i] for i in indexes), indexes
+    indexes = [i for i, wi in enumerate(w) if wi < 0]
+    return -sum(w[i] for i in indexes), indexes
+
+
+def _report(
+    kind: str,
+    p: Fraction,
+    n: int,
+    best: int,
+    scaled: int,
+    witness: tuple,
+    mode: str,
+    trials: int | None = None,
+    seed: int | None = None,
+) -> DiscrepancyReport:
+    """Report the sweep's best scaled deviation once its witness rechecks."""
+    if scaled != best:
+        raise DegexError("internal error: witness recomputation disagrees with the sweep")
+    D = Fraction(best, p.denominator)
+    return DiscrepancyReport(
+        kind=kind,
+        p=p,
+        D=D,
+        eps_star=D / n**3 if n else Fraction(0),
+        witness=witness,
+        mode=mode,
+        trials=trials,
+        seed=seed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# (1,2) deviation
 
 
 def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tuple, tuple]:
     """Recompute (scaled D, X, P) for a fixed X mask; P is the optimal support."""
     X = mask_vertices(mask)
-    k = len(X)
-    npairs = binom(G.n, 2)
-    d = [0] * npairs
+    d = [0] * binom(G.n, 2)
     for a, b, c in G.edges:
         if mask >> a & 1:
             d[_pair_rank(b, c)] += 1
@@ -202,17 +248,9 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
             d[_pair_rank(a, c)] += 1
         if mask >> c & 1:
             d[_pair_rank(a, b)] += 1
-    w = [den * dv - num * k for dv in d]
-    s_w = sum(w)
-    positive = s_w >= 0  # ties prefer the positive support
+    scaled, indexes = _best_support([den * dv - num * len(X) for dv in d])
     pairs = _all_pairs(G.n)
-    if positive:
-        P = tuple(pairs[i] for i in range(npairs) if w[i] > 0)
-        scaled = sum(wi for wi in w if wi > 0)
-    else:
-        P = tuple(pairs[i] for i in range(npairs) if w[i] < 0)
-        scaled = -sum(wi for wi in w if wi < 0)
-    return scaled, X, P
+    return scaled, X, tuple(pairs[i] for i in indexes)
 
 
 def deviation_12_exact(
@@ -225,7 +263,8 @@ def deviation_12_exact(
 
     The 2^n loop over X refuses above `exact_limit` vertices (default 22);
     use deviation_12_sampled past that.  threads > 1 splits the top bits of
-    X across processes; results are identical for every thread count.
+    X across at most os.cpu_count() processes; results are identical for
+    every thread count.
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -235,37 +274,32 @@ def deviation_12_exact(
             f"exact (1,2) deviation enumerates 2^{G.n} vertex sets, above the "
             f"limit of n={limit}; use deviation_12_sampled or raise the limit"
         )
-    num, den = p.numerator, p.denominator
-
-    n = G.n
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    block_bits = 0
-    if threads > 1 and n > 0:
-        block_bits = min((threads - 1).bit_length(), n)
-    tasks = [
-        (n, G.edges, num, den, b << (n - block_bits), n - block_bits)
-        for b in range(1 << block_bits)
-    ]
-    if len(tasks) == 1:
-        results = [_sweep_12_block_star(tasks[0])]
+    num, den = p.numerator, p.denominator
+    n = G.n
+    dtype = _weight_dtype(n, num, den)
+    links = _pair_links(G)
+    rows = links.astype(dtype) * den
+    sums = [den * d for d in links.sum(axis=1).tolist()]
+
+    workers = min(threads, os.cpu_count() or 1)
+    block_bits = min((workers - 1).bit_length(), n)
+    low_bits = n - block_bits
+    masks = [b << low_bits for b in range(1 << block_bits)]
+    starts = [_link_start(links, mask, dtype, den) for mask in masks]
+    if len(masks) == 1:
+        results = [_sweep(rows, sums, num, starts[0], 0, low_bits)]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            results = list(pool.map(_sweep_12_block_star, tasks))
-
-    best, best_mask = results[0]
-    for dx, mask in results[1:]:
-        if dx > best or (dx == best and mask < best_mask):
-            best, best_mask = dx, mask
-
+        tasks = len(masks)
+        with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
+            results = list(pool.map(
+                _sweep, [rows] * tasks, [sums] * tasks, [num] * tasks,
+                starts, masks, [low_bits] * tasks,
+            ))
+    best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
     scaled, X, P = _witness_12(G, best_mask, num, den)
-    if scaled != best:
-        raise AssertionError("witness recomputation disagrees with the sweep")
-    D = Fraction(best, den)
-    eps_star = D / n**3 if n else Fraction(0)
-    return DiscrepancyReport(
-        kind="12", p=p, D=D, eps_star=eps_star, witness=(X, P), mode="exact"
-    )
+    return _report("12", p, n, best, scaled, (X, P), "exact")
 
 
 def deviation_12_sampled(
@@ -286,60 +320,21 @@ def deviation_12_sampled(
         raise ValidationError(f"trials must be at least 1, got {trials}")
     num, den = p.numerator, p.denominator
     n = G.n
-    npairs = binom(n, 2)
-    idx = _pair_link_indexes(G)
     dtype = _weight_dtype(n, num, den)
-    idx_arrays = [np.array(ii, dtype=np.intp) for ii in idx]
-    deg = [len(ii) for ii in idx]
-    buf = np.empty(npairs, dtype=dtype)
-
+    links = _pair_links(G)
     rng = random.Random(seed)
-    best = -1
-    best_mask = 0
-    for _ in range(trials):
-        mask = rng.getrandbits(n) if n else 0
-        wd = np.zeros(npairs, dtype=dtype)
-        k = 0
-        sum_d = 0
-        for x in mask_vertices(mask):
-            wd[idx_arrays[x]] += den
-            sum_d += deg[x]
-            k += 1
-        c = num * k
-        np.subtract(wd, c, out=buf)
-        np.abs(buf, out=buf)
-        s_abs = int(buf.sum())
-        s_w = den * sum_d - c * npairs
-        dx = (s_abs + abs(s_w)) // 2
-        if dx > best or (dx == best and mask < best_mask):
-            best = dx
-            best_mask = mask
-
+    masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
+    results = [
+        _sweep(None, None, num, _link_start(links, mask, dtype, den), mask, 0)
+        for mask in masks
+    ]
+    best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
     scaled, X, P = _witness_12(G, best_mask, num, den)
-    if scaled != best:
-        raise AssertionError("witness recomputation disagrees with the sweep")
-    D = Fraction(best, den)
-    eps_star = D / n**3 if n else Fraction(0)
-    return DiscrepancyReport(
-        kind="12",
-        p=p,
-        D=D,
-        eps_star=eps_star,
-        witness=(X, P),
-        mode="sampled",
-        trials=trials,
-        seed=seed,
-    )
+    return _report("12", p, n, best, scaled, (X, P), "sampled", trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # (1,1,1) exact deviation
-
-
-def _dev111_weight_dtype(n: int, num: int, den: int):
-    # num >= 0 here too, as in _weight_dtype
-    bound = max(n, 1) ** 3 * (num + den)
-    return np.int64 if bound < INT64_SAFE else object
 
 
 def _e111_vector(G: Hypergraph, xmask: int, ymask: int) -> list[int]:
@@ -359,8 +354,9 @@ def deviation_111_exact(
 ) -> DiscrepancyReport:
     """Exact maximum (1,1,1) deviation over all (X, Y, Z), with a witness.
 
-    Nested Gray sweeps over X and Y (4^n states); Z is optimal analytically
-    from the per-vertex weights e_{XY}(z) - p|X||Y|.  Refuses above
+    A Gray walk over X keeps M[y, z] = den * #{x in X : xyz an edge}; for
+    each X one sweep over Y scores the per-vertex weights e_{XY}(z) - p|X||Y|,
+    with Z optimal analytically (4^n states in all).  Refuses above
     `exact_limit` vertices (default 13).
     """
     _require_3graph(G)
@@ -373,95 +369,39 @@ def deviation_111_exact(
         )
     num, den = p.numerator, p.denominator
     n = G.n
-    dtype = _dev111_weight_dtype(n, num, den)
+    dtype = _weight_dtype(n, num, den)
 
-    # M[y, z] = den * #{x in X : xyz an edge}, maintained over the X sweep
-    M = np.zeros((max(n, 1), max(n, 1)), dtype=dtype)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for a, b, c in G.edges:
-        for third, u, v in ((a, b, c), (b, a, c), (c, a, b)):
-            rows[third].extend((u, v))
-            cols[third].extend((v, u))
-    row_idx = [np.array(rr, dtype=np.intp) for rr in rows]
-    col_idx = [np.array(cc, dtype=np.intp) for cc in cols]
-
-    e_scaled = np.empty(max(n, 1), dtype=dtype)
-    buf = np.empty(max(n, 1), dtype=dtype)
+    # R[x] is den at (y, z) when xyz is an edge
+    R = np.zeros((n, n, n), dtype=np.int64)
+    edges = np.array(G.edges, dtype=np.intp).reshape(-1, 3)
+    for perm in itertools.permutations(range(3)):
+        R[tuple(edges[:, perm].T)] = 1
+    R = R.astype(dtype) * den
+    M = np.zeros((n, n), dtype=dtype)
+    zero = np.zeros(n, dtype=dtype)
 
     best = -1
     best_x = best_y = 0
-    xmask = 0
-    kx = 0
-    states = 1 << n
-    for xi in range(states):
-        if xi:
-            x = (xi & -xi).bit_length() - 1
-            bit = 1 << x
-            if xmask & bit:
-                xmask ^= bit
-                kx -= 1
-                M[row_idx[x], col_idx[x]] -= den
-            else:
-                xmask ^= bit
+    xmask = kx = 0
+    for i in range(1 << n):
+        if i:
+            x = (i & -i).bit_length() - 1
+            xmask ^= 1 << x
+            if xmask >> x & 1:
                 kx += 1
-                M[row_idx[x], col_idx[x]] += den
-        row_sums = [int(s) for s in M.sum(axis=1)] if n else []
-
-        e_scaled[:] = 0
-        sum_e = 0
-        ymask = 0
-        ky = 0
-        # evaluate (X, Y=empty): every weight is zero
-        if 0 > best or (0 == best and (xmask, ymask) < (best_x, best_y)):
-            best, best_x, best_y = 0, xmask, ymask
-        for yi in range(1, states):
-            y = (yi & -yi).bit_length() - 1
-            bit = 1 << y
-            if ymask & bit:
-                ymask ^= bit
-                ky -= 1
-                np.subtract(e_scaled, M[y], out=e_scaled)
-                sum_e -= row_sums[y]
+                np.add(M, R[x], out=M)
             else:
-                ymask ^= bit
-                ky += 1
-                np.add(e_scaled, M[y], out=e_scaled)
-                sum_e += row_sums[y]
-            c = num * kx * ky
-            np.subtract(e_scaled, c, out=buf)
-            np.abs(buf, out=buf)
-            s_abs = int(buf.sum())
-            s_w = sum_e - c * n
-            dx = (s_abs + abs(s_w)) // 2
-            if dx > best or (dx == best and (xmask, ymask) < (best_x, best_y)):
-                best, best_x, best_y = dx, xmask, ymask
+                kx -= 1
+                np.subtract(M, R[x], out=M)
+        score, ymask = _sweep(M, M.sum(axis=1).tolist(), num * kx, zero, 0, n)
+        if score > best or (score == best and (xmask, ymask) < (best_x, best_y)):
+            best, best_x, best_y = score, xmask, ymask
 
     # witness: recompute the winning (X, Y) directly and pick the Z support
-    evec = _e111_vector(G, best_x, best_y)
-    kx = best_x.bit_count()
-    ky = best_y.bit_count()
-    w = [den * ev - num * kx * ky for ev in evec]
-    s_w = sum(w)
-    positive = s_w >= 0
-    if positive:
-        Z = tuple(z for z in range(n) if w[z] > 0)
-        scaled = sum(wi for wi in w if wi > 0)
-    else:
-        Z = tuple(z for z in range(n) if w[z] < 0)
-        scaled = -sum(wi for wi in w if wi < 0)
-    if scaled != best:
-        raise AssertionError("witness recomputation disagrees with the sweep")
-    D = Fraction(best, den)
-    eps_star = D / n**3 if n else Fraction(0)
-    return DiscrepancyReport(
-        kind="111",
-        p=p,
-        D=D,
-        eps_star=eps_star,
-        witness=(mask_vertices(best_x), mask_vertices(best_y), Z),
-        mode="exact",
-    )
+    c = num * best_x.bit_count() * best_y.bit_count()
+    scaled, Z = _best_support([den * e - c for e in _e111_vector(G, best_x, best_y)])
+    witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z))
+    return _report("111", p, n, best, scaled, witness, "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,36 @@ class TestQr:
             capsys, "qr", "--in", str(g), "--kind", "111", "--p", "0", "--mode", "sampled"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--kind", "111", "--p", "0"), ("--kind", "12", "--p", "1/2", "--mode", "sampled")],
+        ids=["111", "sampled"],
+    )
+    def test_threads_rejected_outside_exact_12(self, capsys, tmp_path, flags):
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))
+        code, out, err = run(capsys, "qr", "--in", str(g), *flags, "--threads", "8")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and err.count("\n") == 1
+        code, out, _ = run(capsys, "qr", "--in", str(g), *flags, "--threads", "1")
+        assert code == 0
+        assert json.loads(out)["D"]
+
+    @pytest.mark.parametrize(
+        "exc", [ZeroDivisionError("division by zero"), OverflowError("too large"), MemoryError()],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_arithmetic_and_memory_errors_exit_1(self, capsys, monkeypatch, exc):
+        import degex.cli
+
+        def handler(args):
+            raise exc
+
+        monkeypatch.setitem(degex.cli._HANDLERS, "qr", handler)
+        code, out, err = run(capsys, "qr", "--kind", "12", "--p", "1/2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: " + type(exc).__name__)
+        assert err.count("\n") == 1

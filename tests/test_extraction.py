@@ -404,6 +404,32 @@ class TestAuditBadTotal:
             binom(12, 6) * binom(6, 2) * math.exp(-float(delta) ** 2 * 6 / 2)
         )
 
+    def test_closed_form_regimes_match_brute_oracle(self):
+        # for l = r-1, phi_S sums C(a, j) C(N - a, m - l - j) over j <= cap,
+        # with a = |link(S)| and N = n - l; each case hits a clipped regime
+        cases = [
+            # cap < 0
+            (erdos_renyi(12, 3, Fraction(3, 5), seed=72), 6, Fraction(1, 10), Fraction(1, 2)),
+            # cap >= a: sparse links, boundary (0 + 1) * 4
+            (erdos_renyi(12, 3, Fraction(1, 10), seed=74), 6, Fraction(0), Fraction(-1)),
+            # m - l > N - a: links cover nearly every outside vertex
+            (erdos_renyi(10, 3, Fraction(9, 10), seed=75), 6, Fraction(1, 2), Fraction(1, 10)),
+        ]
+        hit = set()
+        for G, m, p, delta in cases:
+            ell = 2
+            report = audit_bad_total(G, ell, m, p, delta)
+            poor = brute_poor_pairs(G, ell, p)
+            rich = [S for S in itertools.combinations(range(G.n), ell) if S not in poor]
+            assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
+            cap = math.floor((p - delta) * (m - ell))
+            for S in rich:
+                a = degree_of(G, S)
+                hit.add("cap < 0" if cap < 0 else "cap >= a" if cap >= a else "inside")
+                if m - ell > G.n - ell - a:
+                    hit.add("m - l > N - a")
+        assert hit >= {"cap < 0", "cap >= a", "m - l > N - a"}
+
     def test_r4_matches_brute_oracle(self):
         G = erdos_renyi(9, 4, Fraction(3, 5), seed=73)
         for ell, m, p, delta in ((2, 6, Fraction(1, 2), Fraction(1, 5)),

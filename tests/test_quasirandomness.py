@@ -3,12 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degex.errors import LimitExceeded, ValidationError
+import degex.quasirandomness as qr
+from degex.combinatorics import mask_vertices
+from degex.errors import DegexError, LimitExceeded, ValidationError
 from degex.generators import complete, erdos_renyi, partition_deletion
 from degex.hypergraph import build
 from degex.jsonio import dumps
 from degex.quasirandomness import (
+    _witness_12,
     check_qr_codegree_implication,
     deviation_111_exact,
     deviation_12_exact,
@@ -144,6 +149,12 @@ class TestDeviation12Exact:
         G = erdos_renyi(5, 3, Fraction(1, 2), seed=3)
         p = Fraction(10**20 + 1, 3 * 10**20)  # forces the object-dtype path
         assert deviation_12_exact(G, p).D == brute_dev12(G, p)
+        # den alone overflows int64; with n = 1 this used to raise OverflowError
+        for n in (0, 1, 2):
+            H = build(n, 3, [])
+            assert deviation_12_exact(H, p).D == brute_dev12(H, p)
+            assert deviation_12_sampled(H, p, trials=4, seed=0).D <= brute_dev12(H, p)
+            assert deviation_111_exact(H, p).D == brute_dev111(H, p)
 
     def test_threads_do_not_change_output(self):
         G = erdos_renyi(10, 3, Fraction(1, 2), seed=99)
@@ -151,6 +162,35 @@ class TestDeviation12Exact:
         four = deviation_12_exact(G, Fraction(1, 2), threads=4)
         assert one == four
         assert dumps(one) == dumps(four)
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # a serial stand-in pool records max_workers; no process is started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(qr, "ProcessPoolExecutor", SerialPool)
+        G = erdos_renyi(9, 3, Fraction(1, 2), seed=98)
+        p = Fraction(1, 3)
+        serial = deviation_12_exact(G, p, threads=1)
+        monkeypatch.setattr(qr.os, "cpu_count", lambda: 2)
+        assert deviation_12_exact(G, p, threads=10**6) == serial
+        assert seen and max(seen) <= 2
+        for cpus in (None, 1, 3, 8, 64):  # every split gives the same report
+            monkeypatch.setattr(qr.os, "cpu_count", lambda: cpus)
+            assert deviation_12_exact(G, p, threads=10**6) == serial
+        assert max(seen) <= 64
 
     def test_p_out_of_range_rejected(self):
         # a huge negative p used to overflow the int64 weights and trip the
@@ -177,8 +217,6 @@ class TestDeviation12Exact:
             deviation_12_exact(G, Fraction(1, 2), exact_limit=6)
 
     def test_per_set_inner_max_dominates_random_pairsets(self):
-        from degex.quasirandomness import _witness_12
-
         rng = random.Random(7)
         G = erdos_renyi(5, 3, Fraction(1, 2), seed=5)
         p = Fraction(1, 2)
@@ -261,6 +299,91 @@ class TestDeviation111Exact:
     def test_limit_refusal(self):
         with pytest.raises(LimitExceeded):
             deviation_111_exact(build(20, 3, []), Fraction(1, 2))
+
+
+class TestSweepKernel:
+    """Every deviation runs on the one Gray-sweep kernel; check it against the oracles."""
+
+    @staticmethod
+    @st.composite
+    def graphs(draw, max_n):
+        n = draw(st.integers(0, max_n))
+        triples = list(itertools.combinations(range(n), 3))
+        keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+        return build(n, 3, [t for t, k in zip(triples, keep) if k])
+
+    # small fractions run on int64; denominators near 2^60 take the object dtype
+    probabilities = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.integers(2**60 - 2**20, 2**60 + 2**20).flatmap(
+            lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
+        ),
+    )
+
+    @given(graphs(5), probabilities)
+    @settings(max_examples=40, deadline=None)
+    def test_12_exact_matches_brute_force(self, G, p):
+        assert deviation_12_exact(G, p).D == brute_dev12(G, p)
+
+    @given(graphs(4), probabilities)
+    @settings(max_examples=30, deadline=None)
+    def test_111_exact_matches_brute_force(self, G, p):
+        assert deviation_111_exact(G, p).D == brute_dev111(G, p)
+
+    def test_111_witness_is_smallest_mask_pair(self):
+        # graphs where the first maximum in Gray order over X is not the
+        # smallest X mask attaining it
+        cases = [
+            ([(0, 1, 2), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4), (1, 3, 4)], Fraction(1, 6)),
+            ([(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 1, 4), (0, 3, 4), (2, 3, 4)], Fraction(1, 3)),
+            ([(0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 3, 4), (2, 3, 4)], Fraction(1, 3)),
+        ]
+        for edges, p in cases:
+            G = build(5, 3, edges)
+            report = deviation_111_exact(G, p)
+
+            def best_over_z(xmask, ymask):
+                X, Y = mask_vertices(xmask), mask_vertices(ymask)
+                w = [e111(G, X, Y, [z]) - p * len(X) * len(Y) for z in range(5)]
+                return max(sum(wz for wz in w if wz > 0), -sum(wz for wz in w if wz < 0))
+
+            first = next(
+                (xmask, ymask)
+                for xmask in range(1 << 5)
+                for ymask in range(1 << 5)
+                if best_over_z(xmask, ymask) == report.D
+            )
+            assert report.witness[:2] == tuple(map(mask_vertices, first))
+
+    @given(graphs(8), probabilities, st.integers(1, 30), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_is_best_witness_over_drawn_masks(self, G, p, trials, seed):
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(G.n) if G.n else 0 for _ in range(trials)]
+        scores = {m: _witness_12(G, m, p.numerator, p.denominator)[0] for m in masks}
+        best = max(scores.values())
+        report = deviation_12_sampled(G, p, trials=trials, seed=seed)
+        assert report.D == Fraction(best, p.denominator)
+        assert report.witness[0] == mask_vertices(min(m for m in scores if scores[m] == best))
+
+    def test_failed_witness_recheck_is_internal_error(self, monkeypatch):
+        G = erdos_renyi(6, 3, Fraction(1, 2), seed=1)
+        p = Fraction(1, 2)
+        witness_12, e111_vector = qr._witness_12, qr._e111_vector
+
+        def off_by_one(*args):
+            scaled, X, P = witness_12(*args)
+            return scaled + 1, X, P
+
+        monkeypatch.setattr(qr, "_witness_12", off_by_one)
+        monkeypatch.setattr(qr, "_e111_vector", lambda *a: [e + 1 for e in e111_vector(*a)])
+        for run in (
+            lambda: deviation_12_exact(G, p),
+            lambda: deviation_12_sampled(G, p, trials=5, seed=0),
+            lambda: deviation_111_exact(G, p),
+        ):
+            with pytest.raises(DegexError, match="^internal error: witness"):
+                run()
 
 
 class TestCodegreeImplication:
