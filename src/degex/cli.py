@@ -310,7 +310,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegexError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if not message.startswith("internal error:"):
+            message = f"internal error: {message}"
+        print(message, file=sys.stderr)
         return 1
     except (ArithmeticError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ and scores each state from vec - step*k with the formula above:
 * (1,2) exact: row x is den at the pairs uv with xuv an edge, so
   vec = den * d_X.  The 2^n sets X are one sweep, or one sweep per block
   of top bits with threads > 1.
-* (1,2) sampled: each sampled X is a sweep of zero bits.
+* (1,2) sampled: each sampled X is a sweep of zero bits, from a start
+  vector counted over the 3|E| vertex-edge incidences; no n x C(n, 2) rows
+  are built, so memory stays O(|E| + n^2) at any n.
 * (1,1,1) exact: a Gray walk over X keeps M[y, z] = den * #{x in X : xyz
   an edge}; for each X one sweep over the rows of M gives vec = den * e_XY.
 
@@ -113,20 +115,26 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(n) for u in range(v)]
 
 
-def _pair_links(G: Hypergraph) -> np.ndarray:
-    """0/1 int64 matrix whose entry (x, rank of uv) is 1 when {x, u, v} is an edge."""
-    links = np.zeros((G.n, binom(G.n, 2)), dtype=np.int64)
+def _pair_incidence(G: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the 3|E| vertex-edge incidences: the vertex x and the rank
+    of the pair uv with {x, u, v} the edge."""
     a, b, c = np.array(G.edges, dtype=np.intp).reshape(-1, 3).T
-    links[a, _pair_rank(b, c)] = 1
-    links[b, _pair_rank(a, c)] = 1
-    links[c, _pair_rank(a, b)] = 1
-    return links
+    return (
+        np.concatenate([a, b, c]),
+        np.concatenate([_pair_rank(b, c), _pair_rank(a, c), _pair_rank(a, b)]),
+    )
 
 
-def _link_start(links: np.ndarray, mask: int, dtype, den: int) -> np.ndarray:
-    """den times the summed link rows of the vertices in mask."""
-    # sum in int64 and cast after: summing object-dtype rows is several times slower
-    return links[list(mask_vertices(mask))].sum(axis=0).astype(dtype) * den
+def _link_start(G: Hypergraph, incidence, mask: int, dtype, den: int) -> np.ndarray:
+    """den * d_X over the pairs in colex order, for X the vertices of mask."""
+    verts, ranks = incidence
+    member = np.zeros(G.n, dtype=bool)
+    member[list(mask_vertices(mask))] = True
+    # count in int64 and cast after: object-dtype arithmetic is several times slower
+    start = np.bincount(ranks[member[verts]], minlength=binom(G.n, 2))
+    start = start.astype(dtype, copy=False)
+    start *= den
+    return start
 
 
 def _weight_dtype(n: int, num: int, den: int):
@@ -150,8 +158,7 @@ def _weight_dtype(n: int, num: int, den: int):
 
 
 def _sweep(
-    rows: np.ndarray,
-    sums: Sequence[int],
+    rows: np.ndarray | None,
     step: int,
     start: np.ndarray,
     mask: int,
@@ -161,13 +168,14 @@ def _sweep(
 
     Walks the low `low_bits` bits of mask in Gray-code order, starting from
     mask, whose rows sum to `start`.  In each state vec is the sum of rows[x]
-    over the bits x of the mask, k their number, and sums[x] = sum(rows[x]).
-    The state scores (sum |vec - step*k| + |sum(vec) - step*k*width|) // 2:
-    the larger of the positive and the negative support weight of
-    vec - step*k.  Returns (best score, its mask), ties toward the smallest
-    mask.  A sweep with low_bits = 0 scores `mask` alone and reads no rows.
+    over the bits x of the mask and k their number; vec is `start`, updated
+    in place.  The state scores
+    (sum |vec - step*k| + |sum(vec) - step*k*width|) // 2: the larger of the
+    positive and the negative support weight of vec - step*k.  Returns
+    (best score, its mask), ties toward the smallest mask.  A sweep with low_bits = 0 scores `mask` alone and reads no rows.
     """
-    vec = start.copy()
+    sums = rows.sum(axis=1).tolist() if low_bits else None
+    vec = start
     buf = np.empty_like(vec)
     width = vec.shape[0]
     total = int(vec.sum())
@@ -279,22 +287,24 @@ def deviation_12_exact(
     num, den = p.numerator, p.denominator
     n = G.n
     dtype = _weight_dtype(n, num, den)
-    links = _pair_links(G)
-    rows = links.astype(dtype) * den
-    sums = [den * d for d in links.sum(axis=1).tolist()]
+    incidence = _pair_incidence(G)
+    # den at (x, rank of uv) when {x, u, v} is an edge
+    rows = np.zeros((n, binom(n, 2)), dtype=np.int64)
+    rows[incidence] = 1
+    rows = rows.astype(dtype) * den
 
     workers = min(threads, os.cpu_count() or 1)
     block_bits = min((workers - 1).bit_length(), n)
     low_bits = n - block_bits
     masks = [b << low_bits for b in range(1 << block_bits)]
-    starts = [_link_start(links, mask, dtype, den) for mask in masks]
+    starts = [_link_start(G, incidence, mask, dtype, den) for mask in masks]
     if len(masks) == 1:
-        results = [_sweep(rows, sums, num, starts[0], 0, low_bits)]
+        results = [_sweep(rows, num, starts[0], 0, low_bits)]
     else:
         tasks = len(masks)
         with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
             results = list(pool.map(
-                _sweep, [rows] * tasks, [sums] * tasks, [num] * tasks,
+                _sweep, [rows] * tasks, [num] * tasks,
                 starts, masks, [low_bits] * tasks,
             ))
     best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
@@ -321,11 +331,11 @@ def deviation_12_sampled(
     num, den = p.numerator, p.denominator
     n = G.n
     dtype = _weight_dtype(n, num, den)
-    links = _pair_links(G)
+    incidence = _pair_incidence(G)
     rng = random.Random(seed)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
     results = [
-        _sweep(None, None, num, _link_start(links, mask, dtype, den), mask, 0)
+        _sweep(None, num, _link_start(G, incidence, mask, dtype, den), mask, 0)
         for mask in masks
     ]
     best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
@@ -378,7 +388,6 @@ def deviation_111_exact(
         R[tuple(edges[:, perm].T)] = 1
     R = R.astype(dtype) * den
     M = np.zeros((n, n), dtype=dtype)
-    zero = np.zeros(n, dtype=dtype)
 
     best = -1
     best_x = best_y = 0
@@ -393,7 +402,7 @@ def deviation_111_exact(
             else:
                 kx -= 1
                 np.subtract(M, R[x], out=M)
-        score, ymask = _sweep(M, M.sum(axis=1).tolist(), num * kx, zero, 0, n)
+        score, ymask = _sweep(M, num * kx, np.zeros(n, dtype=dtype), 0, n)
         if score > best or (score == best and (xmask, ymask) < (best_x, best_y)):
             best, best_x, best_y = score, xmask, ymask
 

@@ -178,6 +178,22 @@ class TestExtract:
         assert code == 3
         assert "budget" in err
 
+    def test_failed_recheck_prints_internal_error_once(self, capsys, monkeypatch, tmp_path):
+        import degex.extraction
+
+        k8 = tmp_path / "k8.hg"
+        run(capsys, "gen", "complete", "--n", "8", "--r", "3", "--out", str(k8))
+        monkeypatch.setattr(degex.extraction, "min_degree", lambda sub, ell: -1)
+        code, out, err = run(
+            capsys, "extract", "--in", str(k8), "--ell", "2", "--m", "4",
+            "--p", "1", "--delta", "1/10", "--mode", "random",
+            "--budget", "5", "--seed", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: subset")
+        assert err.count("internal error") == 1
+
     def test_reproducible_output(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "14", "--r", "3", "--p", "3/5", "--seed", "5", "--out", str(g))

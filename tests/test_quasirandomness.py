@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ import degex.quasirandomness as qr
 from degex.combinatorics import mask_vertices
 from degex.errors import DegexError, LimitExceeded, ValidationError
 from degex.generators import complete, erdos_renyi, partition_deletion
-from degex.hypergraph import build
+from degex.cli import main as cli_main
+from degex.hypergraph import build, dump
 from degex.jsonio import dumps
 from degex.quasirandomness import (
     _witness_12,
@@ -258,6 +261,24 @@ class TestDeviation12Sampled:
             assert d <= exact
             last = d
 
+    def test_sparse_graph_memory_and_time_stay_bounded(self):
+        # n = 400 with 300 edges: the n x C(n, 2) link rows alone would take
+        # 255 MB; sampling counts each start vector from the edges instead
+        rng = random.Random(400)
+        edges = {tuple(sorted(rng.sample(range(400), 3))) for _ in range(300)}
+        G = build(400, 3, sorted(edges))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = deviation_12_sampled(G, Fraction(1, 1000), trials=50, seed=3)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.D > 0
+        assert peak < 32 * 2**20
+        assert elapsed < 10
+
     def test_scales_past_the_exact_limit(self):
         # n = 40 is far beyond the 2^n loop; sampling still works
         G = erdos_renyi(40, 3, Fraction(1, 2), seed=55)
@@ -366,8 +387,10 @@ class TestSweepKernel:
         assert report.D == Fraction(best, p.denominator)
         assert report.witness[0] == mask_vertices(min(m for m in scores if scores[m] == best))
 
-    def test_failed_witness_recheck_is_internal_error(self, monkeypatch):
+    def test_failed_witness_recheck_is_internal_error(self, monkeypatch, capsys, tmp_path):
         G = erdos_renyi(6, 3, Fraction(1, 2), seed=1)
+        g = tmp_path / "g.hg"
+        dump(G, g)
         p = Fraction(1, 2)
         witness_12, e111_vector = qr._witness_12, qr._e111_vector
 
@@ -384,6 +407,14 @@ class TestSweepKernel:
         ):
             with pytest.raises(DegexError, match="^internal error: witness"):
                 run()
+        # the CLI prints the message once, without doubling its prefix
+        for flags in (("--kind", "12"), ("--kind", "12", "--mode", "sampled"), ("--kind", "111")):
+            assert cli_main(["qr", "--in", str(g), "--p", "1/2", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("internal error: witness")
+            assert captured.err.count("internal error") == 1
+            assert captured.err.count("\n") == 1
 
 
 class TestCodegreeImplication:
