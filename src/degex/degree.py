@@ -17,9 +17,12 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .combinatorics import binom, colex_unrank, ksubsets
-from .errors import ValidationError
+from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
+
+# Largest table degree_table builds: C(n, l) entries, each a Python int.
+MAX_TABLE_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,16 @@ def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
     """All l-subset degrees in one pass: each edge bumps its C(r, l) sub-subsets.
 
     The counts are keyed by subset and read out in colex order, so no rank
-    is ever computed.
+    is ever computed.  Refuses a table of more than MAX_TABLE_ENTRIES
+    subsets before building anything.
     """
     _check_ell(G, ell)
+    size = binom(G.n, ell)
+    if size > MAX_TABLE_ENTRIES:
+        raise LimitExceeded(
+            f"the degree table over C({G.n}, {ell}) = {size} subsets exceeds the "
+            f"limit of {MAX_TABLE_ENTRIES} entries"
+        )
     counts = Counter(
         itertools.chain.from_iterable(itertools.combinations(e, ell) for e in G.edges)
     )

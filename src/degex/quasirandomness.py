@@ -11,13 +11,17 @@ attained at the positive or negative support.  The (1,1,1) deviation
 quantifies over X and Y, with the set Z optimal in the same way from the
 per-vertex weights e_XY(z) - p|X||Y|.
 
-One kernel, _sweep, scores every deviation.  It walks subsets of a set of
-dense integer rows in Gray-code order, keeping their sum vec and count k,
-and scores each state from vec - step*k with the formula above:
+One kernel, _sweep, scores every deviation.  It enumerates subsets of a set
+of dense integer rows, with vec the sum of a subset's rows and k its size,
+and scores each from vec - step*k with the formula above.  The low rows
+form a block whose subset sums are tabulated once; a Gray walk over the
+rest adds or subtracts one row per step and scores the whole block in one
+vectorized pass.  The block's size is derived from the row width, so its
+memory stays within a fixed byte budget.
 
 * (1,2) exact: row x is den at the pairs uv with xuv an edge, so
-  vec = den * d_X.  The 2^n sets X are one sweep, or one sweep per block
-  of top bits with threads > 1.
+  vec = den * d_X.  The 2^n sets X are one sweep, or with threads > 1
+  one sweep per value of the top bits.
 * (1,2) sampled: each sampled X is a sweep of zero bits, from a start
   vector counted over the 3|E| vertex-edge incidences; no n x C(n, 2) rows
   are built, so memory stays O(|E| + n^2) at any n.
@@ -52,6 +56,12 @@ DEFAULT_EXACT_LIMIT_12 = 22
 DEFAULT_EXACT_LIMIT_111 = 13
 
 INT64_SAFE = 1 << 62
+
+# A sweep scores 2^b states at once from a 2^b x width table and a scratch
+# block of the same shape; b is the largest with the block in BLOCK_BYTES.
+BLOCK_BYTES = 1 << 18
+# an object element is a pointer plus a boxed Python int, rounded up
+OBJECT_ELEMENT_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,9 @@ def _weight_dtype(n: int, num: int, den: int):
     #   (1,1,1): M[y, z] <= den*n, an entry of vec is den*e_XY(z) <= den*n^2
     #            and step*k = num*|X||Y| <= num*n^2, so |w| <= n^2 (num + den);
     #            over the n vertices z both sums stay under n^3 (num + den).
+    # A score, sum |w| + |sum w|, is then below 2^63.  Row j of a sweep's
+    # block table is w for the set of the bits of j alone, so it obeys the
+    # same bounds, and so does its sum.
     # This needs num >= 0, which holds because every entry point takes p
     # through to_probability (0 <= p <= 1).
     return np.int64 if max(n, 1) ** 3 * (num + den) < INT64_SAFE else object
@@ -155,6 +168,12 @@ def _weight_dtype(n: int, num: int, den: int):
 
 # ---------------------------------------------------------------------------
 # the sweep kernel
+
+
+def _block_bits(width: int, dtype, low_bits: int) -> int:
+    """Inner bits b of a sweep: the 2^b x width block fits BLOCK_BYTES."""
+    cost = OBJECT_ELEMENT_BYTES if dtype == object else np.dtype(dtype).itemsize
+    return min(low_bits, max(BLOCK_BYTES // (cost * max(width, 1)), 1).bit_length() - 1)
 
 
 def _sweep(
@@ -166,39 +185,53 @@ def _sweep(
 ) -> tuple[int, int]:
     """Best score over the masks that agree with `mask` above its low bits.
 
-    Walks the low `low_bits` bits of mask in Gray-code order, starting from
-    mask, whose rows sum to `start`.  In each state vec is the sum of rows[x]
-    over the bits x of the mask and k their number; vec is `start`, updated
-    in place.  The state scores
-    (sum |vec - step*k| + |sum(vec) - step*k*width|) // 2: the larger of the
-    positive and the negative support weight of vec - step*k.  Returns
-    (best score, its mask), ties toward the smallest mask.  A sweep with low_bits = 0 scores `mask` alone and reads no rows.
+    The low `low_bits` bits of mask must be clear, and `start` is the sum of
+    rows[x] over the bits x of mask.  A state is a mask; with vec the sum of
+    its rows and k its bit count it scores
+    (sum |vec - step*k| + |sum(vec - step*k)|) // 2, the larger of the
+    positive and the negative support weight of w = vec - step*k.  Returns
+    (best score, its mask), ties toward the smallest mask.
+
+    The low bits split into b inner bits, b from _block_bits, and the outer
+    bits above them.  Row j of `table`, for each of the 2^b inner masks j, is
+    the sum of rows[v] - step over the bits v of j, built by doubling:
+    table[h:2h] = table[:h] + rows[v] - step with h = 2^v.  A Gray walk over
+    the outer bits keeps vec (`start`, updated in place) and k.  At each
+    outer state, row j of table + (vec - step*k) is w for the mask with inner
+    bits j, so one vectorized pass scores the whole block; argmax takes the
+    first maximum, so the smallest inner mask wins.  A sweep with
+    low_bits = 0 scores `mask` alone and reads no rows.
     """
-    sums = rows.sum(axis=1).tolist() if low_bits else None
     vec = start
-    buf = np.empty_like(vec)
     width = vec.shape[0]
-    total = int(vec.sum())
+    inner = _block_bits(width, vec.dtype, low_bits)
+    table = np.zeros((1 << inner, width), dtype=vec.dtype)
+    for v in range(inner):
+        h = 1 << v
+        np.add(table[:h], rows[v] - step, out=table[h : 2 * h])
+    table_sums = table.sum(axis=1)
+    buf = np.empty_like(table)
     k = mask.bit_count()
     best, best_mask = -1, mask
-    for i in range(1 << low_bits):
+    for i in range(1 << (low_bits - inner)):
         if i:
-            x = (i & -i).bit_length() - 1
+            x = inner + (i & -i).bit_length() - 1
             mask ^= 1 << x
             if mask >> x & 1:
                 k += 1
-                total += sums[x]
                 np.add(vec, rows[x], out=vec)
             else:
                 k -= 1
-                total -= sums[x]
                 np.subtract(vec, rows[x], out=vec)
-        c = step * k
-        np.subtract(vec, c, out=buf)
+        w = vec - step * k
+        np.add(table, w, out=buf)
         np.abs(buf, out=buf)
-        score = (int(buf.sum()) + abs(total - c * width)) // 2
-        if score > best or (score == best and mask < best_mask):
-            best, best_mask = score, mask
+        scores = buf.sum(axis=1)
+        scores += np.abs(table_sums + w.sum())
+        j = int(scores.argmax())
+        score = int(scores[j]) // 2
+        if score > best or (score == best and mask | j < best_mask):
+            best, best_mask = score, mask | j
     return best, best_mask
 
 

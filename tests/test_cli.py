@@ -104,6 +104,18 @@ class TestStats:
         assert code == 0
         assert len(calls) == 1
 
+    def test_oversized_header_is_exit_3(self, capsys, tmp_path):
+        # C(10^9, 2) subsets: refused before the table is built
+        path = tmp_path / "huge.hg"
+        path.write_text("3 1000000000\n")
+        for fmt in ("json", "csv"):
+            code, out, err = run(
+                capsys, "stats", "--in", str(path), "--ell", "2", "--format", fmt
+            )
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: the degree table") and err.count("\n") == 1
+
     def test_eps_cap_flagged(self, capsys, example_file):
         code, out, _ = run(
             capsys, "stats", "--in", example_file, "--ell", "2", "--eps", "1",

@@ -4,8 +4,9 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degex.quasirandomness as qr
@@ -86,6 +87,36 @@ def brute_dev111(G, p):
     return Fraction(best, den)
 
 
+def reference_sweep(rows, step, start, mask, low_bits):
+    """The per-state Gray sweep that qr._sweep replaces: one state per step."""
+    sums = rows.sum(axis=1).tolist() if low_bits else None
+    vec = start
+    buf = np.empty_like(vec)
+    width = vec.shape[0]
+    total = int(vec.sum())
+    k = mask.bit_count()
+    best, best_mask = -1, mask
+    for i in range(1 << low_bits):
+        if i:
+            x = (i & -i).bit_length() - 1
+            mask ^= 1 << x
+            if mask >> x & 1:
+                k += 1
+                total += sums[x]
+                np.add(vec, rows[x], out=vec)
+            else:
+                k -= 1
+                total -= sums[x]
+                np.subtract(vec, rows[x], out=vec)
+        c = step * k
+        np.subtract(vec, c, out=buf)
+        np.abs(buf, out=buf)
+        score = (int(buf.sum()) + abs(total - c * width)) // 2
+        if score > best or (score == best and mask < best_mask):
+            best, best_mask = score, mask
+    return best, best_mask
+
+
 class TestCounts:
     def test_e12_empty_sides(self):
         G = complete(4, 3)
@@ -160,11 +191,14 @@ class TestDeviation12Exact:
             assert deviation_111_exact(H, p).D == brute_dev111(H, p)
 
     def test_threads_do_not_change_output(self):
-        G = erdos_renyi(10, 3, Fraction(1, 2), seed=99)
-        one = deviation_12_exact(G, Fraction(1, 2), threads=1)
-        four = deviation_12_exact(G, Fraction(1, 2), threads=4)
-        assert one == four
-        assert dumps(one) == dumps(four)
+        # at n = 13 each worker's sweep has outer Gray bits on both dtypes
+        big = Fraction(2**55 + 1, 3 * 2**55 + 7)
+        for n, p in ((10, Fraction(1, 2)), (13, Fraction(1, 3)), (13, big)):
+            G = erdos_renyi(n, 3, Fraction(1, 2), seed=99)
+            one = deviation_12_exact(G, p, threads=1)
+            four = deviation_12_exact(G, p, threads=4)
+            assert one == four
+            assert dumps(one) == dumps(four)
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         # a serial stand-in pool records max_workers; no process is started
@@ -350,6 +384,55 @@ class TestSweepKernel:
     @settings(max_examples=30, deadline=None)
     def test_111_exact_matches_brute_force(self, G, p):
         assert deviation_111_exact(G, p).D == brute_dev111(G, p)
+
+    @staticmethod
+    @st.composite
+    def sweeps(draw):
+        """Kernel inputs: rows, step, start, mask, low_bits."""
+        dtype = draw(st.sampled_from([np.int64, object]))
+        n = draw(st.integers(0, 8))
+        low_bits = draw(st.integers(0, n))
+        # wide rows leave outer Gray bits above the block; {-1, 0, 1} and
+        # all-zero rows are heavy with ties
+        width = draw(st.sampled_from([0, 1, 5, 40, 700] + ([5000] if dtype is np.int64 else [])))
+        spread = draw(st.sampled_from([0, 1, 3, 1000]))
+        scale = draw(st.sampled_from([1, 2**64])) if dtype is object else 1
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        rows = rng.integers(-spread, spread + 1, size=(n, width)).astype(dtype) * scale
+        rows[list(mask_vertices(draw(st.integers(0, 2**n - 1))))] = 0
+        step = draw(st.integers(0, spread * scale))
+        mask = draw(st.integers(0, 2 ** (n - low_bits) - 1)) << low_bits
+        start = np.zeros(width, dtype=dtype)
+        for x in mask_vertices(mask):
+            start += rows[x]
+        if low_bits == 0 and draw(st.booleans()):
+            rows = None  # a sampled sweep reads no rows
+        return rows, step, start, mask, low_bits
+
+    @given(sweeps())
+    # outer bits 2 and 3 over 5000-wide rows; only row 3 is nonzero, so the
+    # Gray walk reaches mask 0b1100 before the smaller tying mask 0b1000
+    @example((np.repeat(np.array([[0], [0], [0], [1]]), 5000, axis=1),
+              0, np.zeros(5000, dtype=np.int64), 0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_reference_kernel(self, args):
+        rows, step, start, mask, low_bits = args
+        assert qr._sweep(rows, step, start.copy(), mask, low_bits) == reference_sweep(
+            rows, step, start.copy(), mask, low_bits
+        )
+
+    def test_sweep_block_fills_its_byte_budget(self):
+        for dtype, cost in ((np.int64, 8), (object, qr.OBJECT_ELEMENT_BYTES)):
+            for width in (1, 5, 78, 120, 190, 700, 5000):
+                b = qr._block_bits(width, dtype, 64)
+                # the largest block in the budget; one row at least
+                assert b == 0 or cost * width << b <= qr.BLOCK_BYTES
+                assert qr.BLOCK_BYTES < cost * width << b + 1
+                assert qr._block_bits(width, dtype, 3) == min(b, 3)
+        # the widths drawn above leave outer Gray bits on both dtypes
+        assert qr._block_bits(5000, np.int64, 8) < 8
+        assert qr._block_bits(700, object, 8) < 8
+        assert qr._block_bits(10**6, np.int64, 0) == 0
 
     def test_111_witness_is_smallest_mask_pair(self):
         # graphs where the first maximum in Gray order over X is not the
