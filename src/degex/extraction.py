@@ -15,6 +15,10 @@ on small instances:
     l-subset S, vs its martingale tail bound; diagnostic only.
   * bad_total_bound -- sum of phi_S over rich S vs C(n, m)/2; diagnostic
     (the bound is only claimed for m >= m0, far beyond desk scale).
+
+Exhaustive extraction, eq3 and phi_S for l < r-1 enumerate their subsets in
+colex blocks (_colex_blocks) and mark the bad rows of a whole block with a
+few numpy passes per l-subset (_bad_rows), so no subset is visited alone.
 """
 
 from __future__ import annotations
@@ -26,15 +30,30 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .combinatorics import binom, colex_unrank, ksubsets, random_ksubset, subset_mask
+import numpy as np
+
+from .combinatorics import (
+    binom,
+    colex_unrank,
+    ksubsets,
+    mask_vertices,
+    random_ksubset,
+    subset_mask,
+)
 from .degree import degree_of, min_degree, poor_sets
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
 DEFAULT_ENUM_BUDGET = 100_000_000
+
+# Exhaustive enumeration scores m-subsets in blocks: a fixed high part OR'd
+# onto a table of at most BLOCK_BYTES of int64 low masks, which use at most
+# LOW_BITS bits so that they stay nonnegative.
+BLOCK_BYTES = 1 << 18
+LOW_BITS = 62
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +183,8 @@ class _LinkTable:
                 masks[sub] = get(sub, 0) | 1 << v
         self.masks = masks
 
-    def induced_min_degree(self, X: Sequence[int], ell: int, stop_below: int = 1) -> int:
-        """Minimum l-degree of G[X], for sorted X.
-
-        May stop early and return any degree below `stop_below` that it
-        finds, so a result >= stop_below is always the exact minimum.
-        """
+    def induced_min_degree(self, X: Sequence[int], ell: int) -> int:
+        """Minimum l-degree of G[X], for sorted X."""
         xmask = subset_mask(X)
         masks = self.masks
         k = self.r - ell
@@ -179,7 +194,7 @@ class _LinkTable:
                 d = (masks.get(S, 0) & xmask).bit_count()
                 if d < best:
                     best = d
-                    if d < stop_below:
+                    if not d:
                         break
             return best
         totals = dict.fromkeys(itertools.combinations(X, ell), 0)
@@ -189,6 +204,24 @@ class _LinkTable:
                 for S in itertools.combinations(T, ell):
                     totals[S] += c
         return min(totals.values()) // k
+
+    def degree_items(self, ell: int) -> dict[tuple[int, ...], tuple[int, int, list]]:
+        """S -> (mask of S, reach, parts) for every l-subset S, the items of _bad_rows.
+
+        parts holds (mask of T, link(T)) for the (r-1)-sets T >= S with a
+        nonempty link (for l = r-1 that is S itself), and reach is the sum of
+        their link sizes, a bound on every link sum of S.
+        """
+        parts: dict[tuple[int, ...], list[tuple[int, int]]] = {
+            S: [] for S in itertools.combinations(range(self.n), ell)
+        }
+        reach = dict.fromkeys(parts, 0)
+        for T, link in self.masks.items():
+            part, size = (subset_mask(T), link), link.bit_count()
+            for S in itertools.combinations(T, ell):
+                parts[S].append(part)
+                reach[S] += size
+        return {S: (subset_mask(S), reach[S], parts[S]) for S in parts}
 
 
 def _check_extract_args(G: Hypergraph, ell: int, m: int) -> None:
@@ -282,6 +315,147 @@ def extract_random(
 
 
 # ---------------------------------------------------------------------------
+# Block enumeration of m-subsets
+
+
+def _low_masks(k: int, j: int) -> np.ndarray:
+    """Bitmasks of the j-subsets of [0, k) in colex order, as int64 (k <= LOW_BITS)."""
+    # level t lists the t-subsets of [0, k - j + t), the ones that can still
+    # grow into a j-subset of [0, k), by top element v: each is v plus a
+    # (t-1)-subset of [0, v), and those are the first C(v, t-1) of level t-1
+    level = np.zeros(1, dtype=np.int64)
+    for t in range(1, j + 1):
+        tops = range(t - 1, k - j + t)
+        counts = [math.comb(v, t - 1) for v in tops]
+        level = np.concatenate([level[:c] for c in counts])
+        level |= np.repeat(np.left_shift(1, np.array(tops, dtype=np.int64)), counts)
+    return level
+
+
+def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """The m-subsets of [0, n) in colex order, as blocks (offset, high, k, low).
+
+    Block i holds the masks high | low[i] with colex ranks offset + i: low is
+    the int64 table of the j-subsets of [0, k) and high a Python int with
+    bits at k and above.  Colex order on m-subsets is the numeric order of
+    their masks, so masks(n, m) = masks(n-1, m) ++ (masks(n-1, m-1) | 1 << (n-1)).
+    The walk unrolls that recursion on an explicit stack, first part first,
+    until a part's table fits BLOCK_BYTES and LOW_BITS bits.
+    """
+    rows = max(BLOCK_BYTES // 8, 1)
+    offset = 0
+    stack = [(n, m, 0)]
+    while stack:
+        k, j, high = stack.pop()
+        size = math.comb(k, j) if j >= 0 else 0
+        if not size:
+            continue
+        if size <= rows and k <= LOW_BITS:
+            yield offset, high, k, _low_masks(k, j)
+            offset += size
+        else:
+            stack.append((k - 1, j - 1, high | 1 << (k - 1)))
+            stack.append((k - 1, j, high))
+
+
+def _link_sum(high: int, k: int, low: np.ndarray, parts: list[tuple[int, int]]) -> np.ndarray:
+    """For each mask X = high | low[i]: the sum of |link & X| over the parts
+    (t, link) with t <= X.
+
+    Each t must lie within high and the low k bits.  The parts are scored a
+    chunk at a time, in chunk x rows passes of at most BLOCK_BYTES.
+    """
+    lowmask = (1 << k) - 1
+    links = np.array([[link & lowmask] for _, link in parts], dtype=np.int64)
+    rests = np.array([[t & lowmask] for t, _ in parts], dtype=np.int64)
+    # |link & X| = |link & high| + |link & low|; the first part is fixed
+    bases = np.array([[(link & high).bit_count()] for _, link in parts], dtype=np.int64)
+    sums = np.zeros(len(low), dtype=np.int64)
+    step = max(BLOCK_BYTES // (8 * max(len(low), 1)), 1)
+    for i in range(0, len(parts), step):
+        chunk = slice(i, i + step)
+        hit = (low & rests[chunk]) == rests[chunk]
+        counts = np.bitwise_count(low & links[chunk])
+        counts *= hit
+        sums += counts.sum(axis=0, dtype=np.int64)
+        if bases[chunk].any():
+            sums += (hit * bases[chunk]).sum(axis=0)
+    return sums
+
+
+def _subsets_meeting(high: int, k: int, j: int, ell: int) -> Iterator[tuple[int, ...]]:
+    """The l-subsets that some mask high | low, low a j-subset of [0, k), holds."""
+    top = mask_vertices(high)
+    for a in range(max(ell - j, 0), min(ell, len(top)) + 1):
+        for below in itertools.combinations(range(k), ell - a):
+            for above in itertools.combinations(top, a):
+                yield below + above
+
+
+def _bad_rows(
+    high: int, k: int, low: np.ndarray, items: dict[tuple[int, ...], tuple], ell: int, thr: int
+) -> np.ndarray:
+    """Which masks X = high | low[i] of a block hold a bad item.
+
+    items maps l-subsets S to (mask of S, reach, parts).  S is bad in X when
+    S <= X and the link sum of parts within X (see _link_sum) is below thr;
+    reach bounds that sum.  With _LinkTable.degree_items this marks X whose
+    l-degree sum (r - l) deg_X(S) is below thr for some S <= X.  Only the S
+    and the parts that some X of the block holds are read.  A single part
+    that every X holding S holds, as for l = r - 1, is one popcount pass;
+    several parts are summed over the rows holding S alone.
+    """
+    lowmask = (1 << k) - 1
+    outside = ~(high | lowmask)
+    j = int(low[0]).bit_count()  # every row has j bits
+    bad = np.zeros(len(low), dtype=bool)
+    if thr <= 0:
+        return bad
+    columns: dict[int, np.ndarray] = {}
+
+    def held(mask: int) -> np.ndarray:
+        """Which rows hold the vertices of mask, a nonzero mask of low bits."""
+        out = None
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            column = columns.get(bit)
+            if column is None:
+                column = columns[bit] = (low & bit) != 0
+                column.flags.writeable = False
+            out = column if out is None else out & column
+        return out
+
+    for S in _subsets_meeting(high, k, j, ell):
+        item = items.get(S)
+        if item is None:
+            continue
+        smask, reach, parts = item
+        s = smask & lowmask
+        if thr > reach:  # every X holding S is bad
+            if not s:
+                bad[:] = True
+                break
+            bad |= held(s)
+            continue
+        inner = [
+            (t, link) for t, link in parts
+            if not t & outside and (t & lowmask).bit_count() <= j
+        ]
+        if len(inner) == 1 and not inner[0][0] & lowmask & ~s:
+            link = inner[0][1]
+            # a popcount of low bits is at most LOW_BITS, so the cap is exact
+            below = min(thr - (link & high).bit_count(), LOW_BITS + 1)
+            if below > 0:
+                few = np.bitwise_count(low & (link & lowmask)) < below
+                bad |= few & held(s) if s else few
+        else:
+            rows = np.flatnonzero(held(s)) if s else np.arange(len(low))
+            bad[rows[_link_sum(high, k, low[rows], inner) < thr]] = True
+    return bad
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive extraction
 
 
@@ -315,19 +489,23 @@ def extract_exhaustive(
     delta,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ExhaustiveExtraction:
-    """Exact list of good m-subsets; the finite oracle behind extract_random."""
+    """Exact list of good m-subsets; the finite oracle behind extract_random.
+
+    The m-subsets are scored a colex block at a time, so memory stays within
+    a few BLOCK_BYTES besides the result.
+    """
     _check_extract_args(G, ell, m)
     p = to_probability(p)
     delta = to_fraction(delta, "delta")
     _check_enum_budget(binom(G.n, m), f"extract_exhaustive with C({G.n}, {m})", enum_budget)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    links = _LinkTable(G)
-    good = [
-        rank
-        for rank, X in enumerate(ksubsets(G.n, m))
-        if links.induced_min_degree(X, ell, stop_below=need) >= need
-    ]
+    # X is good when (r - l) deg_X(S) >= (r - l) need for every l-subset S of X
+    items = _LinkTable(G).degree_items(ell)
+    thr = need * (G.r - ell)
+    good: list[int] = []
+    for offset, high, k, low in _colex_blocks(G.n, m):
+        good += (np.flatnonzero(~_bad_rows(high, k, low, items, ell, thr)) + offset).tolist()
     return ExhaustiveExtraction(m=m, ell=ell, threshold=need, good_ranks=tuple(good))
 
 
@@ -350,12 +528,18 @@ def _poor_subsets(G: Hypergraph, ell: int, p: Fraction) -> set[tuple[int, ...]]:
     return {colex_unrank(rank, ell, G.n) for rank in poor_sets(G, ell, p).poor}
 
 
-def _count_poor_free(G: Hypergraph, ell: int, m: int, poor: set[tuple[int, ...]]) -> int:
-    """m-subsets containing no poor l-subset, by direct enumeration."""
+def _count_poor_free(n: int, m: int, poor: set[tuple[int, ...]]) -> int:
+    """m-subsets of [0, n) containing no poor l-subset.
+
+    A poor S is an item with no parts, so _bad_rows marks every X holding it.
+    """
     if not poor:
-        return binom(G.n, m)
+        return binom(n, m)
+    items = {S: (subset_mask(S), 0, []) for S in poor}
+    ell = len(next(iter(poor)))
     return sum(
-        1 for X in ksubsets(G.n, m) if poor.isdisjoint(itertools.combinations(X, ell))
+        len(low) - int(np.count_nonzero(_bad_rows(high, k, low, items, ell, 1)))
+        for _, high, k, low in _colex_blocks(n, m)
     )
 
 
@@ -371,7 +555,7 @@ def audit_eq3(
     p = to_probability(p)
     _check_enum_budget(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget)
     poor = _poor_subsets(G, ell, p)
-    lhs = _count_poor_free(G, ell, m, poor)
+    lhs = _count_poor_free(G.n, m, poor)
     eps_eff = Fraction(len(poor), binom(G.n, ell))
     rhs = (1 - eps_eff * m**ell) * binom(G.n, m)
     return AuditReport(
@@ -411,22 +595,27 @@ def _phi_count(
         return sum(
             binom(a, j) * binom(rest, m - ell - j) for j in range(min(cap, a, m - ell) + 1)
         )
+    # relabel V minus S as [0, n - l), so that T is an (m-l)-subset of it;
+    # deg_{S+T}(S) is the sum of |link(S + U) & T| over the (k-1)-sets U <= T,
+    # over k, so deg <= cap when that sum is below (cap + 1) k
     complement = [v for v in range(links.n) if v not in S]
-    # (mask of U, link(S + U)) for the (k-1)-sets U outside S whose link is nonempty
     parts = []
     for U in itertools.combinations(complement, k - 1):
         link = links.masks.get(tuple(sorted(S + U)), 0)
         if link:
-            parts.append((subset_mask(U), link))
-    count = 0
-    for T in itertools.combinations(complement, m - ell):
-        tmask = subset_mask(T)
-        inside = sum(
-            (link & tmask).bit_count() for umask, link in parts if umask & tmask == umask
-        )
-        if inside // k <= cap:
-            count += 1
-    return count
+            parts.append((_squeeze(subset_mask(U), S), _squeeze(link, S)))
+    items = {(): (0, sum(link.bit_count() for _, link in parts), parts)}
+    return sum(
+        int(np.count_nonzero(_bad_rows(high, bits, low, items, 0, (cap + 1) * k)))
+        for _, high, bits, low in _colex_blocks(links.n - ell, m - ell)
+    )
+
+
+def _squeeze(mask: int, S: tuple[int, ...]) -> int:
+    """mask, whose bits avoid sorted S, with the bits of S cut out and the bits above moved down."""
+    for v in reversed(S):
+        mask = mask & ((1 << v) - 1) | mask >> (v + 1) << v
+    return mask
 
 
 def _tail_bound_factor(delta: Fraction, m: int, r: int, ell: int) -> float:

@@ -4,7 +4,8 @@ Seeding is documented and version-stable: erdos_renyi walks the r-subsets of
 [0, n) in colex order and draws one random.Random(seed).random() per subset,
 keeping the subset when the draw is strictly below p.  The comparison is
 exact even for Fraction p (Python compares float vs Fraction exactly), so
-p = 1 always yields the complete graph and p = 0 the empty one.
+p = 1 always yields the complete graph and p = 0 the empty one.  Both
+generators refuse more than MAX_SUBSETS r-subsets before drawing any.
 """
 
 from __future__ import annotations
@@ -14,15 +15,28 @@ import random
 from dataclasses import dataclass
 
 from .combinatorics import binom, ksubsets
-from .errors import ValidationError
+from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_probability
+
+# Most r-subsets a generator walks: one draw or one edge each.
+MAX_SUBSETS = 10**7
+
+
+def _check_subsets(n: int, r: int) -> None:
+    count = binom(n, r)
+    if count > MAX_SUBSETS:
+        raise LimitExceeded(
+            f"generating over C({n}, {r}) = {count} subsets exceeds the limit of "
+            f"{MAX_SUBSETS} subsets"
+        )
 
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph K_n^(r) (empty when r > n)."""
     if r > n:
         return Hypergraph(n, r, ())
+    _check_subsets(n, r)
     return Hypergraph(n, r, itertools.combinations(range(n), r))
 
 
@@ -31,6 +45,7 @@ def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
     p = to_probability(p)
     if r < 1:
         raise ValidationError(f"uniformity must be at least 1, got {r}")
+    _check_subsets(n, r)
     rng = random.Random(seed)
     edges = [e for e in ksubsets(n, r) if rng.random() < p]
     return Hypergraph(n, r, edges)

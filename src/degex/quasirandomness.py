@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import binom, mask_vertices
-from .degree import degree_table, kth_min_degree
+from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import floor_sqrt_scaled, to_probability
@@ -356,6 +356,8 @@ def deviation_12_sampled(
     Trial t draws mask = Random(seed).getrandbits(n) (one draw per trial, in
     order), so the best-so-far is monotone in the trial count for a fixed
     seed.  The inner P is still exactly optimal, hence D <= the true maximum.
+    Each trial counts a vector over the C(n, 2) pairs, so more than
+    MAX_TABLE_ENTRIES pairs are refused before anything is drawn.
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -363,6 +365,12 @@ def deviation_12_sampled(
         raise ValidationError(f"trials must be at least 1, got {trials}")
     num, den = p.numerator, p.denominator
     n = G.n
+    pairs = binom(n, 2)
+    if pairs > MAX_TABLE_ENTRIES:
+        raise LimitExceeded(
+            f"sampled (1,2) scoring over C({n}, 2) = {pairs} pairs exceeds the "
+            f"limit of {MAX_TABLE_ENTRIES} entries"
+        )
     dtype = _weight_dtype(n, num, den)
     incidence = _pair_incidence(G)
     rng = random.Random(seed)

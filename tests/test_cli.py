@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "0", "--seed", "1")
         assert code == 0
         assert parse(out).edge_count == 0
+
+    def test_huge_generation_is_exit_3_at_once(self, capsys):
+        # C(10^9, 3) subsets: refused before the first draw
+        for argv in (("er", "--p", "1/2", "--seed", "1"), ("complete",)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "gen", *argv, "--n", "1000000000", "--r", "3")
+            assert time.perf_counter() - start < 5
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: generating over C(1000000000, 3)")
+            assert err.count("\n") == 1
 
     def test_partition_del(self, capsys, tmp_path):
         k6 = tmp_path / "k6.hg"
@@ -319,6 +331,20 @@ class TestQr:
         )
         assert code == 3
         assert "sampled" in err
+
+    def test_sampled_huge_header_is_exit_3(self, capsys, tmp_path):
+        # C(10^9, 2) pairs per trial: refused before any trial runs
+        path = tmp_path / "huge.hg"
+        path.write_text("3 1000000000\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "qr", "--in", str(path), "--kind", "12", "--mode", "sampled",
+            "--p", "1/2", "--trials", "10",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: sampled (1,2) scoring") and err.count("\n") == 1
 
     def test_env_exact_limit(self, capsys, tmp_path, monkeypatch):
         g = tmp_path / "g.hg"

@@ -1,16 +1,25 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degex.combinatorics import binom, colex_rank, colex_unrank
+from degex import extraction
+from degex.combinatorics import binom, colex_rank, colex_unrank, ksubsets, subset_mask
 from degex.degree import degree_of, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
+    _bad_rows,
+    _colex_blocks,
+    _count_poor_free,
     _LinkTable,
+    _phi_count,
     audit_bad_total,
     audit_eq2_phi,
     audit_eq3,
@@ -285,6 +294,176 @@ class TestLinkTable:
         links = _LinkTable(G)
         for ell in range(1, min(r, len(X) + 1)):
             assert links.induced_min_degree(X, ell) == brute_min_induced_degree(G, X, ell)
+
+
+# ---------------------------------------------------------------------------
+# block enumeration
+
+
+def block_masks(n, m):
+    """(rank, mask) of each m-subset the block enumerator yields, in its order."""
+    out = []
+    for offset, high, k, low in _colex_blocks(n, m):
+        assert len(low) * 8 <= max(extraction.BLOCK_BYTES, 8)
+        assert k <= extraction.LOW_BITS and high >> k << k == high
+        assert low.dtype == np.int64
+        out += [(offset + i, high | x) for i, x in enumerate(low.tolist())]
+    return out
+
+
+def block_good(G, ell, m, need):
+    """Whether each m-subset, in colex order, is good, by the block scorer."""
+    items = _LinkTable(G).degree_items(ell)
+    good = []
+    for _, high, k, low in _colex_blocks(G.n, m):
+        good += (~_bad_rows(high, k, low, items, ell, need * (G.r - ell))).tolist()
+    return good
+
+
+def oracle_good(G, ell, m, need):
+    """Whether each m-subset, in colex order, is good, one subset at a time."""
+    links = _LinkTable(G)
+    return [links.induced_min_degree(X, ell) >= need for X in ksubsets(G.n, m)]
+
+
+def draw_graph(data, n, r):
+    possible = list(itertools.combinations(range(n), r))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    return build(n, r, itertools.compress(possible, keep))
+
+
+# budgets of one row, two rows, a few rows and the default
+BUDGETS = st.sampled_from([8, 16, 64, 1 << 18])
+
+
+class TestBlockEnumeration:
+    @pytest.mark.parametrize("block_bytes", [8, 24, 256, 1 << 18])
+    def test_blocks_are_colex_order(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(extraction, "BLOCK_BYTES", block_bytes)
+        for n in range(11):
+            for m in range(n + 2):
+                expected = list(enumerate(subset_mask(X) for X in ksubsets(n, m)))
+                assert block_masks(n, m) == expected
+
+    @pytest.mark.parametrize("block_bytes", [4096, 1 << 18])
+    def test_high_parts_beyond_62_bits(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(extraction, "BLOCK_BYTES", block_bytes)
+        for n, m in ((64, 1), (64, 63), (70, 3), (70, 68)):
+            expected = list(enumerate(subset_mask(X) for X in ksubsets(n, m)))
+            assert block_masks(n, m) == expected
+            assert max(mask for _, mask in expected).bit_length() == n
+
+    def test_small_budget_spans_many_blocks(self, monkeypatch):
+        G = erdos_renyi(11, 3, Fraction(3, 5), seed=90)
+        H = erdos_renyi(10, 4, Fraction(3, 5), seed=91)
+        p, delta = Fraction(1, 2), Fraction(1, 4)
+
+        def run():
+            return (
+                extract_exhaustive(G, 2, 6, p, delta),
+                extract_exhaustive(G, 1, 5, p, delta),
+                audit_eq3(G, 2, 6, Fraction(2, 5)),
+                audit_bad_total(H, 2, 6, p, delta),
+            )
+
+        whole = run()
+        assert len(list(_colex_blocks(11, 6))) == 1
+        monkeypatch.setattr(extraction, "BLOCK_BYTES", 64)
+        assert len(list(_colex_blocks(11, 6))) > 50
+        assert run() == whole
+        assert whole[0].count > 0 and whole[2].lhs > 0 and whole[3].lhs > 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_scorer_matches_per_subset_oracle(self, data):
+        r = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(r, 9))
+        ell = data.draw(st.integers(1, r - 1))
+        m = data.draw(st.integers(ell, n))
+        G = draw_graph(data, n, r)
+        # need <= 0 makes every subset good; need above C(m - l, r - l), any
+        # degree in G[X], makes none good
+        need = data.draw(st.integers(-1, binom(m - ell, r - ell) + 2))
+        with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
+            assert block_good(G, ell, m, need) == oracle_good(G, ell, m, need)
+
+    def test_need_extremes(self):
+        G = erdos_renyi(9, 3, Fraction(1, 2), seed=92)
+        total = binom(9, 5)
+        assert block_good(G, 2, 5, 0) == [True] * total
+        assert block_good(G, 2, 5, -3) == [True] * total
+        assert block_good(G, 1, 5, binom(4, 2) + 1) == [False] * total
+        assert block_good(complete(9, 3), 1, 5, binom(4, 2)) == [True] * total
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_poor_free_count_matches_isdisjoint(self, data):
+        n = data.draw(st.integers(1, 10))
+        ell = data.draw(st.integers(1, min(3, n)))
+        m = data.draw(st.integers(ell, n))
+        subsets = list(itertools.combinations(range(n), ell))
+        poor = set(data.draw(st.lists(st.sampled_from(subsets), max_size=len(subsets))))
+        expected = sum(
+            1 for X in ksubsets(n, m) if poor.isdisjoint(itertools.combinations(X, ell))
+        )
+        with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
+            assert _count_poor_free(n, m, poor) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_phi_count_matches_brute_force(self, data):
+        # the l < r-1 path of _phi_count, which enumerates T in blocks
+        r = data.draw(st.integers(3, 5))
+        n = data.draw(st.integers(r, 9))
+        ell = data.draw(st.integers(1, r - 2))
+        m = data.draw(st.integers(ell, n))
+        G = draw_graph(data, n, r)
+        S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=ell, max_size=ell))))
+        boundary = Fraction(data.draw(st.integers(-2, 4 * binom(m - ell, r - ell) + 2)), 4)
+        rest = [v for v in range(n) if v not in S]
+        expected = sum(
+            1
+            for T in itertools.combinations(rest, m - ell)
+            if sum(1 for e in G.edges if set(S) <= set(e) <= set(S + T)) <= boundary
+        )
+        with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
+            assert _phi_count(_LinkTable(G), S, m, boundary) == expected
+
+    def test_beyond_62_vertices_matches_oracle(self):
+        p, delta = Fraction(1, 2), Fraction(1, 4)
+        G = erdos_renyi(70, 3, Fraction(1, 2), seed=93)
+        res = extract_exhaustive(G, 2, 3, p, delta)
+        _, need = good_threshold(p, delta, 3, 2, 3)
+        expected = [rank for rank, good in enumerate(oracle_good(G, 2, 3, need)) if good]
+        assert list(res.good_ranks) == expected
+        assert 0 < res.count < binom(70, 3)
+        degrees = Counter(
+            itertools.chain.from_iterable(itertools.combinations(e, 2) for e in G.edges)
+        )
+        poor = {S for S in itertools.combinations(range(70), 2) if degrees[S] < p * 68}
+        assert audit_eq3(G, 2, 3, p).lhs == sum(
+            1 for X in ksubsets(70, 3) if poor.isdisjoint(itertools.combinations(X, 2))
+        )
+        # m = n - 2: each block is a high part over 62 bits onto a short table
+        H = erdos_renyi(70, 2, Fraction(1, 2), seed=94)
+        p = Fraction(2, 5)
+        res = extract_exhaustive(H, 1, 68, p, Fraction(1, 100))
+        _, need = good_threshold(p, Fraction(1, 100), 68, 1, 2)
+        expected = [rank for rank, good in enumerate(oracle_good(H, 1, 68, need)) if good]
+        assert list(res.good_ranks) == expected
+        assert 0 < res.count < binom(70, 68)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # C(23, 9) = 817190 subsets: their masks alone would take 6.2 MiB
+        G = erdos_renyi(23, 3, Fraction(1, 5), seed=1)
+        tracemalloc.start()
+        try:
+            res = extract_exhaustive(G, 2, 9, Fraction(1, 2), Fraction(1, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.count == 0
+        assert peak < 8 * extraction.BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
