@@ -16,13 +16,17 @@ on small instances:
   * bad_total_bound -- sum of phi_S over rich S vs C(n, m)/2; diagnostic
     (the bound is only claimed for m >= m0, far beyond desk scale).
 
-Exhaustive extraction, eq3 and phi_S for l < r-1 enumerate their subsets in
-colex blocks (_colex_blocks) and mark the bad rows of a whole block with a
-few numpy passes per l-subset (_bad_rows), so no subset is visited alone.
+Exhaustive extraction, eq3, and phi_S for l < r-1 score m-subsets a colex
+block of vertex columns at a time (_colex_blocks).  The colex rank of each
+(r-1)-tuple of a row's vertices (_tuple_ranks) indexes a dense table of link
+words, and one popcount per tuple feeds the l-degree sums of the l-tuples
+inside it (_LinkWords.bad_counts).  eq3 scores the poor l-sets as an l-graph,
+and the sum of phi_S over rich S is one pass counting the rich S <= X bad in X.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -38,22 +42,19 @@ from .combinatorics import (
     binom,
     colex_unrank,
     ksubsets,
-    mask_vertices,
     random_ksubset,
     subset_mask,
 )
-from .degree import degree_of, min_degree, poor_sets
+from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree, poor_sets
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
 DEFAULT_ENUM_BUDGET = 100_000_000
 
-# Exhaustive enumeration scores m-subsets in blocks: a fixed high part OR'd
-# onto a table of at most BLOCK_BYTES of int64 low masks, which use at most
-# LOW_BITS bits so that they stay nonnegative.
+# Exhaustive enumeration scores m-subsets in blocks of BLOCK_BYTES // 8 rows:
+# one 64-bit word a row fits BLOCK_BYTES.
 BLOCK_BYTES = 1 << 18
-LOW_BITS = 62
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +206,6 @@ class _LinkTable:
                     totals[S] += c
         return min(totals.values()) // k
 
-    def degree_items(self, ell: int) -> dict[tuple[int, ...], tuple[int, int, list]]:
-        """S -> (mask of S, reach, parts) for every l-subset S, the items of _bad_rows.
-
-        parts holds (mask of T, link(T)) for the (r-1)-sets T >= S with a
-        nonempty link (for l = r-1 that is S itself), and reach is the sum of
-        their link sizes, a bound on every link sum of S.
-        """
-        parts: dict[tuple[int, ...], list[tuple[int, int]]] = {
-            S: [] for S in itertools.combinations(range(self.n), ell)
-        }
-        reach = dict.fromkeys(parts, 0)
-        for T, link in self.masks.items():
-            part, size = (subset_mask(T), link), link.bit_count()
-            for S in itertools.combinations(T, ell):
-                parts[S].append(part)
-                reach[S] += size
-        return {S: (subset_mask(S), reach[S], parts[S]) for S in parts}
-
 
 def _check_extract_args(G: Hypergraph, ell: int, m: int) -> None:
     if not 1 <= ell < G.r:
@@ -318,141 +301,156 @@ def extract_random(
 # Block enumeration of m-subsets
 
 
-def _low_masks(k: int, j: int) -> np.ndarray:
-    """Bitmasks of the j-subsets of [0, k) in colex order, as int64 (k <= LOW_BITS)."""
+def _subset_columns(k: int, j: int, high: tuple[int, ...], dtype) -> np.ndarray:
+    """The sets L + high, for the j-subsets L of [0, k) in colex order; row i
+    of the result holds the i-th smallest vertex of every set."""
     # level t lists the t-subsets of [0, k - j + t), the ones that can still
     # grow into a j-subset of [0, k), by top element v: each is v plus a
     # (t-1)-subset of [0, v), and those are the first C(v, t-1) of level t-1
-    level = np.zeros(1, dtype=np.int64)
+    level = np.zeros((0, 1), dtype=dtype)
     for t in range(1, j + 1):
         tops = range(t - 1, k - j + t)
         counts = [math.comb(v, t - 1) for v in tops]
-        level = np.concatenate([level[:c] for c in counts])
-        level |= np.repeat(np.left_shift(1, np.array(tops, dtype=np.int64)), counts)
-    return level
+        below = np.concatenate([level[:, :c] for c in counts], axis=1)
+        level = np.concatenate([below, np.repeat(np.array(tops, dtype=dtype), counts)[None]])
+    top = np.array(high, dtype=dtype)[:, None]
+    return np.concatenate([level, top.repeat(level.shape[1], axis=1)])
 
 
-def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """The m-subsets of [0, n) in colex order, as blocks (offset, high, k, low).
+def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The m-subsets of [0, n) in colex order, as blocks (offset, cols).
 
-    Block i holds the masks high | low[i] with colex ranks offset + i: low is
-    the int64 table of the j-subsets of [0, k) and high a Python int with
-    bits at k and above.  Colex order on m-subsets is the numeric order of
-    their masks, so masks(n, m) = masks(n-1, m) ++ (masks(n-1, m-1) | 1 << (n-1)).
-    The walk unrolls that recursion on an explicit stack, first part first,
-    until a part's table fits BLOCK_BYTES and LOW_BITS bits.
+    cols[i] holds the i-th smallest vertex of each subset of the block, whose
+    colex ranks run from offset.  The m-subsets of [0, k) are those of
+    [0, k - 1) followed by the (m-1)-subsets of [0, k - 1) plus k - 1; the
+    walk unrolls that recursion on a stack and splits a part until it fits
+    the rows left, so every block but the last has BLOCK_BYTES // 8 rows.
     """
     rows = max(BLOCK_BYTES // 8, 1)
-    offset = 0
-    stack = [(n, m, 0)]
+    dtype = np.min_scalar_type(n)  # unsigned, and holds every vertex
+    offset, filled, parts = 0, 0, []
+    stack = [(n, m, ())]
     while stack:
         k, j, high = stack.pop()
         size = math.comb(k, j) if j >= 0 else 0
-        if not size:
+        if size > rows - filled:
+            stack += [(k - 1, j - 1, (k - 1,) + high), (k - 1, j, high)]
             continue
-        if size <= rows and k <= LOW_BITS:
-            yield offset, high, k, _low_masks(k, j)
-            offset += size
+        if size:
+            parts.append(_subset_columns(k, j, high, dtype))
+            filled += size
+        if filled == rows or filled and not stack:
+            block, parts = np.concatenate(parts, axis=1), []
+            yield offset, block
+            offset, filled = offset + filled, 0
+
+
+def _rank_terms(n: int, k: int) -> np.ndarray:
+    """Row i holds C(v, i + 1) for v in [0, n), capped at 2^32: every rank
+    taken here indexes at most MAX_TABLE_ENTRIES, so no rank meets a cap."""
+    terms = np.empty((k, n), dtype=np.intp)
+    row = np.arange(n, dtype=np.intp)
+    for i in range(k):
+        terms[i] = row = np.minimum(row, 1 << 32)
+        row = np.cumsum(row) - row  # C(v, i + 2) is the sum of C(u, i + 1) over u < v
+    return terms
+
+
+def _tuple_ranks(
+    cols: np.ndarray, k: int, terms: np.ndarray
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Each k-tuple P of positions, with the colex rank, the sum of
+    C(v_i, i + 1), of every row's vertices at P; the next tuple overwrites it.
+
+    The walk fills places from the top down, so a partial sum is shared by
+    all the tuples below it: ranks[i] sums places i and up, and holds until
+    the last-in, first-out stack has finished the places below it.
+    """
+    ranks = np.zeros((max(k, 1), cols.shape[1]), dtype=np.intp)
+    if not k:
+        yield (), ranks[0]
+        return
+    stack = [(k - 1, p, ()) for p in range(k - 1, len(cols))]
+    while stack:
+        i, p, tail = stack.pop()
+        rank, above = ranks[i], ranks[i + 1] if i + 1 < k else 0
+        if i:
+            np.take(terms[i], cols[p], out=rank, mode="clip")
+            rank += above
+            stack += [(i - 1, q, (p,) + tail) for q in range(i - 1, p)]
         else:
-            stack.append((k - 1, j - 1, high | 1 << (k - 1)))
-            stack.append((k - 1, j, high))
+            np.add(above, cols[p], out=rank)  # C(v, 1) = v
+            yield (p,) + tail, rank
 
 
-def _link_sum(high: int, k: int, low: np.ndarray, parts: list[tuple[int, int]]) -> np.ndarray:
-    """For each mask X = high | low[i]: the sum of |link & X| over the parts
-    (t, link) with t <= X.
+class _LinkWords:
+    """words[w, rank of T] holds bits 64w to 64w + 63 of link(T), for every
+    t-subset T of [0, n), t = r - 1 (link(T) as in _LinkTable)."""
 
-    Each t must lie within high and the low k bits.  The parts are scored a
-    chunk at a time, in chunk x rows passes of at most BLOCK_BYTES.
-    """
-    lowmask = (1 << k) - 1
-    links = np.array([[link & lowmask] for _, link in parts], dtype=np.int64)
-    rests = np.array([[t & lowmask] for t, _ in parts], dtype=np.int64)
-    # |link & X| = |link & high| + |link & low|; the first part is fixed
-    bases = np.array([[(link & high).bit_count()] for _, link in parts], dtype=np.int64)
-    sums = np.zeros(len(low), dtype=np.int64)
-    step = max(BLOCK_BYTES // (8 * max(len(low), 1)), 1)
-    for i in range(0, len(parts), step):
-        chunk = slice(i, i + step)
-        hit = (low & rests[chunk]) == rests[chunk]
-        counts = np.bitwise_count(low & links[chunk])
-        counts *= hit
-        sums += counts.sum(axis=0, dtype=np.int64)
-        if bases[chunk].any():
-            sums += (hit * bases[chunk]).sum(axis=0)
-    return sums
+    def __init__(self, n: int, r: int, edges: Sequence[Sequence[int]]):
+        t = r - 1
+        width = -(-n // 64)
+        size = binom(n, t)
+        if size * width > MAX_TABLE_ENTRIES:
+            raise LimitExceeded(
+                f"the link table over C({n}, {t}) = {size} subsets of {width} words "
+                f"exceeds the limit of {MAX_TABLE_ENTRIES} words"
+            )
+        self.t = t
+        self.terms = _rank_terms(n, t)
+        self.words = np.zeros((width, size), dtype=np.uint64)
+        ends = np.array(edges, dtype=np.min_scalar_type(n)).reshape(-1, r).T
+        for P, rank in _tuple_ranks(ends, t, self.terms):
+            v = ends[sum(range(r)) - sum(P)]  # the vertex of each edge outside P
+            bits = np.left_shift(np.uint64(1), v & 63, dtype=np.uint64)
+            np.bitwise_or.at(self.words, (v >> 6, rank), bits)
 
+    def bad_counts(self, cols: np.ndarray, ell: int, thr: int, keep) -> np.ndarray:
+        """For each row X of a block: the number of l-subsets S of X, with
+        keep[rank of S] unless keep is None, whose link sum is below thr.
 
-def _subsets_meeting(high: int, k: int, j: int, ell: int) -> Iterator[tuple[int, ...]]:
-    """The l-subsets that some mask high | low, low a j-subset of [0, k), holds."""
-    top = mask_vertices(high)
-    for a in range(max(ell - j, 0), min(ell, len(top)) + 1):
-        for below in itertools.combinations(range(k), ell - a):
-            for above in itertools.combinations(top, a):
-                yield below + above
+        The link sum of S, the sum of |link(T) & X| over the t-subsets T with
+        S <= T <= X, is (r - l) deg_X(S).  For t > l every S holds its sum
+        until the last T; row passes keep the words and sums in BLOCK_BYTES.
+        """
+        m, total = cols.shape
+        acc = np.min_scalar_type(binom(m - ell, self.t - ell) * m)  # bounds every link sum
+        per_row = 8 * len(self.words) + (binom(m, ell) * acc.itemsize if self.t > ell else 0)
+        step = max(BLOCK_BYTES // per_row, 1)
+        out = np.zeros(total, dtype=np.min_scalar_type(binom(m, ell)))
 
+        def judge(counts, sums, rank):
+            bad = sums < thr
+            if keep is not None:
+                bad &= np.take(keep, rank)
+            counts += bad
 
-def _bad_rows(
-    high: int, k: int, low: np.ndarray, items: dict[tuple[int, ...], tuple], ell: int, thr: int
-) -> np.ndarray:
-    """Which masks X = high | low[i] of a block hold a bad item.
-
-    items maps l-subsets S to (mask of S, reach, parts).  S is bad in X when
-    S <= X and the link sum of parts within X (see _link_sum) is below thr;
-    reach bounds that sum.  With _LinkTable.degree_items this marks X whose
-    l-degree sum (r - l) deg_X(S) is below thr for some S <= X.  Only the S
-    and the parts that some X of the block holds are read.  A single part
-    that every X holding S holds, as for l = r - 1, is one popcount pass;
-    several parts are summed over the rows holding S alone.
-    """
-    lowmask = (1 << k) - 1
-    outside = ~(high | lowmask)
-    j = int(low[0]).bit_count()  # every row has j bits
-    bad = np.zeros(len(low), dtype=bool)
-    if thr <= 0:
-        return bad
-    columns: dict[int, np.ndarray] = {}
-
-    def held(mask: int) -> np.ndarray:
-        """Which rows hold the vertices of mask, a nonzero mask of low bits."""
-        out = None
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            column = columns.get(bit)
-            if column is None:
-                column = columns[bit] = (low & bit) != 0
-                column.flags.writeable = False
-            out = column if out is None else out & column
+        for lo in range(0, total, step):
+            part, counts = cols[:, lo:lo + step], out[lo:lo + step]
+            rows = part.shape[1]
+            xwords = np.zeros((len(self.words), rows), dtype=np.uint64)
+            for c, w in itertools.product(part, range(len(xwords))):
+                # below word w, c - 64w wraps to 64 or more, as 64 W is at most
+                # 2^bits of the dtype that holds n; a shift by 64 or more gives 0
+                shift = c - c.dtype.type(64 * w)
+                xwords[w] |= np.left_shift(np.uint64(1), shift, dtype=np.uint64)
+            positions = itertools.combinations(range(m), ell)
+            held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
+            word = np.empty(rows, dtype=np.uint64)
+            for P, rank in _tuple_ranks(part, self.t, self.terms):
+                sums = np.zeros(rows, acc)
+                for link, x in zip(self.words, xwords):
+                    np.take(link, rank, out=word, mode="clip")
+                    word &= x
+                    sums += np.bitwise_count(word)
+                if self.t == ell:
+                    judge(counts, sums, rank)
+                else:
+                    for S in itertools.combinations(P, ell):
+                        held[S] += sums
+            for S, rank in _tuple_ranks(part, ell, self.terms) if held else ():
+                judge(counts, held[S], rank)
         return out
-
-    for S in _subsets_meeting(high, k, j, ell):
-        item = items.get(S)
-        if item is None:
-            continue
-        smask, reach, parts = item
-        s = smask & lowmask
-        if thr > reach:  # every X holding S is bad
-            if not s:
-                bad[:] = True
-                break
-            bad |= held(s)
-            continue
-        inner = [
-            (t, link) for t, link in parts
-            if not t & outside and (t & lowmask).bit_count() <= j
-        ]
-        if len(inner) == 1 and not inner[0][0] & lowmask & ~s:
-            link = inner[0][1]
-            # a popcount of low bits is at most LOW_BITS, so the cap is exact
-            below = min(thr - (link & high).bit_count(), LOW_BITS + 1)
-            if below > 0:
-                few = np.bitwise_count(low & (link & lowmask)) < below
-                bad |= few & held(s) if s else few
-        else:
-            rows = np.flatnonzero(held(s)) if s else np.arange(len(low))
-            bad[rows[_link_sum(high, k, low[rows], inner) < thr]] = True
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +499,11 @@ def extract_exhaustive(
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     # X is good when (r - l) deg_X(S) >= (r - l) need for every l-subset S of X
-    items = _LinkTable(G).degree_items(ell)
+    links = _LinkWords(G.n, G.r, G.edges)
     thr = need * (G.r - ell)
     good: list[int] = []
-    for offset, high, k, low in _colex_blocks(G.n, m):
-        good += (np.flatnonzero(~_bad_rows(high, k, low, items, ell, thr)) + offset).tolist()
+    for offset, cols in _colex_blocks(G.n, m):
+        good += (np.flatnonzero(links.bad_counts(cols, ell, thr, None) == 0) + offset).tolist()
     return ExhaustiveExtraction(m=m, ell=ell, threshold=need, good_ranks=tuple(good))
 
 
@@ -524,22 +522,18 @@ class AuditReport:
     context: dict = field(default_factory=dict)
 
 
-def _poor_subsets(G: Hypergraph, ell: int, p: Fraction) -> set[tuple[int, ...]]:
-    return {colex_unrank(rank, ell, G.n) for rank in poor_sets(G, ell, p).poor}
+def _count_poor_free(n: int, m: int, ell: int, poor: list[tuple[int, ...]]) -> int:
+    """m-subsets of [0, n) holding none of the poor l-subsets.
 
-
-def _count_poor_free(n: int, m: int, poor: set[tuple[int, ...]]) -> int:
-    """m-subsets of [0, n) containing no poor l-subset.
-
-    A poor S is an item with no parts, so _bad_rows marks every X holding it.
+    The poor sets are the edges of an l-graph: X holds none of them iff no
+    (l-1)-subset of X has a poor link vertex in X, a link sum below 1.
     """
     if not poor:
         return binom(n, m)
-    items = {S: (subset_mask(S), 0, []) for S in poor}
-    ell = len(next(iter(poor)))
+    links = _LinkWords(n, ell, poor)
     return sum(
-        len(low) - int(np.count_nonzero(_bad_rows(high, k, low, items, ell, 1)))
-        for _, high, k, low in _colex_blocks(n, m)
+        int(np.count_nonzero(links.bad_counts(cols, ell - 1, 1, None) == binom(m, ell - 1)))
+        for _, cols in _colex_blocks(n, m)
     )
 
 
@@ -554,8 +548,8 @@ def audit_eq3(
     _check_extract_args(G, ell, m)
     p = to_probability(p)
     _check_enum_budget(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget)
-    poor = _poor_subsets(G, ell, p)
-    lhs = _count_poor_free(G.n, m, poor)
+    poor = [colex_unrank(rank, ell, G.n) for rank in poor_sets(G, ell, p).poor]
+    lhs = _count_poor_free(G.n, m, ell, poor)
     eps_eff = Fraction(len(poor), binom(G.n, ell))
     rhs = (1 - eps_eff * m**ell) * binom(G.n, m)
     return AuditReport(
@@ -575,51 +569,41 @@ def audit_eq3(
     )
 
 
-def _phi_count(
-    links: _LinkTable,
-    S: tuple[int, ...],
-    m: int,
-    boundary: Fraction,
-) -> int:
+def _tail_count(a: int, rest: int, k: int, cap: int) -> int:
+    """k-subsets of a link vertices and rest others with at most cap link vertices."""
+    return sum(binom(a, j) * binom(rest, k - j) for j in range(min(cap, a, k) + 1))
+
+
+def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) -> int:
     """phi_S: (m-l)-subsets T of V minus S with deg_{S+T}(S) <= boundary."""
     ell = len(S)
-    k = links.r - ell
+    k = G.r - ell
     cap = math.floor(boundary)  # deg <= boundary iff deg <= floor(boundary)
     if cap < 0:
         return 0
+    # the link of S: each edge through S with S cut out, on V minus S
+    # relabelled as [0, n - l) by v -> v - |{s in S: s < v}|; deg_{S+T}(S)
+    # counts the link edges inside T
+    link = [
+        tuple(v - bisect.bisect(S, v) for v in e if v not in S)
+        for e in G.edges if set(S).issubset(e)
+    ]
     if k == 1:
-        # deg_{S+T}(S) = |link(S) & T|: count the T meeting the a link
-        # vertices in j <= cap places, among the n - l vertices outside S
-        a = links.masks.get(S, 0).bit_count()
-        rest = links.n - ell - a
-        return sum(
-            binom(a, j) * binom(rest, m - ell - j) for j in range(min(cap, a, m - ell) + 1)
-        )
-    # relabel V minus S as [0, n - l), so that T is an (m-l)-subset of it;
-    # deg_{S+T}(S) is the sum of |link(S + U) & T| over the (k-1)-sets U <= T,
-    # over k, so deg <= cap when that sum is below (cap + 1) k
-    complement = [v for v in range(links.n) if v not in S]
-    parts = []
-    for U in itertools.combinations(complement, k - 1):
-        link = links.masks.get(tuple(sorted(S + U)), 0)
-        if link:
-            parts.append((_squeeze(subset_mask(U), S), _squeeze(link, S)))
-    items = {(): (0, sum(link.bit_count() for _, link in parts), parts)}
+        return _tail_count(len(link), G.n - ell - len(link), m - ell, cap)
+    # inside T the link edges number the link sum of the empty set over k
+    links = _LinkWords(G.n - ell, k, link)
     return sum(
-        int(np.count_nonzero(_bad_rows(high, bits, low, items, 0, (cap + 1) * k)))
-        for _, high, bits, low in _colex_blocks(links.n - ell, m - ell)
+        int(np.count_nonzero(links.bad_counts(cols, 0, (cap + 1) * k, None)))
+        for _, cols in _colex_blocks(G.n - ell, m - ell)
     )
 
 
-def _squeeze(mask: int, S: tuple[int, ...]) -> int:
-    """mask, whose bits avoid sorted S, with the bits of S cut out and the bits above moved down."""
-    for v in reversed(S):
-        mask = mask & ((1 << v) - 1) | mask >> (v + 1) << v
-    return mask
-
-
 def _tail_bound_factor(delta: Fraction, m: int, r: int, ell: int) -> float:
-    return math.exp(-float(delta * delta * m) / (2 * (r - ell) ** 2))
+    """exp(-delta^2 m / (2 (r - l)^2)), 0.0 once the exponent is past float range."""
+    try:
+        return math.exp(-float(delta * delta * m) / (2 * (r - ell) ** 2))
+    except OverflowError:
+        return 0.0
 
 
 def audit_eq2_phi(
@@ -646,7 +630,7 @@ def audit_eq2_phi(
         binom(G.n - ell, m - ell), f"audit_eq2_phi with C({G.n - ell}, {m - ell})", enum_budget
     )
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
-    lhs = _phi_count(_LinkTable(G), S, m, boundary)
+    lhs = _phi_count(G, S, m, boundary)
     rhs = binom(G.n - ell, m - ell) * _tail_bound_factor(delta, m, G.r, ell)
     return AuditReport(
         inequality_id="eq2_phi_bound",
@@ -685,16 +669,27 @@ def audit_bad_total(
         f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
         enum_budget,
     )
-    poor = _poor_subsets(G, ell, p)
+    report = poor_sets(G, ell, p)
+    rich = np.ones(report.total, dtype=bool)
+    rich[list(report.poor)] = False
+    rich_count = report.total - len(report.poor)
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
-    links = _LinkTable(G)
+    cap = math.floor(boundary)  # S is bad in X when deg_X(S) <= cap
     lhs = 0
-    rich_count = 0
-    for S in ksubsets(G.n, ell):
-        if S in poor:
-            continue
-        rich_count += 1
-        lhs += _phi_count(links, S, m, boundary)
+    if ell == G.r - 1:
+        # phi_S in closed form, from the a = |link(S)| link vertices of S
+        links = _LinkTable(G)
+        for S, is_rich in zip(ksubsets(G.n, ell), rich.tolist()):
+            if is_rich:
+                a = links.masks.get(S, 0).bit_count()
+                lhs += _tail_count(a, G.n - ell - a, m - ell, cap)
+    elif cap >= 0 and rich_count:
+        # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
+        # with S rich and bad in X: one pass over X
+        links = _LinkWords(G.n, G.r, G.edges)
+        thr = (cap + 1) * (G.r - ell)
+        for _, cols in _colex_blocks(G.n, m):
+            lhs += int(links.bad_counts(cols, ell, thr, rich).sum())
     rhs = Fraction(binom(G.n, m), 2)
     intermediate = (
         binom(G.n, m) * binom(m, ell) * _tail_bound_factor(delta, m, G.r, ell)
@@ -712,7 +707,7 @@ def audit_bad_total(
             "p": p,
             "delta": delta,
             "rich_count": rich_count,
-            "poor_count": len(poor),
+            "poor_count": len(report.poor),
             "intermediate_bound": intermediate,
         },
     )

@@ -1,9 +1,11 @@
+import itertools
 import json
 import time
 
 import pytest
 
 from degex.cli import main
+from degex.degree import degree_of
 from degex.hypergraph import load, parse
 
 
@@ -290,6 +292,42 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["inequality_id"] == "bad_total_bound"
         assert payload["rhs"] == {"num": 5, "den": 2}
+
+
+    @pytest.mark.parametrize("which", ["eq2", "bad-total"])
+    def test_delta_past_float_range(self, capsys, tmp_path, which):
+        # exp(-delta^2 m / 2) underflows: the tail bound reads 0.0, no crash
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "12", "--r", "3", "--p", "1/2", "--seed", "1", "--out", str(g))
+        G = load(g)
+        S = max(itertools.combinations(range(12), 2), key=lambda s: degree_of(G, s))
+        flags = {"eq2": ("--subset", ",".join(map(str, S))), "bad-total": ("--ell", "2")}[which]
+        code, out, err = run(
+            capsys, "audit", "--in", str(g), "--which", which, *flags,
+            "--m", "6", "--p", "1/2", "--delta", "1" + "0" * 200,
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["lhs"] == 0 and payload["holds"] is True
+        bound = payload["rhs"] if which == "eq2" else payload["context"]["intermediate_bound"]
+        assert bound == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("extract", "--mode", "exhaustive", "--ell", "2", "--delta", "1/4", "--p", "1/2"),
+         ("audit", "--which", "bad-total", "--ell", "1", "--delta", "1/4", "--p", "0")],
+        ids=["extract", "bad-total"],
+    )
+    def test_huge_link_table_is_exit_3_at_once(self, capsys, tmp_path, argv):
+        # C(5000, 2) pairs of 79 words each: refused before the table is built
+        path = tmp_path / "wide.hg"
+        path.write_text("3 5000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--m", "2", "--in", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the link table over C(5000, 2)") and err.count("\n") == 1
 
 
 class TestQr:

@@ -15,10 +15,10 @@ from degex.combinatorics import binom, colex_rank, colex_unrank, ksubsets, subse
 from degex.degree import degree_of, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
-    _bad_rows,
     _colex_blocks,
     _count_poor_free,
     _LinkTable,
+    _LinkWords,
     _phi_count,
     audit_bad_total,
     audit_eq2_phi,
@@ -303,20 +303,21 @@ class TestLinkTable:
 def block_masks(n, m):
     """(rank, mask) of each m-subset the block enumerator yields, in its order."""
     out = []
-    for offset, high, k, low in _colex_blocks(n, m):
-        assert len(low) * 8 <= max(extraction.BLOCK_BYTES, 8)
-        assert k <= extraction.LOW_BITS and high >> k << k == high
-        assert low.dtype == np.int64
-        out += [(offset + i, high | x) for i, x in enumerate(low.tolist())]
+    for offset, cols in _colex_blocks(n, m):
+        assert cols.shape[0] == m
+        assert 1 <= cols.shape[1] <= max(extraction.BLOCK_BYTES // 8, 1)
+        assert cols.dtype.kind == "u" and n - 1 <= np.iinfo(cols.dtype).max
+        assert (np.diff(cols.astype(np.int64), axis=0) > 0).all()  # ascending rows
+        out += [(offset + i, subset_mask(X)) for i, X in enumerate(cols.T.tolist())]
     return out
 
 
 def block_good(G, ell, m, need):
     """Whether each m-subset, in colex order, is good, by the block scorer."""
-    items = _LinkTable(G).degree_items(ell)
+    links = _LinkWords(G.n, G.r, G.edges)
     good = []
-    for _, high, k, low in _colex_blocks(G.n, m):
-        good += (~_bad_rows(high, k, low, items, ell, need * (G.r - ell))).tolist()
+    for _, cols in _colex_blocks(G.n, m):
+        good += (links.bad_counts(cols, ell, need * (G.r - ell), None) == 0).tolist()
     return good
 
 
@@ -346,12 +347,20 @@ class TestBlockEnumeration:
                 assert block_masks(n, m) == expected
 
     @pytest.mark.parametrize("block_bytes", [4096, 1 << 18])
-    def test_high_parts_beyond_62_bits(self, monkeypatch, block_bytes):
+    def test_blocks_beyond_64_vertices_are_colex_order(self, monkeypatch, block_bytes):
+        # bit 63 and rows of one, two and three 64-bit words
         monkeypatch.setattr(extraction, "BLOCK_BYTES", block_bytes)
-        for n, m in ((64, 1), (64, 63), (70, 3), (70, 68)):
+        for n, m in ((63, 2), (64, 1), (64, 63), (65, 2), (70, 3), (70, 68), (130, 2), (130, 129)):
             expected = list(enumerate(subset_mask(X) for X in ksubsets(n, m)))
             assert block_masks(n, m) == expected
             assert max(mask for _, mask in expected).bit_length() == n
+
+    def test_blocks_are_full_but_the_last(self):
+        rows = extraction.BLOCK_BYTES // 8
+        assert len(list(_colex_blocks(200, 2))) == 1
+        sizes = [cols.shape[1] for _, cols in _colex_blocks(100, 3)]
+        assert len(sizes) <= math.ceil(binom(100, 3) / rows) + 1
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == binom(100, 3)
 
     def test_small_budget_spans_many_blocks(self, monkeypatch):
         G = erdos_renyi(11, 3, Fraction(3, 5), seed=90)
@@ -387,6 +396,21 @@ class TestBlockEnumeration:
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
             assert block_good(G, ell, m, need) == oracle_good(G, ell, m, need)
 
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_block_scorer_beyond_64_vertices_matches_oracle(self, data):
+        r = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(60, 130 if r == 2 else 70))
+        ell = data.draw(st.integers(1, r - 1))
+        m = data.draw(st.integers(ell, r))
+        edges = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True), max_size=4 * n
+        ))
+        G = build(n, r, edges)
+        need = data.draw(st.integers(-1, binom(m - ell, r - ell) + 1))
+        with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(st.sampled_from([4096, 1 << 18]))):
+            assert block_good(G, ell, m, need) == oracle_good(G, ell, m, need)
+
     def test_need_extremes(self):
         G = erdos_renyi(9, 3, Fraction(1, 2), seed=92)
         total = binom(9, 5)
@@ -407,7 +431,7 @@ class TestBlockEnumeration:
             1 for X in ksubsets(n, m) if poor.isdisjoint(itertools.combinations(X, ell))
         )
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
-            assert _count_poor_free(n, m, poor) == expected
+            assert _count_poor_free(n, m, ell, sorted(poor)) == expected
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -427,7 +451,7 @@ class TestBlockEnumeration:
             if sum(1 for e in G.edges if set(S) <= set(e) <= set(S + T)) <= boundary
         )
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
-            assert _phi_count(_LinkTable(G), S, m, boundary) == expected
+            assert _phi_count(G, S, m, boundary) == expected
 
     def test_beyond_62_vertices_matches_oracle(self):
         p, delta = Fraction(1, 2), Fraction(1, 4)
@@ -444,14 +468,24 @@ class TestBlockEnumeration:
         assert audit_eq3(G, 2, 3, p).lhs == sum(
             1 for X in ksubsets(70, 3) if poor.isdisjoint(itertools.combinations(X, 2))
         )
-        # m = n - 2: each block is a high part over 62 bits onto a short table
+        # m = n - 2: rows of two words, the first of them full
         H = erdos_renyi(70, 2, Fraction(1, 2), seed=94)
-        p = Fraction(2, 5)
-        res = extract_exhaustive(H, 1, 68, p, Fraction(1, 100))
-        _, need = good_threshold(p, Fraction(1, 100), 68, 1, 2)
+        res = extract_exhaustive(H, 1, 68, Fraction(2, 5), Fraction(1, 100))
+        _, need = good_threshold(Fraction(2, 5), Fraction(1, 100), 68, 1, 2)
         expected = [rank for rank, good in enumerate(oracle_good(H, 1, 68, need)) if good]
         assert list(res.good_ranks) == expected
         assert 0 < res.count < binom(70, 68)
+        # vertex 63 at the top of a word, rows of one to four words, and the
+        # largest vertex columns of one byte (n = 255) and of two (n = 256)
+        cases = ((63, 3, 2, 3), (64, 3, 1, 3), (65, 2, 1, 3), (130, 2, 1, 2), (255, 2, 1, 2),
+                 (256, 2, 1, 2))
+        for n, r, ell, m in cases:
+            G = erdos_renyi(n, r, Fraction(1, 2), seed=n)
+            res = extract_exhaustive(G, ell, m, p, delta)
+            _, need = good_threshold(p, delta, m, ell, r)
+            expected = [rank for rank, good in enumerate(oracle_good(G, ell, m, need)) if good]
+            assert list(res.good_ranks) == expected
+            assert 0 < res.count < binom(n, m)
 
     def test_memory_stays_within_a_few_blocks(self):
         # C(23, 9) = 817190 subsets: their masks alone would take 6.2 MiB
@@ -619,6 +653,25 @@ class TestAuditBadTotal:
             assert rich
             assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
             assert report.lhs > 0
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_matches_sum_of_brute_phi(self, data):
+        # l < r-1: the rich S that are bad in each m-subset X, counted in one
+        # pass over X, against phi_S summed over the rich S
+        r = data.draw(st.integers(4, 5))
+        n = data.draw(st.integers(r, 8))
+        ell = data.draw(st.integers(1, r - 2))
+        m = data.draw(st.integers(ell, n))
+        G = draw_graph(data, n, r)
+        p = Fraction(data.draw(st.integers(0, 10)), 10)
+        delta = Fraction(data.draw(st.integers(-4, 8)), 16)
+        with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
+            report = audit_bad_total(G, ell, m, p, delta)
+        poor = brute_poor_pairs(G, ell, p)
+        rich = [S for S in itertools.combinations(range(n), ell) if S not in poor]
+        assert report.context["rich_count"] == len(rich)
+        assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
 
     def test_good_count_dominates_poorfree_minus_bad(self):
         for seed in range(8):
