@@ -5,9 +5,6 @@ limit refusal, 1 internal error.  Probabilities and densities are rationals
 ("1/2"; decimal strings are converted exactly).  Every randomized command
 records its seed in the output, and rerunning with the same flags
 reproduces the output byte for byte.
-
-DEGEX_EXACT_LIMIT overrides the default exact-enumeration vertex limits of
-the qr command.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from fractions import Fraction
 
@@ -257,21 +253,8 @@ def _cmd_audit(args) -> None:
     _write_text(args.output, jsonio.dumps(report))
 
 
-def _exact_limit_from_env(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("DEGEX_EXACT_LIMIT")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"DEGEX_EXACT_LIMIT must be an integer, got {env!r}")
-
-
 def _cmd_qr(args) -> None:
     G = _load_input(args.input)
-    limit = _exact_limit_from_env(args.exact_limit)
     if args.threads != 1 and (args.kind != "12" or args.mode != "exact"):
         raise ValidationError("--threads applies only to exact --kind 12")
     if args.kind == "12":
@@ -279,12 +262,12 @@ def _cmd_qr(args) -> None:
             report = deviation_12_sampled(G, args.p, args.trials, args.seed)
         else:
             report = deviation_12_exact(
-                G, args.p, exact_limit=limit, threads=args.threads
+                G, args.p, exact_limit=args.exact_limit, threads=args.threads
             )
     else:
         if args.mode == "sampled":
             raise ValidationError("sampled mode is only available for --kind 12")
-        report = deviation_111_exact(G, args.p, exact_limit=limit)
+        report = deviation_111_exact(G, args.p, exact_limit=args.exact_limit)
     _write_text(args.output, jsonio.dumps(report))
 
 

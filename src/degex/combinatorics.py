@@ -6,14 +6,18 @@ element, so the rank of a k-subset does not depend on n.  Concretely
 
     rank({v_0 < v_1 < ... < v_{k-1}}) = sum_j C(v_j, j+1)
 
-which maps the k-subsets of [0, n) bijectively onto [0, C(n, k)).
+which maps the k-subsets of [0, n) bijectively onto [0, C(n, k)).  tuple_ranks
+takes the ranks of many sets at once, held as vertex columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -84,6 +88,49 @@ def colex_unrank(rank: int, k: int, n: int) -> tuple[int, ...]:
         out[k] = lo
         n = lo
     return tuple(out)
+
+
+def vertex_columns(sets: Sequence[Sequence[int]], k: int, n: int) -> np.ndarray:
+    """The sorted k-sets of [0, n) as k rows: row i holds the i-th smallest
+    vertex of every set, in the smallest unsigned dtype that holds n."""
+    flat = itertools.chain.from_iterable(sets)
+    return np.fromiter(flat, np.min_scalar_type(n), k * len(sets)).reshape(-1, k).T
+
+
+def tuple_ranks(
+    cols: np.ndarray, k: int, n: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Each k-tuple P of rows of the vertex columns cols, over [0, n), with
+    the colex rank of every column's vertices at P; the next tuple
+    overwrites the ranks.
+
+    terms[i, v] is C(v, i + 1), capped at 2^32 so that no sum overflows.
+    Each term of a rank is at most the rank, so the ranks are exact when
+    C(n, k) <= 2^32, as for every table the callers index.  The walk fills
+    places from the top down, so a partial sum is shared by all the tuples
+    below it: ranks[i] sums places i and up, and holds until the last-in,
+    first-out stack has finished the places below it.
+    """
+    terms = np.empty((k, n), dtype=np.intp)
+    row = np.arange(n, dtype=np.intp)
+    for i in range(k):
+        terms[i] = row = np.minimum(row, 1 << 32)
+        row = np.cumsum(row) - row  # C(v, i + 2) is the sum of C(u, i + 1) over u < v
+    ranks = np.zeros((max(k, 1), cols.shape[1]), dtype=np.intp)
+    if not k:
+        yield (), ranks[0]
+        return
+    stack = [(k - 1, p, ()) for p in range(k - 1, len(cols))]
+    while stack:
+        i, p, tail = stack.pop()
+        rank, above = ranks[i], ranks[i + 1] if i + 1 < k else 0
+        if i:
+            np.take(terms[i], cols[p], out=rank, mode="clip")
+            rank += above
+            stack += [(i - 1, q, (p,) + tail) for q in range(i - 1, p)]
+        else:
+            np.add(above, cols[p], out=rank)  # C(v, 1) = v
+            yield (p,) + tail, rank
 
 
 def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

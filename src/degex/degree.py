@@ -1,22 +1,23 @@
 """Degree statistics over l-subsets: tables, minima, epsilon-minima, poor sets.
 
 deg(S) for an l-subset S is the number of edges containing S.  The table
-over all C(n, l) subsets (colex-indexed) is the substrate for the minimum
-l-degree, its epsilon relaxation, and the poor/rich split at a density
-threshold p.  All threshold comparisons are exact: p is a Fraction and
-degrees are ints, so there is never a float tie at a boundary.
+over all C(n, l) subsets, indexed by colex rank and counted from the ranks
+of the edges' l-subsets, is the substrate for the minimum l-degree, its
+epsilon relaxation, and the poor/rich split at a density threshold p.  All
+threshold comparisons are exact: p is a Fraction and degrees are ints, so
+there is never a float tie at a boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .combinatorics import binom, colex_unrank, ksubsets
+import numpy as np
+
+from .combinatorics import binom, ksubsets, tuple_ranks, vertex_columns
 from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
@@ -49,9 +50,8 @@ class DegreeTable:
 
     def csv_rows(self) -> Iterator[tuple[int, str, int]]:
         """Rows (rank, subset, degree) for CSV export."""
-        for rank, d in enumerate(self.degrees):
-            subset = colex_unrank(rank, self.ell, self.n)
-            yield rank, " ".join(str(v) for v in subset), d
+        for rank, (subset, d) in enumerate(zip(ksubsets(self.n, self.ell), self.degrees)):
+            yield rank, " ".join(map(str, subset)), d
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,12 @@ def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
 
 
 def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
-    """All l-subset degrees in one pass: each edge bumps its C(r, l) sub-subsets.
+    """All l-subset degrees at once: each edge bumps its C(r, l) sub-subsets.
 
-    The counts are keyed by subset and read out in colex order, so no rank
-    is ever computed.  Refuses a table of more than MAX_TABLE_ENTRIES
-    subsets before building anything.
+    The edges are held as vertex columns; each l-tuple of positions gives
+    the colex ranks of one l-subset of every edge, and a bincount of those
+    ranks adds them into the table.  Refuses a table of more than
+    MAX_TABLE_ENTRIES subsets before building anything.
     """
     _check_ell(G, ell)
     size = binom(G.n, ell)
@@ -105,10 +106,9 @@ def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
             f"the degree table over C({G.n}, {ell}) = {size} subsets exceeds the "
             f"limit of {MAX_TABLE_ENTRIES} entries"
         )
-    counts = Counter(
-        itertools.chain.from_iterable(itertools.combinations(e, ell) for e in G.edges)
-    )
-    return DegreeTable(G.n, G.r, ell, tuple(counts[S] for S in ksubsets(G.n, ell)))
+    ranks = tuple_ranks(vertex_columns(G.edges, G.r, G.n), ell, G.n)
+    counts = sum(np.bincount(rank, minlength=size) for _, rank in ranks)
+    return DegreeTable(G.n, G.r, ell, tuple(counts.tolist()))
 
 
 def min_degree(G: Hypergraph, ell: int) -> int:

@@ -18,10 +18,13 @@ on small instances:
 
 Exhaustive extraction, eq3, and phi_S for l < r-1 score m-subsets a colex
 block of vertex columns at a time (_colex_blocks).  The colex rank of each
-(r-1)-tuple of a row's vertices (_tuple_ranks) indexes a dense table of link
-words, and one popcount per tuple feeds the l-degree sums of the l-tuples
-inside it (_LinkWords.bad_counts).  eq3 scores the poor l-sets as an l-graph,
-and the sum of phi_S over rich S is one pass counting the rich S <= X bad in X.
+(r-1)-tuple of a row's vertices, from combinatorics.tuple_ranks, indexes a
+dense table of link words, and one popcount per tuple feeds the l-degree
+sums of the l-tuples inside it (_LinkWords.bad_counts).  eq3 scores the poor
+l-sets as an l-graph, and the sum of phi_S over rich S is one pass counting
+the rich S <= X bad in X; for l = r-1, phi_S is a closed form in deg(S) =
+|link(S)|.  extract_random reads links from a sparse dict (_LinkTable), which
+needs no dense table and so works at any n.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ import numpy as np
 from .combinatorics import (
     binom,
     colex_unrank,
-    ksubsets,
     random_ksubset,
     subset_mask,
+    tuple_ranks,
+    vertex_columns,
 )
-from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree, poor_sets
+from . import degree
+from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree, poor_sets, table_poor_sets
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
@@ -345,47 +350,9 @@ def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, np.ndarray]]:
             offset, filled = offset + filled, 0
 
 
-def _rank_terms(n: int, k: int) -> np.ndarray:
-    """Row i holds C(v, i + 1) for v in [0, n), capped at 2^32: every rank
-    taken here indexes at most MAX_TABLE_ENTRIES, so no rank meets a cap."""
-    terms = np.empty((k, n), dtype=np.intp)
-    row = np.arange(n, dtype=np.intp)
-    for i in range(k):
-        terms[i] = row = np.minimum(row, 1 << 32)
-        row = np.cumsum(row) - row  # C(v, i + 2) is the sum of C(u, i + 1) over u < v
-    return terms
-
-
-def _tuple_ranks(
-    cols: np.ndarray, k: int, terms: np.ndarray
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Each k-tuple P of positions, with the colex rank, the sum of
-    C(v_i, i + 1), of every row's vertices at P; the next tuple overwrites it.
-
-    The walk fills places from the top down, so a partial sum is shared by
-    all the tuples below it: ranks[i] sums places i and up, and holds until
-    the last-in, first-out stack has finished the places below it.
-    """
-    ranks = np.zeros((max(k, 1), cols.shape[1]), dtype=np.intp)
-    if not k:
-        yield (), ranks[0]
-        return
-    stack = [(k - 1, p, ()) for p in range(k - 1, len(cols))]
-    while stack:
-        i, p, tail = stack.pop()
-        rank, above = ranks[i], ranks[i + 1] if i + 1 < k else 0
-        if i:
-            np.take(terms[i], cols[p], out=rank, mode="clip")
-            rank += above
-            stack += [(i - 1, q, (p,) + tail) for q in range(i - 1, p)]
-        else:
-            np.add(above, cols[p], out=rank)  # C(v, 1) = v
-            yield (p,) + tail, rank
-
-
 class _LinkWords:
-    """words[w, rank of T] holds bits 64w to 64w + 63 of link(T), for every
-    t-subset T of [0, n), t = r - 1 (link(T) as in _LinkTable)."""
+    """words[w, rank of T] holds bits 64w to 64w + 63 of link(T), the vertices
+    v with T + {v} an edge, for every t-subset T of [0, n), t = r - 1."""
 
     def __init__(self, n: int, r: int, edges: Sequence[Sequence[int]]):
         t = r - 1
@@ -396,11 +363,10 @@ class _LinkWords:
                 f"the link table over C({n}, {t}) = {size} subsets of {width} words "
                 f"exceeds the limit of {MAX_TABLE_ENTRIES} words"
             )
-        self.t = t
-        self.terms = _rank_terms(n, t)
+        self.n, self.t = n, t
         self.words = np.zeros((width, size), dtype=np.uint64)
-        ends = np.array(edges, dtype=np.min_scalar_type(n)).reshape(-1, r).T
-        for P, rank in _tuple_ranks(ends, t, self.terms):
+        ends = vertex_columns(edges, r, n)
+        for P, rank in tuple_ranks(ends, t, n):
             v = ends[sum(range(r)) - sum(P)]  # the vertex of each edge outside P
             bits = np.left_shift(np.uint64(1), v & 63, dtype=np.uint64)
             np.bitwise_or.at(self.words, (v >> 6, rank), bits)
@@ -437,7 +403,7 @@ class _LinkWords:
             positions = itertools.combinations(range(m), ell)
             held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
             word = np.empty(rows, dtype=np.uint64)
-            for P, rank in _tuple_ranks(part, self.t, self.terms):
+            for P, rank in tuple_ranks(part, self.t, self.n):
                 sums = np.zeros(rows, acc)
                 for link, x in zip(self.words, xwords):
                     np.take(link, rank, out=word, mode="clip")
@@ -448,7 +414,7 @@ class _LinkWords:
                 else:
                     for S in itertools.combinations(P, ell):
                         held[S] += sums
-            for S, rank in _tuple_ranks(part, ell, self.terms) if held else ():
+            for S, rank in tuple_ranks(part, ell, self.n) if held else ():
                 judge(counts, held[S], rank)
         return out
 
@@ -606,6 +572,18 @@ def _tail_bound_factor(delta: Fraction, m: int, r: int, ell: int) -> float:
         return 0.0
 
 
+def _within_tail_bound(lhs: int, total: int, x: Fraction) -> bool:
+    """Decide lhs <= total * exp(-x) exactly, for x >= 0.
+
+    For lhs, x > 0 that is x <= ln(total / lhs), false unless total > lhs.
+    e^x is irrational for rational x != 0, so x is never that logarithm,
+    and a fine enough ln bracket separates them.
+    """
+    if not lhs or not x:
+        return lhs <= total
+    return total > lhs and not _certified_ge_ln(x, Fraction(1), Fraction(total, lhs))
+
+
 def audit_eq2_phi(
     G: Hypergraph,
     S: Sequence[int],
@@ -631,12 +609,13 @@ def audit_eq2_phi(
     )
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
     lhs = _phi_count(G, S, m, boundary)
-    rhs = binom(G.n - ell, m - ell) * _tail_bound_factor(delta, m, G.r, ell)
+    total = binom(G.n - ell, m - ell)
+    x = delta * delta * m / (2 * (G.r - ell) ** 2)  # rhs shows total * exp(-x)
     return AuditReport(
         inequality_id="eq2_phi_bound",
         lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
+        rhs=total * _tail_bound_factor(delta, m, G.r, ell),
+        holds=_within_tail_bound(lhs, total, x),
         context={
             "n": G.n,
             "r": G.r,
@@ -669,7 +648,9 @@ def audit_bad_total(
         f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
         enum_budget,
     )
-    report = poor_sets(G, ell, p)
+    # looked up at call time, as poor_sets does, so a wrapper records the build
+    table = degree.degree_table(G, ell)
+    report = table_poor_sets(table, p)
     rich = np.ones(report.total, dtype=bool)
     rich[list(report.poor)] = False
     rich_count = report.total - len(report.poor)
@@ -677,12 +658,9 @@ def audit_bad_total(
     cap = math.floor(boundary)  # S is bad in X when deg_X(S) <= cap
     lhs = 0
     if ell == G.r - 1:
-        # phi_S in closed form, from the a = |link(S)| link vertices of S
-        links = _LinkTable(G)
-        for S, is_rich in zip(ksubsets(G.n, ell), rich.tolist()):
-            if is_rich:
-                a = links.masks.get(S, 0).bit_count()
-                lhs += _tail_count(a, G.n - ell - a, m - ell, cap)
+        # phi_S in closed form, from the a = |link(S)| = deg(S) link vertices of S
+        for a in itertools.compress(table.degrees, rich.tolist()):
+            lhs += _tail_count(a, G.n - ell - a, m - ell, cap)
     elif cap >= 0 and rich_count:
         # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
         # with S rich and bad in X: one pass over X

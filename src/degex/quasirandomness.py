@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, mask_vertices
+from .combinatorics import binom, ksubsets, mask_vertices, tuple_ranks, vertex_columns
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -117,22 +117,13 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 # shared geometry: pairs in colex order
 
 
-def _pair_rank(u, v):
-    return u + v * (v - 1) // 2
-
-
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for v in range(n) for u in range(v)]
-
-
 def _pair_incidence(G: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """For each of the 3|E| vertex-edge incidences: the vertex x and the rank
     of the pair uv with {x, u, v} the edge."""
-    a, b, c = np.array(G.edges, dtype=np.intp).reshape(-1, 3).T
-    return (
-        np.concatenate([a, b, c]),
-        np.concatenate([_pair_rank(b, c), _pair_rank(a, c), _pair_rank(a, b)]),
-    )
+    edges = vertex_columns(G.edges, 3, G.n)
+    # for each pair P of positions, the vertex of each edge outside P
+    parts = [(edges[3 - sum(P)], rank.copy()) for P, rank in tuple_ranks(edges, 2, G.n)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _link_start(G: Hypergraph, incidence, mask: int, dtype, den: int) -> np.ndarray:
@@ -281,16 +272,17 @@ def _report(
 def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tuple, tuple]:
     """Recompute (scaled D, X, P) for a fixed X mask; P is the optimal support."""
     X = mask_vertices(mask)
-    d = [0] * binom(G.n, 2)
+    pairs = list(ksubsets(G.n, 2))
+    index = {uv: i for i, uv in enumerate(pairs)}
+    d = [0] * len(pairs)
     for a, b, c in G.edges:
         if mask >> a & 1:
-            d[_pair_rank(b, c)] += 1
+            d[index[b, c]] += 1
         if mask >> b & 1:
-            d[_pair_rank(a, c)] += 1
+            d[index[a, c]] += 1
         if mask >> c & 1:
-            d[_pair_rank(a, b)] += 1
+            d[index[a, b]] += 1
     scaled, indexes = _best_support([den * dv - num * len(X) for dv in d])
-    pairs = _all_pairs(G.n)
     return scaled, X, tuple(pairs[i] for i in indexes)
 
 
@@ -424,9 +416,8 @@ def deviation_111_exact(
 
     # R[x] is den at (y, z) when xyz is an edge
     R = np.zeros((n, n, n), dtype=np.int64)
-    edges = np.array(G.edges, dtype=np.intp).reshape(-1, 3)
-    for perm in itertools.permutations(range(3)):
-        R[tuple(edges[:, perm].T)] = 1
+    for x, y, z in itertools.permutations(vertex_columns(G.edges, 3, n)):
+        R[x, y, z] = 1
     R = R.astype(dtype) * den
     M = np.zeros((n, n), dtype=dtype)
 

@@ -384,14 +384,13 @@ class TestQr:
         assert out == ""
         assert err.startswith("error: sampled (1,2) scoring") and err.count("\n") == 1
 
-    def test_env_exact_limit(self, capsys, tmp_path, monkeypatch):
+    def test_exact_limit_flag(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "12", "--r", "3", "--p", "1/2", "--seed", "2", "--out", str(g))
-        monkeypatch.setenv("DEGEX_EXACT_LIMIT", "10")
-        code, _, _ = run(capsys, "qr", "--in", str(g), "--kind", "12", "--p", "1/2")
+        qr = ("qr", "--in", str(g), "--kind", "12", "--p", "1/2", "--exact-limit")
+        code, _, _ = run(capsys, *qr, "10")
         assert code == 3
-        monkeypatch.setenv("DEGEX_EXACT_LIMIT", "12")
-        code, _, _ = run(capsys, "qr", "--in", str(g), "--kind", "12", "--p", "1/2")
+        code, _, _ = run(capsys, *qr, "12")
         assert code == 0
 
     def test_threads_flag_identical_output(self, capsys, tmp_path):

@@ -2,8 +2,9 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from degex.combinatorics import (
@@ -14,6 +15,8 @@ from degex.combinatorics import (
     mask_vertices,
     random_ksubset,
     subset_mask,
+    tuple_ranks,
+    vertex_columns,
 )
 from degex.errors import ValidationError
 
@@ -120,6 +123,29 @@ class TestColex:
                 for rank, S in enumerate(listed):
                     assert colex_rank(S).rank == rank
                     assert S == colex_unrank(rank, k, n)
+
+
+class TestTupleRanks:
+    @given(st.data())
+    def test_matches_colex_rank(self, data):
+        n = data.draw(st.integers(1, 300))
+        m = data.draw(st.integers(1, min(n, 6)))
+        k = data.draw(st.integers(0, m))
+        assume(binom(n, k) <= 2**32)  # the ranks' stated domain
+        subset = st.sets(st.integers(0, n - 1), min_size=m, max_size=m)
+        sets = [tuple(sorted(X)) for X in data.draw(st.lists(subset, max_size=20))]
+        cols = vertex_columns(sets, m, n)
+        assert cols.shape == (m, len(sets))
+        seen = []
+        for P, rank in tuple_ranks(cols, k, n):
+            seen.append(P)
+            assert rank.tolist() == [colex_rank([X[i] for i in P]).rank for X in sets]
+        assert sorted(seen) == list(itertools.combinations(range(m), k))
+
+    def test_vertex_columns_dtype_holds_n(self):
+        assert vertex_columns([(0, 255)], 2, 255).dtype == np.uint8
+        assert vertex_columns([(0, 256)], 2, 257).dtype == np.uint16
+        assert vertex_columns([], 3, 10).shape == (3, 0)
 
 
 class TestRandomKSubset:

@@ -1,12 +1,13 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degex.combinatorics import binom, colex_unrank
+from degex.combinatorics import binom, colex_unrank, ksubsets
 from degex.degree import (
     degree_of,
     degree_table,
@@ -61,6 +62,15 @@ class TestDegreeOf:
             assert degree_of(G, S) == ext
 
 
+def counter_degree_table(G, ell):
+    """Reference table: a Counter of the l-sub-tuples of the edges, read out
+    over the l-subsets in colex order."""
+    counts = Counter(
+        itertools.chain.from_iterable(itertools.combinations(e, ell) for e in G.edges)
+    )
+    return tuple(counts[S] for S in ksubsets(G.n, ell))
+
+
 class TestDegreeTable:
     def test_empty_graph_all_zero(self):
         table = degree_table(build(6, 3, []), 2)
@@ -82,6 +92,21 @@ class TestDegreeTable:
                     S = colex_unrank(rank, ell, n)
                     assert d == degree_of(G, S)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_counter_reference(self, data):
+        r = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(r, 11))
+        kind = data.draw(st.sampled_from(["random", "empty", "complete"]))
+        if kind == "complete":
+            G = complete(n, r)
+        else:
+            possible = list(itertools.combinations(range(n), r))
+            edges = data.draw(st.lists(st.sampled_from(possible), max_size=40)) if kind == "random" else []
+            G = build(n, r, edges)
+        for ell in range(1, r):
+            assert degree_table(G, ell).degrees == counter_degree_table(G, ell)
+
     def test_ell_out_of_range(self):
         with pytest.raises(ValidationError):
             degree_table(EXAMPLE, 3)
@@ -92,6 +117,8 @@ class TestDegreeTable:
         rows = list(degree_table(EXAMPLE, 2).csv_rows())
         assert len(rows) == 10
         assert rows[0] == (0, "0 1", 3)
+        for rank, subset, _ in rows:
+            assert subset == " ".join(map(str, colex_unrank(rank, 2, 5)))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

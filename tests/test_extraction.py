@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -20,6 +21,7 @@ from degex.extraction import (
     _LinkTable,
     _LinkWords,
     _phi_count,
+    _within_tail_bound,
     audit_bad_total,
     audit_eq2_phi,
     audit_eq3,
@@ -585,6 +587,34 @@ class TestAuditEq2Phi:
         )
         report = audit_eq2_phi(G, S, 7, Fraction(1, 2), Fraction(1, 5))
         assert report.lhs == brute_phi(G, S, 7, Fraction(1, 2), Fraction(1, 5))
+
+    def test_holds_is_exact_past_float_precision(self):
+        # C = 2^60 + 129 rounds up to 2^60 + 256 as a float, so a float
+        # verdict takes C <= C * exp(-x) for true at any tiny x > 0
+        C, x = 2**60 + 129, Fraction(1, 2**70)
+        assert C <= C * math.exp(-float(x))
+        assert _within_tail_bound(C, C, x) is False
+        assert _within_tail_bound(C - 1, C, x) is True
+        assert _within_tail_bound(0, C, x) is True
+        assert _within_tail_bound(C, C, Fraction(0)) is True
+        assert _within_tail_bound(C + 1, C, Fraction(0)) is False
+
+    def test_holds_is_exact_when_the_bound_meets_lhs(self):
+        # phi_S = 4 of C(5, 4) = 5 extensions, and delta within 10^-40 of
+        # -sqrt(2 ln(5/4) / 5), where 5 exp(-delta^2 m / 2) crosses 4: the
+        # float rhs reads 4.0 on both sides of the crossing
+        G = build(6, 2, [(1, 2), (0, 3), (2, 3), (1, 4), (2, 4), (2, 5)])
+        S, m, p = (2,), 5, Fraction(1, 2)
+        with localcontext() as ctx:
+            ctx.prec = 100
+            crossing = -(2 * (Decimal(5) / 4).ln() / m).sqrt()
+            for step in (Fraction(1, 10**40), -Fraction(1, 10**40)):
+                delta = Fraction(crossing) + step
+                report = audit_eq2_phi(G, S, m, p, delta)
+                d = Decimal(delta.numerator) / delta.denominator
+                assert report.lhs == 4 and report.rhs == 4.0
+                assert report.holds is (report.lhs <= 5 * (-d * d * m / 2).exp())
+                assert report.holds is (step > 0)
 
 
 class TestAuditBadTotal:

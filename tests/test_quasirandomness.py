@@ -470,6 +470,19 @@ class TestSweepKernel:
         assert report.D == Fraction(best, p.denominator)
         assert report.witness[0] == mask_vertices(min(m for m in scores if scores[m] == best))
 
+    def test_witness_agrees_with_sweep_at_60_vertices(self):
+        # the sweep ranks pairs through combinatorics.tuple_ranks, the witness
+        # through a dict over ksubsets: two derivations of colex order
+        G = erdos_renyi(60, 3, Fraction(1, 2), seed=3)
+        p = Fraction(2, 5)
+        num, den = p.numerator, p.denominator
+        mask = random.Random(8).getrandbits(60)
+        start = qr._link_start(G, qr._pair_incidence(G), mask, np.int64, den)
+        scaled, X, P = _witness_12(G, mask, num, den)
+        assert qr._sweep(None, num, start, mask, 0) == (scaled, mask)
+        assert X == mask_vertices(mask)
+        assert abs(e12(G, X, P) - p * len(X) * len(P)) == Fraction(scaled, den)
+
     def test_failed_witness_recheck_is_internal_error(self, monkeypatch, capsys, tmp_path):
         G = erdos_renyi(6, 3, Fraction(1, 2), seed=1)
         g = tmp_path / "g.hg"
