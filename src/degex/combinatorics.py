@@ -7,7 +7,9 @@ element, so the rank of a k-subset does not depend on n.  Concretely
     rank({v_0 < v_1 < ... < v_{k-1}}) = sum_j C(v_j, j+1)
 
 which maps the k-subsets of [0, n) bijectively onto [0, C(n, k)).  tuple_ranks
-takes the ranks of many sets at once, held as vertex columns.
+takes the ranks of many sets at once, held as vertex columns; colex_blocks
+lists every k-subset of [0, n) as such columns, a block at a time, and
+colex_order sorts many sets, held the same way, into colex order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
+
+# Block enumerations and the arrays built per block stay within a few of these.
+BLOCK_BYTES = 1 << 18
 
 
 class SubsetId(NamedTuple):
@@ -131,6 +136,66 @@ def tuple_ranks(
         else:
             np.add(above, cols[p], out=rank)  # C(v, 1) = v
             yield (p,) + tail, rank
+
+
+def _subset_columns(k: int, j: int, high: tuple[int, ...], dtype) -> np.ndarray:
+    """The sets L + high, for the j-subsets L of [0, k) in colex order; row i
+    of the result holds the i-th smallest vertex of every set."""
+    # level t lists the t-subsets of [0, k - j + t), the ones that can still
+    # grow into a j-subset of [0, k), by top element v: each is v plus a
+    # (t-1)-subset of [0, v), and those are the first C(v, t-1) of level t-1
+    level = np.zeros((0, 1), dtype=dtype)
+    for t in range(1, j + 1):
+        tops = range(t - 1, k - j + t)
+        counts = [math.comb(v, t - 1) for v in tops]
+        below = np.concatenate([level[:, :c] for c in counts], axis=1)
+        level = np.concatenate([below, np.repeat(np.array(tops, dtype=dtype), counts)[None]])
+    top = np.array(high, dtype=dtype)[:, None]
+    return np.concatenate([level, top.repeat(level.shape[1], axis=1)])
+
+
+def colex_blocks(n: int, m: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The m-subsets of [0, n) in colex order, as blocks (offset, cols).
+
+    cols[i] holds the i-th smallest vertex of each subset of the block, in
+    the smallest unsigned dtype that holds n, and the block's colex ranks run
+    from offset.  The m-subsets of [0, k) are those of [0, k - 1) followed by
+    the (m-1)-subsets of [0, k - 1) plus k - 1; the walk unrolls that
+    recursion on a stack and splits a part until it fits the rows left, so
+    every block but the last has `rows` subsets.
+    """
+    dtype = np.min_scalar_type(n)  # unsigned, and holds every vertex
+    offset, filled, parts = 0, 0, []
+    stack = [(n, m, ())]
+    while stack:
+        k, j, high = stack.pop()
+        size = math.comb(k, j) if j >= 0 else 0
+        if size > rows - filled:
+            stack += [(k - 1, j - 1, (k - 1,) + high), (k - 1, j, high)]
+            continue
+        if size:
+            parts.append(_subset_columns(k, j, high, dtype))
+            filled += size
+        if filled == rows or filled and not stack:
+            block, parts = np.concatenate(parts, axis=1), []
+            yield offset, block
+            offset, filled = offset + filled, 0
+
+
+def colex_order(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts sets, held as vertex columns (cols[i] the
+    i-th smallest vertex of every set), into colex order, and a mask of the
+    sorted sets that differ from the set before them.
+
+    Colex order compares the largest elements first, so the last column is
+    lexsort's primary key.
+    """
+    order = np.lexsort(cols)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in np.take(cols, order, axis=1):
+        first[1:] |= col[1:] != col[:-1]
+    return order, first
 
 
 def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

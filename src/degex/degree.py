@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, ksubsets, tuple_ranks, vertex_columns
+from .combinatorics import binom, ksubsets, tuple_ranks
 from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
@@ -94,10 +94,10 @@ def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
 def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
     """All l-subset degrees at once: each edge bumps its C(r, l) sub-subsets.
 
-    The edges are held as vertex columns; each l-tuple of positions gives
-    the colex ranks of one l-subset of every edge, and a bincount of those
-    ranks adds them into the table.  Refuses a table of more than
-    MAX_TABLE_ENTRIES subsets before building anything.
+    Column i of the edge array holds the i-th smallest vertex of every edge;
+    each l-tuple of columns gives the colex ranks of one l-subset of every
+    edge, and a bincount of those ranks adds them into the table.  Refuses a
+    table of more than MAX_TABLE_ENTRIES subsets before building anything.
     """
     _check_ell(G, ell)
     size = binom(G.n, ell)
@@ -106,7 +106,7 @@ def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
             f"the degree table over C({G.n}, {ell}) = {size} subsets exceeds the "
             f"limit of {MAX_TABLE_ENTRIES} entries"
         )
-    ranks = tuple_ranks(vertex_columns(G.edges, G.r, G.n), ell, G.n)
+    ranks = tuple_ranks(G.edge_array.T, ell, G.n)
     counts = sum(np.bincount(rank, minlength=size) for _, rank in ranks)
     return DegreeTable(G.n, G.r, ell, tuple(counts.tolist()))
 

@@ -29,7 +29,6 @@ needs no dense table and so works at any n.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
@@ -42,7 +41,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .combinatorics import (
+    BLOCK_BYTES,
     binom,
+    colex_blocks,
+    colex_order,
     colex_unrank,
     random_ksubset,
     subset_mask,
@@ -56,10 +58,6 @@ from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
 DEFAULT_ENUM_BUDGET = 100_000_000
-
-# Exhaustive enumeration scores m-subsets in blocks of BLOCK_BYTES // 8 rows:
-# one 64-bit word a row fits BLOCK_BYTES.
-BLOCK_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +179,23 @@ class _LinkTable:
     def __init__(self, G: Hypergraph):
         self.n = G.n
         self.r = G.r
-        masks: dict[tuple[int, ...], int] = {}
-        get = masks.get
-        for e in G.edges:
-            # combinations drops the vertices of the sorted edge last to first
-            for sub, v in zip(itertools.combinations(e, G.r - 1), reversed(e)):
-                masks[sub] = get(sub, 0) | 1 << v
-        self.masks = masks
+        cols = G.edge_array.T
+        # each edge once for each of its vertices v: the (r-1)-set T it leaves, and v
+        subs = np.concatenate([np.delete(cols, j, axis=0) for j in range(G.r)], axis=1)
+        order, first = colex_order(subs)
+        verts = cols.ravel()[order]
+        bits = np.left_shift(np.uint64(1), verts & 63, dtype=np.uint64)
+        # link(T) for each distinct T, a 64-vertex word at a time: the OR of
+        # the bits of its run of sorted v in that word
+        starts = np.flatnonzero(first)
+        masks = [0] * len(starts)
+        for w in range(-(-G.n // 64)):
+            word = np.bitwise_or.reduceat(np.where(verts >> 6 == w, bits, 0), starts)
+            held = np.flatnonzero(word)
+            for g, x in zip(held.tolist(), word[held].tolist()):
+                masks[g] |= x << 64 * w
+        keys = np.take(subs, order[first], axis=1).T.tolist()
+        self.masks = dict(zip(map(tuple, keys), masks))
 
     def induced_min_degree(self, X: Sequence[int], ell: int) -> int:
         """Minimum l-degree of G[X], for sorted X."""
@@ -306,55 +314,20 @@ def extract_random(
 # Block enumeration of m-subsets
 
 
-def _subset_columns(k: int, j: int, high: tuple[int, ...], dtype) -> np.ndarray:
-    """The sets L + high, for the j-subsets L of [0, k) in colex order; row i
-    of the result holds the i-th smallest vertex of every set."""
-    # level t lists the t-subsets of [0, k - j + t), the ones that can still
-    # grow into a j-subset of [0, k), by top element v: each is v plus a
-    # (t-1)-subset of [0, v), and those are the first C(v, t-1) of level t-1
-    level = np.zeros((0, 1), dtype=dtype)
-    for t in range(1, j + 1):
-        tops = range(t - 1, k - j + t)
-        counts = [math.comb(v, t - 1) for v in tops]
-        below = np.concatenate([level[:, :c] for c in counts], axis=1)
-        level = np.concatenate([below, np.repeat(np.array(tops, dtype=dtype), counts)[None]])
-    top = np.array(high, dtype=dtype)[:, None]
-    return np.concatenate([level, top.repeat(level.shape[1], axis=1)])
-
-
 def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The m-subsets of [0, n) in colex order, as blocks (offset, cols).
-
-    cols[i] holds the i-th smallest vertex of each subset of the block, whose
-    colex ranks run from offset.  The m-subsets of [0, k) are those of
-    [0, k - 1) followed by the (m-1)-subsets of [0, k - 1) plus k - 1; the
-    walk unrolls that recursion on a stack and splits a part until it fits
-    the rows left, so every block but the last has BLOCK_BYTES // 8 rows.
-    """
-    rows = max(BLOCK_BYTES // 8, 1)
-    dtype = np.min_scalar_type(n)  # unsigned, and holds every vertex
-    offset, filled, parts = 0, 0, []
-    stack = [(n, m, ())]
-    while stack:
-        k, j, high = stack.pop()
-        size = math.comb(k, j) if j >= 0 else 0
-        if size > rows - filled:
-            stack += [(k - 1, j - 1, (k - 1,) + high), (k - 1, j, high)]
-            continue
-        if size:
-            parts.append(_subset_columns(k, j, high, dtype))
-            filled += size
-        if filled == rows or filled and not stack:
-            block, parts = np.concatenate(parts, axis=1), []
-            yield offset, block
-            offset, filled = offset + filled, 0
+    """The m-subsets of [0, n) in colex order, in blocks of BLOCK_BYTES // 8
+    rows: one 64-bit word a row fits BLOCK_BYTES."""
+    return colex_blocks(n, m, max(BLOCK_BYTES // 8, 1))
 
 
 class _LinkWords:
     """words[w, rank of T] holds bits 64w to 64w + 63 of link(T), the vertices
-    v with T + {v} an edge, for every t-subset T of [0, n), t = r - 1."""
+    v with T + {v} an edge, for every t-subset T of [0, n), t = r - 1.  The
+    edges come as vertex columns: ends[i] holds the i-th smallest vertex of
+    every edge."""
 
-    def __init__(self, n: int, r: int, edges: Sequence[Sequence[int]]):
+    def __init__(self, n: int, ends: np.ndarray):
+        r = len(ends)
         t = r - 1
         width = -(-n // 64)
         size = binom(n, t)
@@ -365,7 +338,7 @@ class _LinkWords:
             )
         self.n, self.t = n, t
         self.words = np.zeros((width, size), dtype=np.uint64)
-        ends = vertex_columns(edges, r, n)
+        ends = ends.astype(np.min_scalar_type(n), copy=False)
         for P, rank in tuple_ranks(ends, t, n):
             v = ends[sum(range(r)) - sum(P)]  # the vertex of each edge outside P
             bits = np.left_shift(np.uint64(1), v & 63, dtype=np.uint64)
@@ -465,7 +438,7 @@ def extract_exhaustive(
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     # X is good when (r - l) deg_X(S) >= (r - l) need for every l-subset S of X
-    links = _LinkWords(G.n, G.r, G.edges)
+    links = _LinkWords(G.n, G.edge_array.T)
     thr = need * (G.r - ell)
     good: list[int] = []
     for offset, cols in _colex_blocks(G.n, m):
@@ -496,7 +469,7 @@ def _count_poor_free(n: int, m: int, ell: int, poor: list[tuple[int, ...]]) -> i
     """
     if not poor:
         return binom(n, m)
-    links = _LinkWords(n, ell, poor)
+    links = _LinkWords(n, vertex_columns(poor, ell, n))
     return sum(
         int(np.count_nonzero(links.bad_counts(cols, ell - 1, 1, None) == binom(m, ell - 1)))
         for _, cols in _colex_blocks(n, m)
@@ -550,14 +523,14 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
     # the link of S: each edge through S with S cut out, on V minus S
     # relabelled as [0, n - l) by v -> v - |{s in S: s < v}|; deg_{S+T}(S)
     # counts the link edges inside T
-    link = [
-        tuple(v - bisect.bisect(S, v) for v in e if v not in S)
-        for e in G.edges if set(S).issubset(e)
-    ]
+    rows = G.edge_array
+    through = rows[np.isin(rows, S).sum(axis=1) == ell]
+    rest = through[~np.isin(through, S)].reshape(-1, k)  # row order is kept
+    link = rest - np.searchsorted(np.array(S, dtype=rows.dtype), rest, side="right")
     if k == 1:
         return _tail_count(len(link), G.n - ell - len(link), m - ell, cap)
     # inside T the link edges number the link sum of the empty set over k
-    links = _LinkWords(G.n - ell, k, link)
+    links = _LinkWords(G.n - ell, link.T)
     return sum(
         int(np.count_nonzero(links.bad_counts(cols, 0, (cap + 1) * k, None)))
         for _, cols in _colex_blocks(G.n - ell, m - ell)
@@ -664,7 +637,7 @@ def audit_bad_total(
     elif cap >= 0 and rich_count:
         # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
         # with S rich and bad in X: one pass over X
-        links = _LinkWords(G.n, G.r, G.edges)
+        links = _LinkWords(G.n, G.edge_array.T)
         thr = (cap + 1) * (G.r - ell)
         for _, cols in _colex_blocks(G.n, m):
             lhs += int(links.bad_counts(cols, ell, thr, rich).sum())

@@ -2,25 +2,37 @@
 
 Seeding is documented and version-stable: erdos_renyi walks the r-subsets of
 [0, n) in colex order and draws one random.Random(seed).random() per subset,
-keeping the subset when the draw is strictly below p.  The comparison is
-exact even for Fraction p (Python compares float vs Fraction exactly), so
-p = 1 always yields the complete graph and p = 0 the empty one.  Both
-generators refuse more than MAX_SUBSETS r-subsets before drawing any.
+keeping the subset when the draw is strictly below p.  Both generators
+refuse more than MAX_SUBSETS r-subsets before drawing any.
+
+erdos_renyi takes those draws in blocks without calling random() itself.
+CPython's random() is (a * 2^26 + b) / 2^53, from two 32-bit Mersenne
+Twister outputs a = w0 >> 5 and b = w1 >> 6, and getrandbits(64 * k) holds
+the next 2k outputs as little-endian 32-bit words, in order.  A draw is
+below p exactly when a * 2^26 + b < ceil(p * 2^53), an integer test that is
+exact for any rational p, as the old float-to-Fraction comparison was: p = 1
+always yields the complete graph and p = 0 the empty one.  Each block of
+r-subsets, as vertex columns from combinatorics.colex_blocks, is tested in
+one numpy pass.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .combinatorics import binom, ksubsets
+import numpy as np
+
+from .combinatorics import BLOCK_BYTES, binom, colex_blocks
 from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_probability
 
 # Most r-subsets a generator walks: one draw or one edge each.
 MAX_SUBSETS = 10**7
+# r-subsets a block: one 64-bit draw each fits BLOCK_BYTES
+BLOCK_ROWS = BLOCK_BYTES // 8
 
 
 def _check_subsets(n: int, r: int) -> None:
@@ -37,7 +49,8 @@ def complete(n: int, r: int) -> Hypergraph:
     if r > n:
         return Hypergraph(n, r, ())
     _check_subsets(n, r)
-    return Hypergraph(n, r, itertools.combinations(range(n), r))
+    blocks = [cols for _, cols in colex_blocks(n, r, BLOCK_ROWS)]
+    return Hypergraph.from_rows(n, r, np.concatenate(blocks, axis=1).T)
 
 
 def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
@@ -47,8 +60,17 @@ def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
         raise ValidationError(f"uniformity must be at least 1, got {r}")
     _check_subsets(n, r)
     rng = random.Random(seed)
-    edges = [e for e in ksubsets(n, r) if rng.random() < p]
-    return Hypergraph(n, r, edges)
+    cut = math.ceil(p * (1 << 53))  # a draw k / 2^53 is below p iff k < cut
+    kept = []
+    for _, cols in colex_blocks(n, r, BLOCK_ROWS):
+        count = cols.shape[1]
+        bits = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        words = np.frombuffer(bits, dtype="<u4").reshape(count, 2)
+        draws = (words[:, 0] >> 5).astype(np.uint64) << 26 | words[:, 1] >> 6
+        kept.append(cols[:, draws < cut])
+    if not kept:  # r > n: no subsets to draw for
+        return Hypergraph(n, r, ())
+    return Hypergraph.from_rows(n, r, np.concatenate(kept, axis=1).T)
 
 
 @dataclass(frozen=True)
@@ -91,23 +113,11 @@ def partition_deletion(G: Hypergraph, N: int) -> tuple[Hypergraph, PartitionSpec
     if G.r < 2:
         raise ValidationError(f"partition deletion needs r >= 2, got r={G.r}")
     spec = balanced_partition(G.n, N)
-    part_index = [0] * G.n
-    for i, (start, stop) in enumerate(spec.parts):
-        for v in range(start, stop):
-            part_index[v] = i
-    kept = []
-    for e in G.edges:
-        counts: dict[int, int] = {}
-        ok = True
-        for v in e:
-            i = part_index[v]
-            counts[i] = counts.get(i, 0) + 1
-            if counts[i] >= 2:
-                ok = False
-                break
-        if ok:
-            kept.append(e)
-    return Hypergraph(G.n, G.r, kept), spec
+    # 1 + the part of each vertex; in a sorted edge two vertices share a
+    # part only if two neighbours do
+    part = np.searchsorted([start for start, _ in spec.parts], G.edge_array, side="right")
+    kept = G.edge_array[(np.diff(part, axis=1) != 0).all(axis=1)]
+    return Hypergraph.from_rows(G.n, G.r, kept), spec
 
 
 def deletion_bound(n: int, N: int) -> int:

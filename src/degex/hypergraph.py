@@ -1,7 +1,13 @@
 """Immutable r-uniform hypergraphs on vertex set [0, n).
 
-Edges are strictly sorted r-tuples of 0-based vertex indices, kept in colex
-order, with a frozenset of the same tuples for O(1) membership tests.
+A Hypergraph keeps its edges in one read-only (E x r) integer array,
+`edge_array`: each row is an edge, its vertices strictly increasing, and the
+rows run in strictly increasing colex order.  Its dtype is the smallest
+unsigned type that holds n (object past 64 bits), so the array is sized by the
+edges alone.  `edges`, the same rows as tuples, and the frozenset behind
+has_edge, == and hash are built from the array on first use.  The public
+constructor validates every edge; producers that already emit canonical
+rows (the generators, induced and parse) use the trusted from_rows.
 
 .hg text format:
     line 1:             "<r> <n>"
@@ -9,13 +15,22 @@ order, with a frozenset of the same tuples for O(1) membership tests.
     lines starting with '#' are comments; blank lines are ignored
 Canonical output sorts vertices within each edge and orders edges by colex
 rank.  UTF-8, LF line endings.
+
+parse reads edge lines of ASCII digits and whitespace in bulk with numpy.
+Any other text, and any text with an error, goes through the line parser,
+which reports the first bad line.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from .combinatorics import colex_order
 from .errors import FormatError, ValidationError
 
 
@@ -34,18 +49,37 @@ class Hypergraph:
     """An r-uniform hypergraph on n labeled vertices, immutable after build."""
 
     def __init__(self, n: int, r: int, edge_list: Iterable[Iterable[int]] = ()):
-        if n < 0:
-            raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        if r < 1:
-            raise ValidationError(f"uniformity must be at least 1, got {r}")
+        _check_shape(n, r)
         seen = {_canonical_edge(e, n, r) for e in edge_list}
+        # canonical order = colex order = lexicographic on reversed tuples
+        ordered = sorted(seen, key=lambda e: e[::-1])
+        flat = itertools.chain.from_iterable(ordered)
+        rows = np.fromiter(flat, np.min_scalar_type(n), len(ordered) * r)
+        self._set_rows(n, r, rows.reshape(len(ordered), r))
+
+    @classmethod
+    def from_rows(cls, n: int, r: int, rows: np.ndarray) -> "Hypergraph":
+        """Trusted constructor: rows is an (E x r) array of vertices of [0, n),
+        each row strictly increasing and the rows strictly increasing in colex
+        order.  Only n and r are checked."""
+        _check_shape(n, r)
+        G = cls.__new__(cls)
+        G._set_rows(n, r, rows.astype(np.min_scalar_type(n), copy=False))
+        return G
+
+    def _set_rows(self, n: int, r: int, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
         self.n = n
         self.r = r
-        # canonical order = colex order = lexicographic on reversed tuples
-        self.edges: tuple[tuple[int, ...], ...] = tuple(
-            sorted(seen, key=lambda e: e[::-1])
-        )
-        self._edge_set = frozenset(self.edges)
+        self.edge_array = rows
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @functools.cached_property
+    def _edge_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -60,7 +94,7 @@ class Hypergraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return tuple(sorted(vertices)) in self._edge_set
@@ -70,14 +104,26 @@ class Hypergraph:
         xs = sorted(set(X))
         if xs and (xs[0] < 0 or xs[-1] >= self.n):
             raise ValidationError(f"induced set {xs} has a vertex outside [0, {self.n})")
-        relabel = {v: i for i, v in enumerate(xs)}
-        xset = set(xs)
-        sub_edges = [
-            tuple(relabel[v] for v in e)
-            for e in self.edges
-            if xset.issuperset(e)
-        ]
-        return Hypergraph(len(xs), self.r, sub_edges), InducedMap(tuple(xs))
+        rows = self.edge_array
+        verts = np.array(xs, dtype=rows.dtype)
+        # a vertex of X is relabeled by its position in xs, which keeps the
+        # order inside rows and the colex order between them
+        inside = np.isin(rows, verts).all(axis=1)
+        sub = np.searchsorted(verts, rows[inside])
+        return Hypergraph.from_rows(len(xs), self.r, sub), InducedMap(tuple(xs))
+
+
+# the longest axis numpy allows, so the most columns an edge array can have
+_MAX_ARITY = np.iinfo(np.intp).max
+
+
+def _check_shape(n: int, r: int) -> None:
+    if n < 0:
+        raise ValidationError(f"vertex count must be nonnegative, got {n}")
+    if r < 1:
+        raise ValidationError(f"uniformity must be at least 1, got {r}")
+    if r > _MAX_ARITY:
+        raise ValidationError(f"uniformity must be at most {_MAX_ARITY}, got {r}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +141,68 @@ def build(n: int, r: int, edge_list: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n, r, edge_list)
 
 
-def parse(text: str) -> Hypergraph:
-    """Parse .hg text. Raises FormatError with a line number on bad input."""
+# longest field the bulk parser reads: 18 digits stay below 2^63
+_BULK_DIGITS = 18
+
+
+def _parse_bulk(text: str) -> Hypergraph | None:
+    """Parse .hg text of ASCII digit fields in bulk; None where the line
+    parser must decide, for any other text and for every error.
+
+    Holds only arrays of the text's size, whatever n the header names.
+    """
+    # the header: the first line that is neither blank nor a comment
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        header = text[start:end if end >= 0 else len(text)].strip()
+        if header and not header.startswith("#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    fields = header.split()
+    if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+        return None
+    r, n = int(fields[0]), int(fields[1])
+    body = text[end + 1:] if end >= 0 else ""
+    if not 1 <= r <= _MAX_ARITY or not body.isascii():
+        return None
+    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digits = chars - np.uint8(48)  # below 10 exactly at the digits
+    is_digit, newline = digits < 10, chars == 10
+    # ASCII digits, and whitespace that splits fields (space, tab, CR) or lines
+    if not (is_digit | newline | (chars == 32) | (chars == 9) | (chars == 13)).all():
+        return None
+    bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    starts, lengths = bounds[::2], bounds[1::2] - bounds[::2]
+    # the fields of each line number 0 (a blank line) or r
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), prepend=0, append=len(starts))
+    if not ((per_line == 0) | (per_line == r)).all():
+        return None
+    longest = int(lengths.max()) if len(lengths) else 0
+    if longest > _BULK_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for i in range(longest):
+        digit = digits.take(starts + i, mode="clip")
+        values = np.where(lengths > i, values * 10 + digit, values)
+    cols = values.reshape(-1, r).T
+    if cols.size and int(cols.max()) >= n:
+        return None
+    cols = cols.astype(np.min_scalar_type(n), order="C")
+    if not len(starts):  # no edges: nothing to sort, however many columns
+        return Hypergraph.from_rows(n, r, cols.T)
+    if (cols[1:] <= cols[:-1]).any():  # an edge out of order, or repeating a vertex
+        cols.sort(axis=0)
+        if (cols[1:] == cols[:-1]).any():
+            return None
+    order, first = colex_order(cols)
+    return Hypergraph.from_rows(n, r, np.take(cols, order[first], axis=1).T)
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """Parse .hg text line by line, raising FormatError at the first bad line."""
     header = None
     edges = []
     n = r = 0
@@ -133,11 +239,16 @@ def parse(text: str) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
+def parse(text: str) -> Hypergraph:
+    """Parse .hg text. Raises FormatError with a line number on bad input."""
+    G = _parse_bulk(text)
+    return G if G is not None else _parse_lines(text)
+
+
 def serialize(G: Hypergraph) -> str:
     """Canonical .hg text: parse(serialize(G)) == G and the text is a fixpoint."""
-    out = [f"{G.r} {G.n}"]
-    out.extend(" ".join(str(v) for v in e) for e in G.edges)
-    return "\n".join(out) + "\n"
+    line = " ".join(["%d"] * G.r) + "\n"
+    return f"{G.r} {G.n}\n" + (line * G.edge_count) % tuple(G.edge_array.ravel().tolist())
 
 
 def load(path) -> Hypergraph:

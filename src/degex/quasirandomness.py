@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, ksubsets, mask_vertices, tuple_ranks, vertex_columns
+from .combinatorics import binom, ksubsets, mask_vertices, tuple_ranks
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -120,7 +120,7 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 def _pair_incidence(G: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """For each of the 3|E| vertex-edge incidences: the vertex x and the rank
     of the pair uv with {x, u, v} the edge."""
-    edges = vertex_columns(G.edges, 3, G.n)
+    edges = G.edge_array.T
     # for each pair P of positions, the vertex of each edge outside P
     parts = [(edges[3 - sum(P)], rank.copy()) for P, rank in tuple_ranks(edges, 2, G.n)]
     return tuple(map(np.concatenate, zip(*parts)))
@@ -416,7 +416,7 @@ def deviation_111_exact(
 
     # R[x] is den at (y, z) when xyz is an edge
     R = np.zeros((n, n, n), dtype=np.int64)
-    for x, y, z in itertools.permutations(vertex_columns(G.edges, 3, n)):
+    for x, y, z in itertools.permutations(G.edge_array.T):
         R[x, y, z] = 1
     R = R.astype(dtype) * den
     M = np.zeros((n, n), dtype=dtype)

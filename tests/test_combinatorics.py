@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from degex.combinatorics import (
     binom,
+    colex_order,
     colex_rank,
     colex_unrank,
     ksubsets,
@@ -146,6 +147,20 @@ class TestTupleRanks:
         assert vertex_columns([(0, 255)], 2, 255).dtype == np.uint8
         assert vertex_columns([(0, 256)], 2, 257).dtype == np.uint16
         assert vertex_columns([], 3, 10).shape == (3, 0)
+
+
+class TestColexOrder:
+    @given(st.data())
+    def test_sorts_and_marks_repeats(self, data):
+        n = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, n))
+        subsets = list(itertools.combinations(range(n), k))
+        sets = data.draw(st.lists(st.sampled_from(subsets), max_size=30))
+        cols = vertex_columns(sets, k, n)
+        order, first = colex_order(cols)
+        ranked = [tuple(row) for row in cols.T[order].tolist()]
+        assert ranked == sorted(sets, key=lambda S: colex_rank(S).rank)
+        assert [S for S, new in zip(ranked, first) if new] == sorted(set(sets), key=lambda S: S[::-1])
 
 
 class TestRandomKSubset:

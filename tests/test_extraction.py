@@ -316,7 +316,7 @@ def block_masks(n, m):
 
 def block_good(G, ell, m, need):
     """Whether each m-subset, in colex order, is good, by the block scorer."""
-    links = _LinkWords(G.n, G.r, G.edges)
+    links = _LinkWords(G.n, G.edge_array.T)
     good = []
     for _, cols in _colex_blocks(G.n, m):
         good += (links.bad_counts(cols, ell, need * (G.r - ell), None) == 0).tolist()

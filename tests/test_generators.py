@@ -1,9 +1,19 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from degex.combinatorics import binom
+import degex
+from degex import generators
+from degex.combinatorics import binom, ksubsets
 from degex.degree import min_degree
 from degex.errors import ValidationError
 from degex.generators import (
@@ -68,6 +78,82 @@ class TestErdosRenyi:
     def test_bad_p_rejected(self):
         with pytest.raises(ValidationError):
             erdos_renyi(5, 3, Fraction(3, 2), seed=0)
+
+
+def reference_erdos_renyi(n, r, p, seed):
+    """The documented stream: one Random(seed).random() per r-subset, in colex order."""
+    rng = random.Random(seed)
+    return tuple(e for e in ksubsets(n, r) if rng.random() < p)
+
+
+def nth_draw(seed, i):
+    rng = random.Random(seed)
+    for _ in range(i):
+        rng.random()
+    return rng.random()
+
+
+def colex_nth(n, r, i):
+    return next(itertools.islice(ksubsets(n, r), i, None))
+
+
+SEEDS = st.one_of(st.integers(-(10**30), 10**30), st.integers(-5, 5))
+# denominators about 2^53, where a draw k / 2^53 can sit next to p, and beyond
+DENOMINATORS = st.one_of(
+    st.integers(2**53 - 3, 2**53 + 3), st.integers(2**60, 2**80), st.integers(1, 100)
+)
+
+
+@st.composite
+def probabilities(draw):
+    den = draw(DENOMINATORS)
+    return draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(draw(st.integers(0, den)), den)]))
+
+
+class TestErdosRenyiStream:
+    @given(st.integers(0, 9), st.integers(1, 5), probabilities(), SEEDS,
+           st.sampled_from([1, 3, generators.BLOCK_ROWS]))
+    @settings(max_examples=300, deadline=None)
+    @example(2, 3, Fraction(1, 2), 7, generators.BLOCK_ROWS)  # n < r
+    @example(8, 3, Fraction(1), 10**30 - 1, 5)
+    @example(8, 3, Fraction(0), -(10**30), 5)
+    def test_matches_the_random_stream(self, n, r, p, seed, rows):
+        with mock.patch.object(generators, "BLOCK_ROWS", rows):
+            G = erdos_renyi(n, r, p, seed)
+        assert G.edges == reference_erdos_renyi(n, r, p, seed)
+
+    @given(st.integers(3, 9), st.integers(1, 3), SEEDS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_draw_equal_to_p_is_not_kept(self, n, r, seed, data):
+        # p at, just below and just above the value of one subset's draw
+        i = data.draw(st.integers(0, binom(n, r) - 1))
+        x = Fraction(nth_draw(seed, i))
+        for p in (x, x - Fraction(1, 2**80), x + Fraction(1, 2**80)):
+            assert erdos_renyi(n, r, p, seed).edges == reference_erdos_renyi(n, r, p, seed)
+        assert colex_nth(n, r, i) not in erdos_renyi(n, r, x, seed).edges
+        assert colex_nth(n, r, i) in erdos_renyi(n, r, x + Fraction(1, 2**80), seed).edges
+
+    def test_large_instance_matches_the_random_stream(self):
+        # C(44, 3) = 13244 draws in two blocks of 8192
+        with mock.patch.object(generators, "BLOCK_ROWS", 8192):
+            G = erdos_renyi(44, 3, Fraction(1, 2), 12345)
+        assert G.edges == reference_erdos_renyi(44, 3, Fraction(1, 2), 12345)
+
+    def test_gen_er_leaves_numpy_random_unimported(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from degex.cli import main\n"
+            "rc = main(['gen', 'er', '--n', '30', '--r', '3', '--p', '1/2', '--seed', '1',"
+            " '--out', sys.argv[1]])\n"
+            "print(rc, 'numpy.random' in sys.modules)\n"
+        )
+        src = Path(degex.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "g.hg")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 class TestBalancedPartition:

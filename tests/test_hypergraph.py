@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from degex.combinatorics import colex_rank
 from degex.errors import FormatError, ValidationError
 from degex.generators import complete, erdos_renyi
-from degex.hypergraph import Hypergraph, build, parse, serialize
+from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, parse, serialize
 
 
 def brute_induced_edge_count(G, X):
@@ -49,6 +51,15 @@ class TestBuild:
     def test_wrong_arity_named(self):
         with pytest.raises(ValidationError, match="arity"):
             build(5, 3, [(0, 1)])
+
+    def test_arity_past_the_array_limit_refused(self):
+        # an (E x r) edge array cannot have more than 2^63 - 1 columns
+        for make in (lambda r: build(5, r, []), lambda r: complete(5, r),
+                     lambda r: erdos_renyi(5, r, "1/2", seed=1)):
+            with pytest.raises(ValidationError, match="uniformity must be at most"):
+                make(10**20)
+        with pytest.raises(ValidationError, match="uniformity must be at most"):
+            parse(f"{10**20} 5\n")
 
     def test_edges_in_colex_order(self):
         G = build(5, 3, [(2, 3, 4), (0, 1, 2), (0, 1, 4)])
@@ -165,3 +176,101 @@ class TestTextFormat:
     def test_non_integer_edge(self):
         with pytest.raises(FormatError, match="integers"):
             parse("3 4\n0 1 x\n")
+
+    def test_huge_header_parses_in_memory_of_the_text(self):
+        # nothing is sized by the 10^9 vertices the header names
+        tracemalloc.start()
+        try:
+            G = parse("3 1000000000\n2 0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.edges == ((0, 1, 2),) and G.n == 10**9
+        assert peak < 1 << 20
+
+    def test_header_past_int64(self):
+        n = 10**30
+        assert parse(f"3 {n}\n").edge_count == 0
+        G = parse(f"3 {n}\n{n - 1} 0 1\n4 5 3\n")
+        assert G.edges == ((3, 4, 5), (0, 1, n - 1))
+        assert parse(serialize(G)) == G
+
+
+# pieces of .hg text: fields the bulk parser reads, fields only int() reads,
+# and fields nothing reads
+FIELDS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["007", "10", "+3", "1_0", "\u0663", "-1", "x", "99999999999999999999"]),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t"])
+ENDINGS = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def hg_texts(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9))
+    lines = draw(st.lists(st.sampled_from(["", "# comment", "  ", "\t"]), max_size=2))
+    header = [f"{r} {n}", f"{r}\t{n} ", f"+{r} {n}", f"{r} {n} 1"]
+    lines.append(draw(st.sampled_from(header[:2] * 4 + header[2:])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "# c", " \t"])))
+            continue
+        if kind < 16 and n >= r:  # an edge, its vertices in any order
+            edge = draw(st.sets(st.integers(0, n - 1), min_size=r, max_size=r))
+            fields = draw(st.permutations(sorted(edge)))
+        elif kind < 18:  # maybe repeating a vertex or leaving [0, n)
+            fields = draw(st.lists(st.integers(0, n), min_size=r, max_size=r))
+        else:
+            fields = draw(st.lists(FIELDS, min_size=max(r - 1, 0), max_size=r + 1))
+        lines.append(draw(SEPARATORS).join(map(str, fields)))
+    ending = draw(ENDINGS)
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def outcome(parser, text):
+    try:
+        G = parser(text)
+    except FormatError as exc:
+        return str(exc)
+    return G.n, G.r, G.edges, G.edge_array.dtype
+
+
+class TestBulkParse:
+    @given(hg_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_bulk_and_line_parsers_agree(self, text):
+        expected = outcome(_parse_lines, text)
+        assert outcome(parse, text) == expected
+        bulk = _parse_bulk(text)
+        if bulk is not None:
+            assert outcome(lambda _: bulk, text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "3 5\n0 1 2\n2 1 0\n4 3 1\n",  # duplicate and permuted edges
+        "3 5\r\n0\t1 2\r\n\r\n3 4 0\r\n",  # tabs, CRLF and a blank line
+        "# c\n\n 3 5 \n0 1 2",  # comments before the header, no final LF
+        "3 5\n",  # header only
+        "3 5",
+    ])
+    def test_bulk_path_reads_plain_text(self, text):
+        assert _parse_bulk(text) is not None
+        assert outcome(parse, text) == outcome(_parse_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 5\n0 1\n2 3 4 1\n",  # field counts that cancel out across lines
+        "3 5\n0 1 2 3\n4 0\n",
+        "3 5\n0 1 2 3 4 0\n",  # two edges on one line
+        "3 5\n0 1 1\n",
+        "3 5\n0 1 5\n",
+        "3 5\n0 1 2\n# c\n+3 1 2\n",
+        "3 15\n1_0 1 2\n",
+        "3 5\n\u0663 1 2\n",
+        "3 5\n0 1 99999999999999999999\n",
+        "\n\n",
+    ])
+    def test_line_parser_decides_the_rest(self, text):
+        assert _parse_bulk(text) is None
+        assert outcome(parse, text) == outcome(_parse_lines, text)
