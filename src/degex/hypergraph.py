@@ -252,8 +252,18 @@ def serialize(G: Hypergraph) -> str:
 
 
 def load(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Read a .hg file.  Lines may end in LF, CRLF or CR; text that is not
+    UTF-8 raises FormatError with the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"text is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse(text)
 
 
 def dump(G: Hypergraph, path, header_comment: str | None = None) -> None:

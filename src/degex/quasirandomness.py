@@ -11,22 +11,25 @@ attained at the positive or negative support.  The (1,1,1) deviation
 quantifies over X and Y, with the set Z optimal in the same way from the
 per-vertex weights e_XY(z) - p|X||Y|.
 
-One kernel, _sweep, scores every deviation.  It enumerates subsets of a set
-of dense integer rows, with vec the sum of a subset's rows and k its size,
-and scores each from vec - step*k with the formula above.  The low rows
-form a block whose subset sums are tabulated once; a Gray walk over the
-rest adds or subtracts one row per step and scores the whole block in one
-vectorized pass.  The block's size is derived from the row width, so its
-memory stays within a fixed byte budget.
+One kernel, _sweep, scores every exact deviation.  It enumerates subsets of
+a set of dense integer rows, with vec the sum of a subset's rows and k its
+size, and scores each from vec - step*k with the formula above.  The low
+rows form a block whose subset sums are tabulated once; a Gray walk over
+the rest adds or subtracts one row per step and scores the whole block in
+one vectorized pass.  The block's size is derived from the row width, so
+its memory stays within a fixed byte budget.
 
 * (1,2) exact: row x is den at the pairs uv with xuv an edge, so
   vec = den * d_X.  The 2^n sets X are one sweep, or with threads > 1
   one sweep per value of the top bits.
-* (1,2) sampled: each sampled X is a sweep of zero bits, from a start
-  vector counted over the 3|E| vertex-edge incidences; no n x C(n, 2) rows
-  are built, so memory stays O(|E| + n^2) at any n.
 * (1,1,1) exact: a Gray walk over X keeps M[y, z] = den * #{x in X : xyz
   an edge}; for each X one sweep over the rows of M gives vec = den * e_XY.
+
+The sampled (1,2) deviation scores many sampled sets X at once by popcount:
+d_X(uv) is the popcount of link(uv) & X, in 64-vertex words, for a block of
+trials against a block of the pairs that lie in some edge.  A trial's score
+needs only three sums over the pairs, so no n x C(n, 2) rows are built and
+memory stays O(|E| + trials) at any n.
 
 Everything is exact: p is a Fraction num/den, the kernel works on integer
 weights scaled by den, and results are returned as Fractions.  When the
@@ -46,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, ksubsets, mask_vertices, tuple_ranks
+from .combinatorics import binom, colex_order, ksubsets, mask_vertices, tuple_ranks
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -59,6 +62,7 @@ INT64_SAFE = 1 << 62
 
 # A sweep scores 2^b states at once from a 2^b x width table and a scratch
 # block of the same shape; b is the largest with the block in BLOCK_BYTES.
+# Each array of a sampled (trials x pairs) block stays within it too.
 BLOCK_BYTES = 1 << 18
 # an object element is a pointer plus a boxed Python int, rounded up
 OBJECT_ELEMENT_BYTES = 64
@@ -151,7 +155,10 @@ def _weight_dtype(n: int, num: int, den: int):
     #            over the n vertices z both sums stay under n^3 (num + den).
     # A score, sum |w| + |sum w|, is then below 2^63.  Row j of a sweep's
     # block table is w for the set of the bits of j alone, so it obeys the
-    # same bounds, and so does its sum.
+    # same bounds, and so does its sum.  The (1,2) witness sums the same w.
+    # The sampled scorer's last step holds den * (sum of d_X), num*k*C(n, 2),
+    # num*k*lo and den*d_lo, each under n^3 (num + den) as lo <= C(n, 2) and
+    # d_lo <= n C(n, 2); a score adds at most two of them, below 2^63.
     # This needs num >= 0, which holds because every entry point takes p
     # through to_probability (0 <= p <= 1).
     return np.int64 if max(n, 1) ** 3 * (num + den) < INT64_SAFE else object
@@ -168,7 +175,7 @@ def _block_bits(width: int, dtype, low_bits: int) -> int:
 
 
 def _sweep(
-    rows: np.ndarray | None,
+    rows: np.ndarray,
     step: int,
     start: np.ndarray,
     mask: int,
@@ -226,16 +233,13 @@ def _sweep(
     return best, best_mask
 
 
-def _best_support(w: Sequence[int]) -> tuple[int, list[int]]:
+def _best_support(w: np.ndarray) -> tuple[int, np.ndarray]:
     """max(sum of positive w, -(sum of negative w)) and the indexes attaining it.
 
     Ties prefer the positive support.
     """
-    if sum(w) >= 0:
-        indexes = [i for i, wi in enumerate(w) if wi > 0]
-        return sum(w[i] for i in indexes), indexes
-    indexes = [i for i, wi in enumerate(w) if wi < 0]
-    return -sum(w[i] for i in indexes), indexes
+    support = np.flatnonzero(w > 0 if w.sum() >= 0 else w < 0)
+    return abs(int(w[support].sum())), support
 
 
 def _report(
@@ -270,20 +274,26 @@ def _report(
 
 
 def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tuple, tuple]:
-    """Recompute (scaled D, X, P) for a fixed X mask; P is the optimal support."""
+    """Recompute (scaled D, X, P) for a fixed X mask; P is the optimal support.
+
+    d_X is counted into an n x n array from the edge columns, and the pairs
+    are listed by ksubsets, so colex order is derived apart from tuple_ranks
+    and from both scorers.
+    """
+    n = G.n
     X = mask_vertices(mask)
-    pairs = list(ksubsets(G.n, 2))
-    index = {uv: i for i, uv in enumerate(pairs)}
-    d = [0] * len(pairs)
-    for a, b, c in G.edges:
-        if mask >> a & 1:
-            d[index[b, c]] += 1
-        if mask >> b & 1:
-            d[index[a, c]] += 1
-        if mask >> c & 1:
-            d[index[a, b]] += 1
-    scaled, indexes = _best_support([den * dv - num * len(X) for dv in d])
-    return scaled, X, tuple(pairs[i] for i in indexes)
+    member = np.zeros(n, dtype=bool)
+    member[list(X)] = True
+    a, b, c = G.edge_array.T.astype(np.intp)
+    d = np.zeros(n * n, dtype=np.int64)
+    for x, u, v in ((a, b, c), (b, a, c), (c, a, b)):
+        inside = member[x]
+        d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
+    pairs = np.fromiter(itertools.chain.from_iterable(ksubsets(n, 2)), np.intp, 2 * binom(n, 2))
+    u, v = pairs.reshape(-1, 2).T
+    w = d[u * n + v].astype(_weight_dtype(n, num, den)) * den - num * len(X)
+    scaled, indexes = _best_support(w)
+    return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
 
 
 def deviation_12_exact(
@@ -337,6 +347,82 @@ def deviation_12_exact(
     return _report("12", p, n, best, scaled, (X, P), "exact")
 
 
+def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> list[int]:
+    """The scaled (1,2) score of each mask as X: max over P, times den.
+
+    With w(uv) = den*d_X(uv) - num*k and k = |X|, the score is
+    max(sum w, 0) + (num*k*lo - den*d_lo), where lo counts the pairs with
+    w < 0, that is d_X(uv) < ceil(num*k / den), and d_lo sums their d_X:
+    the negative support weighs num*k*lo - den*d_lo, and the positive one
+    that plus sum w.  So a trial needs three sums over the pairs: of d_X, of
+    the d_X below its threshold, and their count.
+
+    Only the pairs in some edge are counted.  Their link words (bit x of
+    link(uv) set when xuv is an edge, ceil(n / 64) words a pair) are built a
+    pair block at a time from the incidences sorted by pair, and
+    d_X(uv) = sum of popcount(link(uv) & X) for a whole (trials x pairs)
+    block in a few numpy passes; every array of a block stays within
+    BLOCK_BYTES.  A pair in no edge has d_X = 0, so it adds to lo exactly
+    when num*k > 0.  The final sums run in the _weight_dtype choice, int64 or
+    Python ints.
+    """
+    n = G.n
+    pairs = binom(n, 2)
+    width = -(-n // 64)
+    cols = G.edge_array.T
+    # each edge once for each of its vertices x: the pair uv it leaves, and x,
+    # sorted by pair; starts[i] begins the run of the i-th pair in an edge
+    left = np.concatenate([np.delete(cols, j, axis=0) for j in range(3)], axis=1)
+    order, first = colex_order(left)
+    verts = cols.ravel()[order]
+    starts = np.append(np.flatnonzero(first), len(verts))
+    linked = len(starts) - 1
+
+    trials = len(masks)
+    xwords = np.frombuffer(
+        b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8"
+    ).reshape(trials, width)
+    k = np.fromiter((m.bit_count() for m in masks), np.int64, trials)
+    # ceil(num*k / den) <= k, in Python ints: w < 0 exactly when d_X < thr
+    count_dtype = np.min_scalar_type(n)
+    thr = np.fromiter((-(-num * kt // den) for kt in k.tolist()), count_dtype, trials)
+    total = np.zeros(trials, dtype=np.int64)
+    below = np.zeros(trials, dtype=np.int64)
+    below_sum = np.zeros(trials, dtype=np.int64)
+
+    pair_block = max(min(linked, BLOCK_BYTES // (8 * max(width, 1))), 1)
+    trial_block = max(BLOCK_BYTES // (8 * pair_block), 1)
+    for p0 in range(0, linked, pair_block):
+        p1 = min(p0 + pair_block, linked)
+        i0, i1 = starts[p0], starts[p1]
+        x = verts[i0:i1]
+        bits = np.left_shift(np.uint64(1), x & 63, dtype=np.uint64)
+        # word w of link(uv): the OR of the bits of its run's x in that word
+        runs = starts[p0:p1] - i0
+        words = [np.bitwise_or.reduceat(np.where(x >> 6 == w, bits, 0), runs) for w in range(width)]
+        for t0 in range(0, trials, trial_block):
+            t1 = min(t0 + trial_block, trials)
+            buf = np.empty((t1 - t0, p1 - p0), dtype=np.uint64)
+            d = np.empty(buf.shape, dtype=count_dtype)
+            for w in range(width):
+                np.bitwise_and(xwords[t0:t1, w, None], words[w], out=buf)
+                if w:
+                    d += np.bitwise_count(buf)
+                else:
+                    np.bitwise_count(buf, out=d)
+            low = d < thr[t0:t1, None]
+            # a row sums at most BLOCK_BYTES / 8 counts of at most n < 2^13: below 2^32
+            total[t0:t1] += d.sum(axis=1, dtype=np.uint32)
+            below[t0:t1] += low.sum(axis=1, dtype=np.uint32)
+            below_sum[t0:t1] += (d * low).sum(axis=1, dtype=np.uint32)
+    below += (pairs - linked) * (thr > 0)
+
+    dtype = _weight_dtype(n, num, den)
+    k, total, below, below_sum = (a.astype(dtype) for a in (k, total, below, below_sum))
+    w_sum = den * total - num * k * pairs
+    return (np.maximum(w_sum, 0) + num * k * below - den * below_sum).tolist()
+
+
 def deviation_12_sampled(
     G: Hypergraph,
     p,
@@ -348,8 +434,8 @@ def deviation_12_sampled(
     Trial t draws mask = Random(seed).getrandbits(n) (one draw per trial, in
     order), so the best-so-far is monotone in the trial count for a fixed
     seed.  The inner P is still exactly optimal, hence D <= the true maximum.
-    Each trial counts a vector over the C(n, 2) pairs, so more than
-    MAX_TABLE_ENTRIES pairs are refused before anything is drawn.
+    Ties go to the smallest mask.  The witness lists the C(n, 2) pairs, so
+    more than MAX_TABLE_ENTRIES pairs are refused before anything is drawn.
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -363,15 +449,11 @@ def deviation_12_sampled(
             f"sampled (1,2) scoring over C({n}, 2) = {pairs} pairs exceeds the "
             f"limit of {MAX_TABLE_ENTRIES} entries"
         )
-    dtype = _weight_dtype(n, num, den)
-    incidence = _pair_incidence(G)
     rng = random.Random(seed)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
-    results = [
-        _sweep(None, num, _link_start(G, incidence, mask, dtype, den), mask, 0)
-        for mask in masks
-    ]
-    best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
+    scores = _sampled_scores(G, masks, num, den)
+    best = max(scores)
+    best_mask = min(m for m, s in zip(masks, scores) if s == best)
     scaled, X, P = _witness_12(G, best_mask, num, den)
     return _report("12", p, n, best, scaled, (X, P), "sampled", trials=trials, seed=seed)
 
@@ -440,8 +522,9 @@ def deviation_111_exact(
 
     # witness: recompute the winning (X, Y) directly and pick the Z support
     c = num * best_x.bit_count() * best_y.bit_count()
-    scaled, Z = _best_support([den * e - c for e in _e111_vector(G, best_x, best_y)])
-    witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z))
+    e = np.array(_e111_vector(G, best_x, best_y), dtype=dtype)
+    scaled, Z = _best_support(e * den - c)
+    witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z.tolist()))
     return _report("111", p, n, best, scaled, witness, "exact")
 
 

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import itertools
 import json
 import time
 
 import pytest
 
-from degex.cli import main
+import degex.cli
+from degex.cli import build_parser, main
 from degex.degree import degree_of
 from degex.hypergraph import load, parse
 
@@ -450,3 +453,73 @@ class TestQr:
         assert out == ""
         assert err.startswith("internal error: " + type(exc).__name__)
         assert err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch, example_file):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(degex.cli, "build_parser", counting_build_parser)
+        degex.cli._parser.cache_clear()
+        try:
+            for argv in (("stats", "--ell", "1", "--in", example_file),
+                         ("qr", "--kind", "12", "--p", "1/2", "--in", example_file),
+                         ("stats", "--ell", "2", "--in", example_file)):
+                assert run(capsys, *argv)[0] == 0
+            assert len(built) == 1
+        finally:
+            degex.cli._parser.cache_clear()
+
+    def test_reused_parser_prints_what_a_fresh_one_prints(self, capsys, example_file):
+        # consecutive subcommands, with and without options, on one parser;
+        # each must print what it prints on a freshly built one
+        argvs = [
+            ("stats", "--ell", "1", "--eps", "1/10", "--p", "1/2", "--in", example_file),
+            ("qr", "--kind", "12", "--p", "1/3", "--mode", "sampled", "--trials", "7",
+             "--seed", "4", "--in", example_file),
+            ("stats", "--ell", "2", "--in", example_file),
+            ("extract", "--ell", "1", "--m", "3", "--p", "1/2", "--delta", "1/5",
+             "--in", example_file),
+            ("audit", "--which", "eq3", "--ell", "1", "--m", "3", "--p", "1/2",
+             "--in", example_file),
+            ("qr", "--kind", "111", "--p", "1/2", "--in", example_file),
+            ("gen", "er", "--n", "6", "--p", "1/2", "--seed", "2"),
+            ("stats", "--ell", "1", "--in", example_file),
+        ]
+        reused = [run(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            degex.cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert all(code == 0 for code, _, _ in reused)
+
+    def test_argparse_errors_exit_2_on_the_current_stderr(self, capsys):
+        run(capsys, "gen", "complete", "--n", "4")  # the shared parser exists from here
+        for argv in (("stats",), ("qr", "--kind", "13", "--p", "1/2"), ("nope",)):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            assert err.getvalue().startswith("usage: degex") and "error:" in err.getvalue()
+            assert capsys.readouterr() == ("", "")
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--ell", "1"),
+        ("extract", "--ell", "1", "--m", "2", "--p", "1/2", "--delta", "1/5"),
+        ("audit", "--which", "eq3", "--ell", "1", "--m", "2", "--p", "1/2"),
+        ("qr", "--kind", "12", "--p", "1/2"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_byte_is_one_line_exit_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"3 5\n0 1 \xff\n")
+        code, out, err = run(capsys, *argv, "--in", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: text is not UTF-8: byte 0xff cannot be decoded\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degex.combinatorics import colex_rank
 from degex.errors import FormatError, ValidationError
 from degex.generators import complete, erdos_renyi
-from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, parse, serialize
+from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, load, parse, serialize
 
 
 def brute_induced_edge_count(G, X):
@@ -274,3 +274,30 @@ class TestBulkParse:
     def test_line_parser_decides_the_rest(self, text):
         assert _parse_bulk(text) is None
         assert outcome(parse, text) == outcome(_parse_lines, text)
+
+
+class TestLoad:
+    @pytest.mark.parametrize("data", [
+        b"3 5\n0 1 2\n2 3 4\n",
+        b"3 5\r\n0 1 2\r\n2 3 4",
+        b"3 5\r0 1 2\r\r2 3 4\r",  # CR alone ends a line, as in text mode
+        b"# caf\xc3\xa9\n3 5\n0 1 2\n2 3 4\n",  # UTF-8 outside ASCII, in a comment
+    ])
+    def test_reads_what_text_mode_reads(self, tmp_path, data):
+        path = tmp_path / "g.hg"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            expected = parse(fh.read())
+        assert load(path) == expected == build(5, 3, [(0, 1, 2), (2, 3, 4)])
+
+    @pytest.mark.parametrize("data, line", [
+        (b"3 5\n0 1 \xff\n", 2),
+        (b"\xfe3 5\n", 1),
+        (b"3 5\r\n0 1 2\r\n# caf\xe9\r\n", 3),
+    ])
+    def test_non_utf8_is_format_error_at_its_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            load(path)
+        assert exc.value.line == line

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degex.quasirandomness as qr
-from degex.combinatorics import mask_vertices
+from degex.combinatorics import binom, ksubsets, mask_vertices
 from degex.errors import DegexError, LimitExceeded, ValidationError
 from degex.generators import complete, erdos_renyi, partition_deletion
 from degex.cli import main as cli_main
@@ -115,6 +116,51 @@ def reference_sweep(rows, step, start, mask, low_bits):
         if score > best or (score == best and mask < best_mask):
             best, best_mask = score, mask
     return best, best_mask
+
+
+def reference_sampled_scores(G, masks, num, den):
+    """The per-trial path that qr._sampled_scores replaces: each trial counts
+    den * d_X over every pair from the incidences and scores it with a sweep
+    of zero bits."""
+    dtype = qr._weight_dtype(G.n, num, den)
+    incidence = qr._pair_incidence(G)
+    no_rows = np.zeros((0, binom(G.n, 2)), dtype=dtype)
+    return [
+        qr._sweep(no_rows, num, qr._link_start(G, incidence, mask, dtype, den), mask, 0)[0]
+        for mask in masks
+    ]
+
+
+def reference_witness_12(G, mask, num, den):
+    """The dict-and-loop witness recheck that qr._witness_12 replaces."""
+    X = mask_vertices(mask)
+    pairs = list(ksubsets(G.n, 2))
+    index = {uv: i for i, uv in enumerate(pairs)}
+    d = [0] * len(pairs)
+    for a, b, c in G.edges:
+        if mask >> a & 1:
+            d[index[b, c]] += 1
+        if mask >> b & 1:
+            d[index[a, c]] += 1
+        if mask >> c & 1:
+            d[index[a, b]] += 1
+    w = [den * dv - num * len(X) for dv in d]
+    if sum(w) >= 0:
+        indexes = [i for i, wi in enumerate(w) if wi > 0]
+        scaled = sum(w[i] for i in indexes)
+    else:
+        indexes = [i for i, wi in enumerate(w) if wi < 0]
+        scaled = -sum(w[i] for i in indexes)
+    return scaled, X, tuple(pairs[i] for i in indexes)
+
+
+# small fractions run on int64; denominators near 2^60 take the object dtype
+PROBABILITIES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.integers(2**60 - 2**20, 2**60 + 2**20).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
+    ),
+)
 
 
 class TestCounts:
@@ -322,6 +368,105 @@ class TestDeviation12Sampled:
         assert abs(e12(G, X, P) - Fraction(1, 2) * len(X) * len(P)) == report.D
 
 
+def sparse_graph(n, size, seed):
+    rng = random.Random(seed)
+    return build(n, 3, [rng.sample(range(n), 3) for _ in range(size)])
+
+
+class TestSampledScorer:
+    """qr._sampled_scores against the per-trial path it replaces."""
+
+    @staticmethod
+    @st.composite
+    def scored_graphs(draw):
+        # up to 130 vertices, so that a link spans 3 words
+        n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 63, 64, 65, 128, 129, 130]),
+                           st.integers(4, 130)))
+        kind = draw(st.sampled_from(["empty", "complete", "dense", "sparse"]))
+        if kind == "empty" or n < 3:
+            return build(n, 3, [])
+        if kind == "complete":
+            return complete(min(n, 70), 3)
+        seed = draw(st.integers(0, 2**32))
+        if kind == "dense":
+            return erdos_renyi(min(n, 40), 3, Fraction(1, 2), seed=seed)
+        return sparse_graph(n, draw(st.integers(1, 300)), seed)
+
+    @given(
+        scored_graphs(),
+        PROBABILITIES,
+        st.integers(1, 40),
+        st.integers(0, 2**32),
+        # 64 and 256 bytes split both the pairs and the trials into blocks
+        st.sampled_from([64, 256, 1024, 4096, qr.BLOCK_BYTES]),
+    )
+    @example(build(9, 3, []), Fraction(0), 30, 5, 64)  # every trial ties at 0
+    # three words a link; 64 bytes hold blocks of 2 pairs and of 4 trials
+    @example(sparse_graph(130, 300, 1), Fraction(1, 7), 30, 5, 64)
+    @example(sparse_graph(130, 300, 2), Fraction(2**60 + 1, 2**61 + 3), 30, 5, 64)
+    @example(complete(9, 3), Fraction(1), 30, 5, 64)
+    @settings(max_examples=120, deadline=None)
+    def test_scores_match_the_per_trial_path(self, G, p, trials, seed, block_bytes):
+        num, den = p.numerator, p.denominator
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(G.n) if G.n else 0 for _ in range(trials)]
+        expected = reference_sampled_scores(G, masks, num, den)
+        with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
+            assert qr._sampled_scores(G, masks, num, den) == expected
+            report = deviation_12_sampled(G, p, trials=trials, seed=seed)
+        best = max(expected)
+        assert report.D == Fraction(best, den)
+        smallest = min(m for m, score in zip(masks, expected) if score == best)
+        assert report.witness[0] == mask_vertices(smallest)
+
+    def test_dtype_follows_the_weight_bound(self):
+        G = erdos_renyi(20, 3, Fraction(1, 2), seed=4)
+        masks = [random.Random(2).getrandbits(20) for _ in range(10)]
+        for p, dtype in ((Fraction(1, 3), np.int64), (Fraction(2**60 + 1, 3 * 2**60), object)):
+            num, den = p.numerator, p.denominator
+            assert qr._weight_dtype(G.n, num, den) is dtype
+            assert qr._sampled_scores(G, masks, num, den) == reference_sampled_scores(
+                G, masks, num, den
+            )
+
+    def test_smallest_mask_wins_ties(self):
+        # with no edges and p = 0 every score is 0; drawn masks repeat at n = 2
+        for n in (2, 5, 70):
+            report = deviation_12_sampled(build(n, 3, []), 0, trials=25, seed=9)
+            rng = random.Random(9)
+            assert report.D == 0
+            assert report.witness[0] == mask_vertices(min(rng.getrandbits(n) for _ in range(25)))
+
+    @given(
+        scored_graphs(),
+        PROBABILITIES,
+        st.integers(0, 2**130),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_the_dict_loop(self, G, p, bits):
+        mask = bits & ((1 << G.n) - 1)
+        num, den = p.numerator, p.denominator
+        assert _witness_12(G, mask, num, den) == reference_witness_12(G, mask, num, den)
+
+    def test_memory_does_not_grow_with_the_pair_words(self):
+        # n = 1000 with 300 edges: one word row over all C(n, 2) pairs would
+        # take C(1000, 2) * 16 * 8 bytes = 64 MB; the scorer builds words for
+        # the at most 900 pairs that lie in an edge
+        rng = random.Random(400)
+        edges = {tuple(sorted(rng.sample(range(1000), 3))) for _ in range(300)}
+        G = build(1000, 3, sorted(edges))
+        masks = [rng.getrandbits(1000) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            scores = qr._sampled_scores(G, masks, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores[:5] == reference_sampled_scores(G, masks[:5], 1, 1000)
+        # a few block arrays; one bincount of the per-trial path took 4 MB
+        assert peak < 2 * 2**20
+
+
 class TestDeviation111Exact:
     def test_empty_graph(self):
         assert deviation_111_exact(build(4, 3, []), 0).D == 0
@@ -367,13 +512,7 @@ class TestSweepKernel:
         keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
         return build(n, 3, [t for t, k in zip(triples, keep) if k])
 
-    # small fractions run on int64; denominators near 2^60 take the object dtype
-    probabilities = st.one_of(
-        st.fractions(min_value=0, max_value=1, max_denominator=12),
-        st.integers(2**60 - 2**20, 2**60 + 2**20).flatmap(
-            lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
-        ),
-    )
+    probabilities = PROBABILITIES
 
     @given(graphs(5), probabilities)
     @settings(max_examples=40, deadline=None)
@@ -405,8 +544,6 @@ class TestSweepKernel:
         start = np.zeros(width, dtype=dtype)
         for x in mask_vertices(mask):
             start += rows[x]
-        if low_bits == 0 and draw(st.booleans()):
-            rows = None  # a sampled sweep reads no rows
         return rows, step, start, mask, low_bits
 
     @given(sweeps())
@@ -470,16 +607,16 @@ class TestSweepKernel:
         assert report.D == Fraction(best, p.denominator)
         assert report.witness[0] == mask_vertices(min(m for m in scores if scores[m] == best))
 
-    def test_witness_agrees_with_sweep_at_60_vertices(self):
-        # the sweep ranks pairs through combinatorics.tuple_ranks, the witness
-        # through a dict over ksubsets: two derivations of colex order
+    def test_witness_agrees_with_scorer_at_60_vertices(self):
+        # the scorer groups pairs by combinatorics.tuple_ranks, the witness
+        # lists them with ksubsets: two derivations of colex order
         G = erdos_renyi(60, 3, Fraction(1, 2), seed=3)
         p = Fraction(2, 5)
         num, den = p.numerator, p.denominator
         mask = random.Random(8).getrandbits(60)
-        start = qr._link_start(G, qr._pair_incidence(G), mask, np.int64, den)
         scaled, X, P = _witness_12(G, mask, num, den)
-        assert qr._sweep(None, num, start, mask, 0) == (scaled, mask)
+        assert qr._sampled_scores(G, [mask], num, den) == [scaled]
+        assert (scaled, X, P) == reference_witness_12(G, mask, num, den)
         assert X == mask_vertices(mask)
         assert abs(e12(G, X, P) - p * len(X) * len(P)) == Fraction(scaled, den)
 
