@@ -10,9 +10,7 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
 from fractions import Fraction
 
@@ -187,14 +185,12 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_stats(args) -> None:
+    if args.format == "csv" and (args.eps is not None or args.p is not None):
+        raise ValidationError("--eps and --p apply only to --format json")
     G = _load_input(args.input)
     table = degree_table(G, args.ell)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("rank", "subset", "degree"))
-        writer.writerows(table.csv_rows())
-        _write_text(args.output, out.getvalue())
+        _write_text(args.output, table.csv())
         return
     exceptions = eps_exceptions(table, args.eps) if args.eps is not None else None
     summary = {

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import binom, ksubsets, tuple_ranks
+from .combinatorics import binom, colex_blocks, tuple_ranks
 from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
@@ -48,10 +48,24 @@ class DegreeTable:
             hist[d] = hist.get(d, 0) + 1
         return dict(sorted(hist.items()))
 
-    def csv_rows(self) -> Iterator[tuple[int, str, int]]:
-        """Rows (rank, subset, degree) for CSV export."""
-        for rank, (subset, d) in enumerate(zip(ksubsets(self.n, self.ell), self.degrees)):
-            yield rank, " ".join(map(str, subset)), d
+    def csv(self) -> str:
+        """The table as CSV text: a rank,subset,degree header, then one line
+        per l-subset in colex order, its vertices separated by spaces.
+
+        The subsets come as vertex columns from colex_blocks; rank, vertices
+        and degree are stacked into one array and formatted in one go.
+        """
+        header = "rank,subset,degree\n"
+        size = len(self.degrees)
+        if not size:
+            return header
+        ((_, cols),) = colex_blocks(self.n, self.ell, size)
+        rows = np.empty((size, self.ell + 2), dtype=np.int64)
+        rows[:, 0] = np.arange(size)
+        rows[:, 1:-1] = cols.T
+        rows[:, -1] = self.degrees
+        line = "%d," + " ".join(["%d"] * self.ell) + ",%d\n"
+        return header + (line * size) % tuple(rows.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, colex_order, ksubsets, mask_vertices, tuple_ranks
+from .combinatorics import binom, colex_order, mask_vertices, tuple_ranks
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -277,8 +277,9 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
     """Recompute (scaled D, X, P) for a fixed X mask; P is the optimal support.
 
     d_X is counted into an n x n array from the edge columns, and the pairs
-    are listed by ksubsets, so colex order is derived apart from tuple_ranks
-    and from both scorers.
+    are read off the strict lower triangle, row v then column u, which is
+    colex order on {u < v}: it is derived apart from tuple_ranks and from
+    both scorers.
     """
     n = G.n
     X = mask_vertices(mask)
@@ -289,8 +290,7 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
     for x, u, v in ((a, b, c), (b, a, c), (c, a, b)):
         inside = member[x]
         d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
-    pairs = np.fromiter(itertools.chain.from_iterable(ksubsets(n, 2)), np.intp, 2 * binom(n, 2))
-    u, v = pairs.reshape(-1, 2).T
+    v, u = np.tril_indices(n, -1)
     w = d[u * n + v].astype(_weight_dtype(n, num, den)) * den - num * len(X)
     scaled, indexes = _best_support(w)
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))

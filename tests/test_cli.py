@@ -150,6 +150,18 @@ class TestStats:
         assert lines[1] == "0,0 1,3"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("flags", [("--eps", "1/2"), ("--p", "1/2"), ("--eps", "1/2", "--p", "1/2")])
+    def test_csv_refuses_json_only_flags(self, capsys, example_file, tmp_path, flags):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run(
+            capsys, "stats", "--in", example_file, "--ell", "2", *flags,
+            "--format", "csv", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --eps and --p") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_complete_graph_single_bar(self, capsys, tmp_path):
         k6 = tmp_path / "k6.hg"
         run(capsys, "gen", "complete", "--n", "6", "--r", "3", "--out", str(k6))

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 from collections import Counter
@@ -21,6 +23,18 @@ from degex.generators import complete, erdos_renyi
 from degex.hypergraph import build
 
 EXAMPLE = build(5, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)])
+
+
+def reference_csv(table):
+    """The table through csv.writer, one row per ksubsets subset."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("rank", "subset", "degree"))
+    subsets = ksubsets(table.n, table.ell)
+    writer.writerows(
+        (rank, " ".join(map(str, S)), d) for rank, (S, d) in enumerate(zip(subsets, table.degrees))
+    )
+    return out.getvalue()
 
 
 def naive_eps_min(degrees, exceptions, cap):
@@ -114,11 +128,21 @@ class TestDegreeTable:
             degree_table(EXAMPLE, 0)
 
     def test_csv_rows(self):
-        rows = list(degree_table(EXAMPLE, 2).csv_rows())
-        assert len(rows) == 10
-        assert rows[0] == (0, "0 1", 3)
-        for rank, subset, _ in rows:
-            assert subset == " ".join(map(str, colex_unrank(rank, 2, 5)))
+        rows = list(csv.reader(io.StringIO(degree_table(EXAMPLE, 2).csv())))
+        assert rows[0] == ["rank", "subset", "degree"]
+        assert len(rows) == 11
+        assert rows[1] == ["0", "0 1", "3"]
+        for rank, subset, _ in rows[1:]:
+            assert subset == " ".join(map(str, colex_unrank(int(rank), 2, 5)))
+
+    def test_csv_matches_csv_writer(self):
+        graphs = [build(n, r, []) for n in range(5) for r in (2, 3, 4)]
+        graphs += [complete(6, 3), EXAMPLE, erdos_renyi(44, 3, Fraction(1, 2), seed=1)]
+        graphs += [erdos_renyi(13, 4, Fraction(1, 3), seed=2), erdos_renyi(300, 3, Fraction(1, 10**5), seed=3)]
+        for G in graphs:
+            for ell in range(1, G.r):
+                table = degree_table(G, ell)
+                assert table.csv() == reference_csv(table)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

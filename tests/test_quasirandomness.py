@@ -154,6 +154,24 @@ def reference_witness_12(G, mask, num, den):
     return scaled, X, tuple(pairs[i] for i in indexes)
 
 
+def ksubsets_witness_12(G, mask, num, den):
+    """qr._witness_12 with its pairs listed by ksubsets, not np.tril_indices."""
+    n = G.n
+    X = mask_vertices(mask)
+    member = np.zeros(n, dtype=bool)
+    member[list(X)] = True
+    a, b, c = G.edge_array.T.astype(np.intp)
+    d = np.zeros(n * n, dtype=np.int64)
+    for x, u, v in ((a, b, c), (b, a, c), (c, a, b)):
+        inside = member[x]
+        d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
+    pairs = np.fromiter(itertools.chain.from_iterable(ksubsets(n, 2)), np.intp, 2 * binom(n, 2))
+    u, v = pairs.reshape(-1, 2).T
+    w = d[u * n + v].astype(qr._weight_dtype(n, num, den)) * den - num * len(X)
+    scaled, indexes = qr._best_support(w)
+    return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
+
+
 # small fractions run on int64; denominators near 2^60 take the object dtype
 PROBABILITIES = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=12),
@@ -447,6 +465,22 @@ class TestSampledScorer:
         mask = bits & ((1 << G.n) - 1)
         num, den = p.numerator, p.denominator
         assert _witness_12(G, mask, num, den) == reference_witness_12(G, mask, num, den)
+
+    def test_witness_pairs_are_listed_in_colex_order(self):
+        for n in range(71):
+            v, u = np.tril_indices(n, -1)
+            assert list(zip(u.tolist(), v.tolist())) == list(ksubsets(n, 2))
+
+    def test_witness_matches_the_ksubsets_listing(self):
+        rng = random.Random(12)
+        sparse = build(300, 3, sorted({tuple(sorted(rng.sample(range(300), 3))) for _ in range(200)}))
+        graphs = [build(n, 3, []) for n in range(4)]
+        graphs += [erdos_renyi(n, 3, Fraction(1, 2), seed=n) for n in (3, 9, 44, 70)] + [sparse]
+        for G in graphs:
+            for p in (Fraction(0), Fraction(2, 5), Fraction(1), Fraction(2**60 + 1, 3 * 2**60)):
+                num, den = p.numerator, p.denominator
+                for mask in (0, (1 << G.n) - 1, rng.getrandbits(max(G.n, 1)) & ((1 << G.n) - 1)):
+                    assert _witness_12(G, mask, num, den) == ksubsets_witness_12(G, mask, num, den)
 
     def test_memory_does_not_grow_with_the_pair_words(self):
         # n = 1000 with 300 edges: one word row over all C(n, 2) pairs would
