@@ -9,7 +9,9 @@ element, so the rank of a k-subset does not depend on n.  Concretely
 which maps the k-subsets of [0, n) bijectively onto [0, C(n, k)).  tuple_ranks
 takes the ranks of many sets at once, held as vertex columns; colex_blocks
 lists every k-subset of [0, n) as such columns, a block at a time, and
-colex_order sorts many sets, held the same way, into colex order.
+colex_order sorts many sets, held the same way, into colex order.  Links
+builds a hypergraph's links as 64-bit words, in the one layout that
+vertex_words and mask_words also give vertex sets.
 """
 
 from __future__ import annotations
@@ -190,12 +192,90 @@ def colex_order(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Colex order compares the largest elements first, so the last column is
     lexsort's primary key.
     """
-    order = np.lexsort(cols)
+    order = np.lexsort(cols) if len(cols) else np.arange(cols.shape[1])
     first = np.zeros(len(order), dtype=bool)
     first[:1] = True
     for col in np.take(cols, order, axis=1):
         first[1:] |= col[1:] != col[:-1]
     return order, first
+
+
+class Links:
+    """The link incidences of an r-graph, and its links as words.
+
+    Each edge e (ends[i] holds the i-th smallest vertex of every edge) and
+    vertex v of e give one incidence: sets[:, i] holds the (r-1)-set T = e - v
+    as a vertex column, and verts[i] holds v, one vertex of link(T).  A vertex
+    set of [0, n) is ceil(n / 64) uint64 words, v being bit v & 63 of word v >> 6.
+    """
+
+    def __init__(self, n: int, ends: np.ndarray):
+        r = len(ends)
+        ends = ends.astype(np.min_scalar_type(n), copy=False)
+        self.n, self.t, self.width = n, r - 1, -(-n // 64)
+        # each edge once for each of its vertices v: the (r-1)-set T it leaves, and v
+        self.sets = np.concatenate([ends[np.arange(r) != j] for j in range(r)], axis=1)
+        self.verts = ends.ravel()
+        self.bits = np.left_shift(np.uint64(1), self.verts & 63, dtype=np.uint64)
+
+    def ranks(self) -> np.ndarray:
+        """The colex rank of each incidence's T, exact while C(n, t) <= 2^32."""
+        return next(tuple_ranks(self.sets, self.t, self.n))[1]
+
+    def table(self) -> np.ndarray:
+        """words[w, rank of T]: word w of link(T), for every t-subset T of [0, n)."""
+        words = np.zeros((self.width, binom(self.n, self.t)), dtype=np.uint64)
+        np.bitwise_or.at(words, (self.verts >> 6, self.ranks()), self.bits)
+        return words
+
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The T with a nonempty link in colex order, `rows` at a time, as (keys,
+        words): keys holds the T as vertex columns and words[w] word w of each
+        link(T).  No rank is taken, so any n is exact."""
+        order, first = colex_order(self.sets)
+        verts, bits = self.verts[order], self.bits[order]
+        starts = np.append(np.flatnonzero(first), len(verts))
+        keys = np.take(self.sets, order[first], axis=1)
+        for lo in range(0, keys.shape[1], rows):
+            hi = min(lo + rows, keys.shape[1])
+            run = slice(starts[lo], starts[hi])
+            words = np.empty((self.width, hi - lo), dtype=np.uint64)
+            for w, out in enumerate(words):
+                # word w of link(T): the OR of the bits of T's run of vertices in that word
+                held = np.where(verts[run] >> 6 == w, bits[run], 0)
+                np.bitwise_or.reduceat(held, starts[lo:hi] - starts[lo], out=out)
+            yield keys[:, lo:hi], words
+
+    def masks(self) -> dict[tuple[int, ...], int]:
+        """Each nonempty link(T) as an int, bit v for vertex v, keyed by tuple T."""
+        out = {}
+        for keys, words in self.blocks(max(len(self.verts), 1)):
+            ints = [0] * words.shape[1]
+            for w, word in enumerate(words):
+                held = np.flatnonzero(word)
+                for g, x in zip(held.tolist(), word[held].tolist()):
+                    ints[g] |= x << 64 * w
+            out.update(zip(map(tuple, keys.T.tolist()), ints))
+        return out
+
+
+def vertex_words(cols: np.ndarray, width: int) -> np.ndarray:
+    """words[w, j]: word w of the j-th set of cols, sets held as vertex columns
+    in the smallest unsigned dtype that holds n, width = ceil(n / 64)."""
+    words = np.zeros((width, cols.shape[1]), dtype=np.uint64)
+    for c, w in itertools.product(cols, range(width)):
+        # below word w, c - 64w wraps to 64 or more, as 64 W is at most
+        # 2^bits of the dtype that holds n; a shift by 64 or more gives 0
+        shift = c - c.dtype.type(64 * w)
+        words[w] |= np.left_shift(np.uint64(1), shift, dtype=np.uint64)
+    return words
+
+
+def mask_words(masks: Sequence[int], n: int) -> np.ndarray:
+    """words[j, w]: word w of the vertex set of masks[j], bit v for vertex v < n."""
+    width = -(-n // 64)
+    data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
 
 
 def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

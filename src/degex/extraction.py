@@ -16,15 +16,17 @@ on small instances:
   * bad_total_bound -- sum of phi_S over rich S vs C(n, m)/2; diagnostic
     (the bound is only claimed for m >= m0, far beyond desk scale).
 
-Exhaustive extraction, eq3, and phi_S for l < r-1 score m-subsets a colex
-block of vertex columns at a time (_colex_blocks).  The colex rank of each
-(r-1)-tuple of a row's vertices, from combinatorics.tuple_ranks, indexes a
-dense table of link words, and one popcount per tuple feeds the l-degree
-sums of the l-tuples inside it (_LinkWords.bad_counts).  eq3 scores the poor
-l-sets as an l-graph, and the sum of phi_S over rich S is one pass counting
-the rich S <= X bad in X; for l = r-1, phi_S is a closed form in deg(S) =
-|link(S)|.  extract_random reads links from a sparse dict (_LinkTable), which
-needs no dense table and so works at any n.
+Extraction and the auditors rest on one identity: link(T) holds the v with
+T + {v} an edge, and an edge e with S <= e <= X counts once for each vertex
+of e outside S, so deg_X(S) is the sum of |link(T) & X| over the (r-1)-sets
+S <= T <= X, over r - l (one popcount for l = r-1).  combinatorics.Links
+builds the links in two forms.  Exhaustive extraction, eq3 and phi_S for
+l < r-1 score m-subsets a colex block at a time against a dense table of
+link words by rank (_LinkWords.bad_counts); eq3 scores the poor l-sets as an
+l-graph, the sum of phi_S over rich S is one pass counting the rich S <= X
+bad in X, and for l = r-1 phi_S is a closed form in |link(S)|.  Each attempt
+of extract_random is scored from a dict of link bitmasks keyed by the tuple
+T (_induced_min_degree), which takes no rank and so is exact at any n.
 """
 
 from __future__ import annotations
@@ -42,14 +44,15 @@ import numpy as np
 
 from .combinatorics import (
     BLOCK_BYTES,
+    Links,
     binom,
     colex_blocks,
-    colex_order,
     colex_unrank,
     random_ksubset,
     subset_mask,
     tuple_ranks,
     vertex_columns,
+    vertex_words,
 )
 from . import degree
 from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree, poor_sets, table_poor_sets
@@ -163,61 +166,27 @@ def good_threshold(p: Fraction, delta: Fraction, m: int, ell: int, r: int) -> tu
     return boundary, math.floor(boundary) + 1
 
 
-class _LinkTable:
-    """Link bitmask of every (r-1)-subset of an edge, keyed by its sorted tuple.
-
-    link(T) has bit v set when T + {v} is an edge.  For X with bitmask xmask
-    and an l-subset S of X, each edge e with S <= e <= X is counted once for
-    every vertex of e outside S (dropping that vertex leaves an (r-1)-set
-    between S and X), so
-
-        deg_X(S) = sum of |link(T) & X| over (r-1)-sets S <= T <= X, / (r - l)
-
-    which for l = r-1 is the single popcount |link(S) & X|.
-    """
-
-    def __init__(self, G: Hypergraph):
-        self.n = G.n
-        self.r = G.r
-        cols = G.edge_array.T
-        # each edge once for each of its vertices v: the (r-1)-set T it leaves, and v
-        subs = np.concatenate([np.delete(cols, j, axis=0) for j in range(G.r)], axis=1)
-        order, first = colex_order(subs)
-        verts = cols.ravel()[order]
-        bits = np.left_shift(np.uint64(1), verts & 63, dtype=np.uint64)
-        # link(T) for each distinct T, a 64-vertex word at a time: the OR of
-        # the bits of its run of sorted v in that word
-        starts = np.flatnonzero(first)
-        masks = [0] * len(starts)
-        for w in range(-(-G.n // 64)):
-            word = np.bitwise_or.reduceat(np.where(verts >> 6 == w, bits, 0), starts)
-            held = np.flatnonzero(word)
-            for g, x in zip(held.tolist(), word[held].tolist()):
-                masks[g] |= x << 64 * w
-        keys = np.take(subs, order[first], axis=1).T.tolist()
-        self.masks = dict(zip(map(tuple, keys), masks))
-
-    def induced_min_degree(self, X: Sequence[int], ell: int) -> int:
-        """Minimum l-degree of G[X], for sorted X."""
-        xmask = subset_mask(X)
-        masks = self.masks
-        k = self.r - ell
-        if k == 1:
-            best = len(X)  # above any codegree inside X
-            for S in itertools.combinations(X, ell):
-                d = (masks.get(S, 0) & xmask).bit_count()
-                if d < best:
-                    best = d
-                    if not d:
-                        break
-            return best
-        totals = dict.fromkeys(itertools.combinations(X, ell), 0)
-        for T in itertools.combinations(X, self.r - 1):
-            c = (masks.get(T, 0) & xmask).bit_count()
-            if c:
-                for S in itertools.combinations(T, ell):
-                    totals[S] += c
-        return min(totals.values()) // k
+def _induced_min_degree(links: dict, r: int, X: Sequence[int], ell: int) -> int:
+    """Minimum l-degree of G[X], for sorted X, from G's Links.masks(): the
+    least link sum of an l-subset of X, over r - l."""
+    xmask = subset_mask(X)
+    k = r - ell
+    if k == 1:
+        best = len(X)  # above any codegree inside X
+        for S in itertools.combinations(X, ell):
+            d = (links.get(S, 0) & xmask).bit_count()
+            if d < best:
+                best = d
+                if not d:
+                    break
+        return best
+    totals = dict.fromkeys(itertools.combinations(X, ell), 0)
+    for T in itertools.combinations(X, r - 1):
+        c = (links.get(T, 0) & xmask).bit_count()
+        if c:
+            for S in itertools.combinations(T, ell):
+                totals[S] += c
+    return min(totals.values()) // k
 
 
 def _check_extract_args(G: Hypergraph, ell: int, m: int) -> None:
@@ -275,7 +244,7 @@ def extract_random(
         raise ValidationError(f"budget must be at least 1, got {budget}")
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    links = _LinkTable(G)
+    links = Links(G.n, G.edge_array.T).masks()
     best_deg = -1
     best_subset: tuple[int, ...] = ()
     success = False
@@ -284,7 +253,7 @@ def extract_random(
         attempts = attempt
         rng = random.Random(_attempt_seed(seed, attempt))
         X = random_ksubset(G.n, m, rng)
-        achieved = links.induced_min_degree(X, ell)
+        achieved = _induced_min_degree(links, G.r, X, ell)
         if achieved > best_deg:
             best_deg = achieved
             best_subset = X
@@ -321,28 +290,18 @@ def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 class _LinkWords:
-    """words[w, rank of T] holds bits 64w to 64w + 63 of link(T), the vertices
-    v with T + {v} an edge, for every t-subset T of [0, n), t = r - 1.  The
-    edges come as vertex columns: ends[i] holds the i-th smallest vertex of
-    every edge."""
+    """words[w, rank of T] holds word w of link(T), for every t-subset T of
+    [0, n), t = r - 1, of the edges held as vertex columns ends (Links)."""
 
     def __init__(self, n: int, ends: np.ndarray):
-        r = len(ends)
-        t = r - 1
-        width = -(-n // 64)
-        size = binom(n, t)
-        if size * width > MAX_TABLE_ENTRIES:
+        links = Links(n, ends)
+        size = binom(n, links.t)
+        if size * links.width > MAX_TABLE_ENTRIES:
             raise LimitExceeded(
-                f"the link table over C({n}, {t}) = {size} subsets of {width} words "
-                f"exceeds the limit of {MAX_TABLE_ENTRIES} words"
+                f"the link table over C({n}, {links.t}) = {size} subsets of {links.width} "
+                f"words exceeds the limit of {MAX_TABLE_ENTRIES} words"
             )
-        self.n, self.t = n, t
-        self.words = np.zeros((width, size), dtype=np.uint64)
-        ends = ends.astype(np.min_scalar_type(n), copy=False)
-        for P, rank in tuple_ranks(ends, t, n):
-            v = ends[sum(range(r)) - sum(P)]  # the vertex of each edge outside P
-            bits = np.left_shift(np.uint64(1), v & 63, dtype=np.uint64)
-            np.bitwise_or.at(self.words, (v >> 6, rank), bits)
+        self.n, self.t, self.words = n, links.t, links.table()
 
     def bad_counts(self, cols: np.ndarray, ell: int, thr: int, keep) -> np.ndarray:
         """For each row X of a block: the number of l-subsets S of X, with
@@ -367,12 +326,7 @@ class _LinkWords:
         for lo in range(0, total, step):
             part, counts = cols[:, lo:lo + step], out[lo:lo + step]
             rows = part.shape[1]
-            xwords = np.zeros((len(self.words), rows), dtype=np.uint64)
-            for c, w in itertools.product(part, range(len(xwords))):
-                # below word w, c - 64w wraps to 64 or more, as 64 W is at most
-                # 2^bits of the dtype that holds n; a shift by 64 or more gives 0
-                shift = c - c.dtype.type(64 * w)
-                xwords[w] |= np.left_shift(np.uint64(1), shift, dtype=np.uint64)
+            xwords = vertex_words(part, len(self.words))
             positions = itertools.combinations(range(m), ell)
             held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
             word = np.empty(rows, dtype=np.uint64)
@@ -577,9 +531,10 @@ def audit_eq2_phi(
         raise ValidationError(
             f"S={S} is poor (deg {deg} < {rich_floor}); the bound only covers rich subsets"
         )
-    _check_enum_budget(
-        binom(G.n - ell, m - ell), f"audit_eq2_phi with C({G.n - ell}, {m - ell})", enum_budget
-    )
+    if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
+        _check_enum_budget(
+            binom(G.n - ell, m - ell), f"audit_eq2_phi with C({G.n - ell}, {m - ell})", enum_budget
+        )
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
     lhs = _phi_count(G, S, m, boundary)
     total = binom(G.n - ell, m - ell)
@@ -615,12 +570,13 @@ def audit_bad_total(
     _check_extract_args(G, ell, m)
     p = to_probability(p)
     delta = to_fraction(delta, "delta")
-    _check_enum_budget(binom(G.n, m), f"audit_bad_total with C({G.n}, {m})", enum_budget)
-    _check_enum_budget(
-        binom(G.n, ell) * binom(G.n - ell, m - ell),
-        f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
-        enum_budget,
-    )
+    if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
+        _check_enum_budget(binom(G.n, m), f"audit_bad_total with C({G.n}, {m})", enum_budget)
+        _check_enum_budget(
+            binom(G.n, ell) * binom(G.n - ell, m - ell),
+            f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
+            enum_budget,
+        )
     # looked up at call time, as poor_sets does, so a wrapper records the build
     table = degree.degree_table(G, ell)
     report = table_poor_sets(table, p)

@@ -19,17 +19,17 @@ the rest adds or subtracts one row per step and scores the whole block in
 one vectorized pass.  The block's size is derived from the row width, so
 its memory stays within a fixed byte budget.
 
-* (1,2) exact: row x is den at the pairs uv with xuv an edge, so
-  vec = den * d_X.  The 2^n sets X are one sweep, or with threads > 1
-  one sweep per value of the top bits.
+* (1,2) exact: row x is den at the pairs uv of its link incidences (x, uv)
+  (combinatorics.Links), so vec = den * d_X.  The 2^n sets X are one sweep,
+  or with threads > 1 one sweep per value of the top bits.
 * (1,1,1) exact: a Gray walk over X keeps M[y, z] = den * #{x in X : xyz
   an edge}; for each X one sweep over the rows of M gives vec = den * e_XY.
 
 The sampled (1,2) deviation scores many sampled sets X at once by popcount:
 d_X(uv) is the popcount of link(uv) & X, in 64-vertex words, for a block of
-trials against a block of the pairs that lie in some edge.  A trial's score
-needs only three sums over the pairs, so no n x C(n, 2) rows are built and
-memory stays O(|E| + trials) at any n.
+trials against a block of the pairs that lie in some edge (combinatorics.
+Links).  A trial's score needs only three sums over the pairs, so no
+n x C(n, 2) rows are built and memory stays O(|E| + trials) at any n.
 
 Everything is exact: p is a Fraction num/den, the kernel works on integer
 weights scaled by den, and results are returned as Fractions.  When the
@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, colex_order, mask_vertices, tuple_ranks
+from .combinatorics import Links, binom, mask_vertices, mask_words
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -118,28 +118,7 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# shared geometry: pairs in colex order
-
-
-def _pair_incidence(G: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """For each of the 3|E| vertex-edge incidences: the vertex x and the rank
-    of the pair uv with {x, u, v} the edge."""
-    edges = G.edge_array.T
-    # for each pair P of positions, the vertex of each edge outside P
-    parts = [(edges[3 - sum(P)], rank.copy()) for P, rank in tuple_ranks(edges, 2, G.n)]
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
-def _link_start(G: Hypergraph, incidence, mask: int, dtype, den: int) -> np.ndarray:
-    """den * d_X over the pairs in colex order, for X the vertices of mask."""
-    verts, ranks = incidence
-    member = np.zeros(G.n, dtype=bool)
-    member[list(mask_vertices(mask))] = True
-    # count in int64 and cast after: object-dtype arithmetic is several times slower
-    start = np.bincount(ranks[member[verts]], minlength=binom(G.n, 2))
-    start = start.astype(dtype, copy=False)
-    start *= den
-    return start
+# integer weights
 
 
 def _weight_dtype(n: int, num: int, den: int):
@@ -322,17 +301,17 @@ def deviation_12_exact(
     num, den = p.numerator, p.denominator
     n = G.n
     dtype = _weight_dtype(n, num, den)
-    incidence = _pair_incidence(G)
+    links = Links(n, G.edge_array.T)
     # den at (x, rank of uv) when {x, u, v} is an edge
     rows = np.zeros((n, binom(n, 2)), dtype=np.int64)
-    rows[incidence] = 1
+    rows[links.verts, links.ranks()] = 1
     rows = rows.astype(dtype) * den
 
     workers = min(threads, os.cpu_count() or 1)
     block_bits = min((workers - 1).bit_length(), n)
     low_bits = n - block_bits
     masks = [b << low_bits for b in range(1 << block_bits)]
-    starts = [_link_start(G, incidence, mask, dtype, den) for mask in masks]
+    starts = [rows[list(mask_vertices(mask))].sum(axis=0) for mask in masks]
     if len(masks) == 1:
         results = [_sweep(rows, num, starts[0], 0, low_bits)]
     else:
@@ -357,31 +336,17 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
     that plus sum w.  So a trial needs three sums over the pairs: of d_X, of
     the d_X below its threshold, and their count.
 
-    Only the pairs in some edge are counted.  Their link words (bit x of
-    link(uv) set when xuv is an edge, ceil(n / 64) words a pair) are built a
-    pair block at a time from the incidences sorted by pair, and
-    d_X(uv) = sum of popcount(link(uv) & X) for a whole (trials x pairs)
-    block in a few numpy passes; every array of a block stays within
-    BLOCK_BYTES.  A pair in no edge has d_X = 0, so it adds to lo exactly
-    when num*k > 0.  The final sums run in the _weight_dtype choice, int64 or
-    Python ints.
+    Only the pairs in some edge are counted, a block of their link words at
+    a time (Links.blocks): d_X(uv) = popcount(link(uv) & X) for a whole
+    (trials x pairs) block in a few numpy passes, every array of a block
+    within BLOCK_BYTES.  A pair in no edge has d_X = 0, so it adds to lo
+    exactly when num*k > 0.  The final sums run in the _weight_dtype choice.
     """
     n = G.n
     pairs = binom(n, 2)
-    width = -(-n // 64)
-    cols = G.edge_array.T
-    # each edge once for each of its vertices x: the pair uv it leaves, and x,
-    # sorted by pair; starts[i] begins the run of the i-th pair in an edge
-    left = np.concatenate([np.delete(cols, j, axis=0) for j in range(3)], axis=1)
-    order, first = colex_order(left)
-    verts = cols.ravel()[order]
-    starts = np.append(np.flatnonzero(first), len(verts))
-    linked = len(starts) - 1
-
+    links = Links(n, G.edge_array.T)
     trials = len(masks)
-    xwords = np.frombuffer(
-        b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8"
-    ).reshape(trials, width)
+    xwords = mask_words(masks, n)
     k = np.fromiter((m.bit_count() for m in masks), np.int64, trials)
     # ceil(num*k / den) <= k, in Python ints: w < 0 exactly when d_X < thr
     count_dtype = np.min_scalar_type(n)
@@ -390,22 +355,17 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
     below = np.zeros(trials, dtype=np.int64)
     below_sum = np.zeros(trials, dtype=np.int64)
 
-    pair_block = max(min(linked, BLOCK_BYTES // (8 * max(width, 1))), 1)
-    trial_block = max(BLOCK_BYTES // (8 * pair_block), 1)
-    for p0 in range(0, linked, pair_block):
-        p1 = min(p0 + pair_block, linked)
-        i0, i1 = starts[p0], starts[p1]
-        x = verts[i0:i1]
-        bits = np.left_shift(np.uint64(1), x & 63, dtype=np.uint64)
-        # word w of link(uv): the OR of the bits of its run's x in that word
-        runs = starts[p0:p1] - i0
-        words = [np.bitwise_or.reduceat(np.where(x >> 6 == w, bits, 0), runs) for w in range(width)]
+    linked = 0
+    for _, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
+        block = words.shape[1]
+        linked += block
+        trial_block = max(BLOCK_BYTES // (8 * block), 1)
         for t0 in range(0, trials, trial_block):
             t1 = min(t0 + trial_block, trials)
-            buf = np.empty((t1 - t0, p1 - p0), dtype=np.uint64)
+            buf = np.empty((t1 - t0, block), dtype=np.uint64)
             d = np.empty(buf.shape, dtype=count_dtype)
-            for w in range(width):
-                np.bitwise_and(xwords[t0:t1, w, None], words[w], out=buf)
+            for w, word in enumerate(words):
+                np.bitwise_and(xwords[t0:t1, w, None], word, out=buf)
                 if w:
                     d += np.bitwise_count(buf)
                 else:
@@ -434,8 +394,9 @@ def deviation_12_sampled(
     Trial t draws mask = Random(seed).getrandbits(n) (one draw per trial, in
     order), so the best-so-far is monotone in the trial count for a fixed
     seed.  The inner P is still exactly optimal, hence D <= the true maximum.
-    Ties go to the smallest mask.  The witness lists the C(n, 2) pairs, so
-    more than MAX_TABLE_ENTRIES pairs are refused before anything is drawn.
+    Ties go to the smallest mask.  The witness lists the C(n, 2) pairs and a
+    trial takes ceil(n / 64) words, so more than MAX_TABLE_ENTRIES of either
+    are refused before anything is drawn.
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -443,11 +404,11 @@ def deviation_12_sampled(
         raise ValidationError(f"trials must be at least 1, got {trials}")
     num, den = p.numerator, p.denominator
     n = G.n
-    pairs = binom(n, 2)
-    if pairs > MAX_TABLE_ENTRIES:
+    pairs, width = binom(n, 2), max(-(-n // 64), 1)
+    if max(pairs, trials * width) > MAX_TABLE_ENTRIES:
         raise LimitExceeded(
-            f"sampled (1,2) scoring over C({n}, 2) = {pairs} pairs exceeds the "
-            f"limit of {MAX_TABLE_ENTRIES} entries"
+            f"sampled (1,2) scoring over C({n}, 2) = {pairs} pairs and {trials} trials "
+            f"of {width} words exceeds the limit of {MAX_TABLE_ENTRIES} entries"
         )
     rng = random.Random(seed)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]

@@ -327,6 +327,28 @@ class TestAudit:
         bound = payload["rhs"] if which == "eq2" else payload["context"]["intermediate_bound"]
         assert bound == 0.0
 
+    @pytest.mark.parametrize("which", ["eq2", "bad-total"])
+    def test_enum_budget_only_where_subsets_are_enumerated(self, capsys, tmp_path, which):
+        # C(40, 30) m-subsets, above the default budget: for l = r-1 phi_S is a
+        # closed form in deg(S) and enumerates nothing; for l < r-1 it is refused
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "40", "--r", "3", "--p", "1/2", "--seed", "1", "--out", str(g))
+        G = load(g)
+        for ell, expected in ((2, 0), (1, 3)):
+            S = max(itertools.combinations(range(40), ell), key=lambda s: degree_of(G, s))
+            flags = {"eq2": ("--subset", ",".join(map(str, S))), "bad-total": ("--ell", str(ell))}
+            code, out, err = run(
+                capsys, "audit", "--in", str(g), "--which", which, *flags[which],
+                "--m", "30", "--p", "1/2", "--delta", "1/4",
+            )
+            assert code == expected
+            if expected:
+                assert out == ""
+                assert "above the budget" in err and err.count("\n") == 1
+            else:
+                assert err == ""
+                assert json.loads(out)["context"]["ell"] == ell
+
     @pytest.mark.parametrize(
         "argv",
         [("extract", "--mode", "exhaustive", "--ell", "2", "--delta", "1/4", "--p", "1/2"),
@@ -398,6 +420,22 @@ class TestQr:
         assert code == 3
         assert out == ""
         assert err.startswith("error: sampled (1,2) scoring") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, trials", [(10, 10**7 + 1), (65, 5 * 10**6 + 1)])
+    def test_sampled_trials_past_the_limit_is_exit_3(self, capsys, tmp_path, n, trials):
+        # trials x ceil(n / 64) words just above 10^7: refused before any draw
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", str(n), "--r", "3", "--p", "1/2", "--seed", "2", "--out", str(g))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "qr", "--in", str(g), "--kind", "12", "--mode", "sampled",
+            "--p", "1/2", "--trials", str(trials),
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: sampled (1,2) scoring") and err.count("\n") == 1
+        assert f"and {trials} trials of {-(-n // 64)} words exceeds" in err
 
     def test_exact_limit_flag(self, capsys, tmp_path):
         g = tmp_path / "g.hg"

@@ -4,20 +4,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degex.combinatorics import (
+    Links,
     binom,
     colex_order,
     colex_rank,
     colex_unrank,
     ksubsets,
     mask_vertices,
+    mask_words,
     random_ksubset,
     subset_mask,
     tuple_ranks,
     vertex_columns,
+    vertex_words,
 )
 from degex.errors import ValidationError
 
@@ -153,14 +156,68 @@ class TestColexOrder:
     @given(st.data())
     def test_sorts_and_marks_repeats(self, data):
         n = data.draw(st.integers(1, 9))
-        k = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(0, n))  # k = 0: every set is the empty set
         subsets = list(itertools.combinations(range(n), k))
         sets = data.draw(st.lists(st.sampled_from(subsets), max_size=30))
-        cols = vertex_columns(sets, k, n)
+        cols = vertex_columns(sets, k, n) if k else np.zeros((0, len(sets)), dtype=np.uint8)
         order, first = colex_order(cols)
         ranked = [tuple(row) for row in cols.T[order].tolist()]
         assert ranked == sorted(sets, key=lambda S: colex_rank(S).rank)
         assert [S for S, new in zip(ranked, first) if new] == sorted(set(sets), key=lambda S: S[::-1])
+
+
+def python_links(edges):
+    """link(T) as an int with bit v for each v in it, keyed by T, from the edge tuples."""
+    links = {}
+    for e in edges:
+        for v in e:
+            T = tuple(u for u in e if u != v)
+            links[T] = links.get(T, 0) | 1 << v
+    return links
+
+
+def words_int(words):
+    """The int whose 64-bit words, low word first, are `words`."""
+    return sum(x << 64 * w for w, x in enumerate(words))
+
+
+class TestLinks:
+    @given(st.data())
+    @settings(deadline=None)
+    def test_dense_and_sparse_links_match_the_edges(self, data):
+        # r = 1 is the l-graph of poor vertices that eq3 scores at l = 1
+        r = data.draw(st.integers(1, 5))
+        n = data.draw(st.one_of(st.integers(r, 9), st.sampled_from([63, 64, 65, 129])))
+        edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(lambda e: tuple(sorted(e)))
+        edges = sorted(set(data.draw(st.lists(edge, max_size=60))))
+        links = Links(n, vertex_columns(edges, r, n))
+        expected = python_links(edges)
+        rows = data.draw(st.integers(1, 8))
+        blocks = list(links.blocks(rows))
+        assert all(keys.shape[1] == rows for keys, _ in blocks[:-1])
+        keys = [tuple(T) for K, _ in blocks for T in K.T.tolist()]
+        assert keys == sorted(expected, key=lambda T: T[::-1])  # colex order
+        words = [words_int(w) for _, W in blocks for w in W.T.tolist()]
+        assert dict(zip(keys, words)) == expected
+        assert links.masks() == expected
+        if binom(n, r - 1) * links.width <= 1 << 20:
+            table = links.table()
+            assert table.shape == (links.width, binom(n, r - 1))
+            assert np.count_nonzero(table.any(axis=0)) == len(expected)
+            for T, mask in expected.items():
+                assert words_int(table[:, colex_rank(T).rank].tolist()) == mask
+
+    @given(st.data())
+    def test_set_words_share_the_link_layout(self, data):
+        n = data.draw(st.sampled_from([1, 5, 63, 64, 65, 129, 255, 256, 300]))
+        m = data.draw(st.integers(1, min(n, 6)))
+        subset = st.sets(st.integers(0, n - 1), min_size=m, max_size=m)
+        sets = [tuple(sorted(X)) for X in data.draw(st.lists(subset, max_size=10))]
+        masks = [subset_mask(X) for X in sets]
+        words = mask_words(masks, n)
+        assert words.shape == (len(sets), -(-n // 64))
+        assert [words_int(row) for row in words.tolist()] == masks
+        assert vertex_words(vertex_columns(sets, m, n), -(-n // 64)).T.tolist() == words.tolist()
 
 
 class TestRandomKSubset:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -13,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degex import extraction
-from degex.combinatorics import binom, colex_rank, colex_unrank, ksubsets, subset_mask
-from degex.degree import degree_of, poor_sets
+from degex.combinatorics import (
+    Links, binom, colex_rank, colex_unrank, ksubsets, random_ksubset, subset_mask,
+)
+from degex.degree import degree_of, min_degree, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
+    _attempt_seed,
     _colex_blocks,
     _count_poor_free,
-    _LinkTable,
+    _induced_min_degree,
     _LinkWords,
     _phi_count,
     _within_tail_bound,
@@ -294,9 +298,42 @@ class TestLinkTable:
         keep = data.draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
         G = build(n, r, itertools.compress(possible, keep))
         X = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
-        links = _LinkTable(G)
+        links = Links(G.n, G.edge_array.T).masks()
         for ell in range(1, min(r, len(X) + 1)):
-            assert links.induced_min_degree(X, ell) == brute_min_induced_degree(G, X, ell)
+            assert _induced_min_degree(links, r, X, ell) == brute_min_induced_degree(G, X, ell)
+
+    def test_links_past_32_bit_ranks(self):
+        # C(3000, 3) > 2^32, past the ranks tuple_ranks keeps exact; the links
+        # are keyed by vertex columns.  300 of the 400 edges lie in the top 12
+        # vertices, so a set there has a nonzero minimum degree for every l
+        rng = random.Random(11)
+        top = rng.sample(list(itertools.combinations(range(2988, 3000), 4)), 300)
+        G = build(3000, 4, top + [rng.sample(range(3000), 4) for _ in range(100)])
+        assert binom(3000, 3) > 2**32 and G.edge_count == 400
+        expected = {}
+        for e in G.edges:
+            for v in e:
+                T = tuple(u for u in e if u != v)
+                expected[T] = expected.get(T, 0) | 1 << v
+        links = Links(G.n, G.edge_array.T).masks()
+        assert links == expected
+        X = tuple(range(2988, 3000))
+        for ell in (1, 2, 3):
+            assert _induced_min_degree(links, 4, X, ell) == min_degree(G.induced(X)[0], ell) > 0
+        # every attempt of extract_random scores its own draw as G[X] does
+        for ell in (1, 3):
+            seen = []
+
+            def record(links, r, X, ell):
+                seen.append((X, _induced_min_degree(links, r, X, ell)))
+                return seen[-1][1]
+
+            with mock.patch.object(extraction, "_induced_min_degree", record):
+                report = extract_random(G, ell, 30, Fraction(1, 2), Fraction(1, 4), budget=8, seed=5)
+            draws = [random_ksubset(3000, 30, random.Random(_attempt_seed(5, a))) for a in range(1, 9)]
+            assert report.attempts == 8 and [X for X, _ in seen] == draws
+            for X, degree in seen:
+                assert degree == min_degree(G.induced(X)[0], ell)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +362,10 @@ def block_good(G, ell, m, need):
 
 
 def oracle_good(G, ell, m, need):
-    """Whether each m-subset, in colex order, is good, one subset at a time."""
-    links = _LinkTable(G)
-    return [links.induced_min_degree(X, ell) >= need for X in ksubsets(G.n, m)]
+    """Whether each m-subset, in colex order, is good, one subset at a time by
+    extract_random's scorer."""
+    links = Links(G.n, G.edge_array.T).masks()
+    return [_induced_min_degree(links, G.r, X, ell) >= need for X in ksubsets(G.n, m)]
 
 
 def draw_graph(data, n, r):

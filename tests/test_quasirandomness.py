@@ -120,15 +120,20 @@ def reference_sweep(rows, step, start, mask, low_bits):
 
 def reference_sampled_scores(G, masks, num, den):
     """The per-trial path that qr._sampled_scores replaces: each trial counts
-    den * d_X over every pair from the incidences and scores it with a sweep
-    of zero bits."""
+    den * d_X over every pair from the link incidences (x, uv) and scores it
+    with a sweep of zero bits."""
     dtype = qr._weight_dtype(G.n, num, den)
-    incidence = qr._pair_incidence(G)
+    # each edge a < b < c gives x the pair uv, u < v, of colex rank C(v, 2) + u
+    a, b, c = G.edge_array.T.astype(np.intp)
+    verts = np.concatenate([a, b, c])
+    ranks = np.concatenate([c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a])
     no_rows = np.zeros((0, binom(G.n, 2)), dtype=dtype)
-    return [
-        qr._sweep(no_rows, num, qr._link_start(G, incidence, mask, dtype, den), mask, 0)[0]
-        for mask in masks
-    ]
+    scores = []
+    for mask in masks:
+        inside = np.isin(verts, mask_vertices(mask))
+        start = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(dtype) * den
+        scores.append(qr._sweep(no_rows, num, start, mask, 0)[0])
+    return scores
 
 
 def reference_witness_12(G, mask, num, den):
@@ -500,6 +505,23 @@ class TestSampledScorer:
         # a few block arrays; one bincount of the per-trial path took 4 MB
         assert peak < 2 * 2**20
 
+    def test_words_are_built_a_pair_block_at_a_time(self):
+        # n = 1000 with 20000 edges: about 56000 pairs lie in an edge, and their
+        # words, 16 a pair, would take 6.9 MiB at once; the incidences take
+        # about 100 bytes an edge, and the blocks a few BLOCK_BYTES
+        rng = random.Random(401)
+        edges = {tuple(sorted(rng.sample(range(1000), 3))) for _ in range(20000)}
+        G = build(1000, 3, sorted(edges))
+        masks = [rng.getrandbits(1000) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            scores = qr._sampled_scores(G, masks, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores[:3] == reference_sampled_scores(G, masks[:3], 1, 1000)
+        assert peak < 4 * qr.BLOCK_BYTES + 160 * len(edges) < 56000 * 16 * 8
+
 
 class TestDeviation111Exact:
     def test_empty_graph(self):
@@ -642,8 +664,8 @@ class TestSweepKernel:
         assert report.witness[0] == mask_vertices(min(m for m in scores if scores[m] == best))
 
     def test_witness_agrees_with_scorer_at_60_vertices(self):
-        # the scorer groups pairs by combinatorics.tuple_ranks, the witness
-        # lists them with ksubsets: two derivations of colex order
+        # the scorer groups pairs by combinatorics.colex_order, the witness
+        # lists them with np.tril_indices: two derivations of colex order
         G = erdos_renyi(60, 3, Fraction(1, 2), seed=3)
         p = Fraction(2, 5)
         num, den = p.numerator, p.denominator
