@@ -198,7 +198,7 @@ def _cmd_stats(args) -> None:
         "r": G.r,
         "ell": args.ell,
         "edge_count": G.edge_count,
-        "min_degree": min(table.degrees) if table.degrees else None,
+        "min_degree": int(table.degrees.min()) if len(table.degrees) else None,
         "max_possible_degree": table.max_possible,
         "eps": args.eps,
         "eps_min_degree": (
@@ -294,14 +294,11 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DegexError as exc:
-        message = str(exc)
+    except Exception as exc:  # no traceback: an internal error is one stderr line
+        message = str(exc) if isinstance(exc, DegexError) else f"{type(exc).__name__}: {exc}"
         if not message.startswith("internal error:"):
             message = f"internal error: {message}"
         print(message, file=sys.stderr)
-        return 1
-    except (ArithmeticError, MemoryError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

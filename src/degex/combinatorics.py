@@ -97,13 +97,6 @@ def colex_unrank(rank: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def vertex_columns(sets: Sequence[Sequence[int]], k: int, n: int) -> np.ndarray:
-    """The sorted k-sets of [0, n) as k rows: row i holds the i-th smallest
-    vertex of every set, in the smallest unsigned dtype that holds n."""
-    flat = itertools.chain.from_iterable(sets)
-    return np.fromiter(flat, np.min_scalar_type(n), k * len(sets)).reshape(-1, k).T
-
-
 def tuple_ranks(
     cols: np.ndarray, k: int, n: int
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:

@@ -1,11 +1,12 @@
 """Degree statistics over l-subsets: tables, minima, epsilon-minima, poor sets.
 
-deg(S) for an l-subset S is the number of edges containing S.  The table
-over all C(n, l) subsets, indexed by colex rank and counted from the ranks
-of the edges' l-subsets, is the substrate for the minimum l-degree, its
-epsilon relaxation, and the poor/rich split at a density threshold p.  All
-threshold comparisons are exact: p is a Fraction and degrees are ints, so
-there is never a float tie at a boundary.
+deg(S) for an l-subset S is the number of edges containing S.  A DegreeTable
+holds it for all C(n, l) subsets, by colex rank, as one read-only int64 array
+counted by a np.bincount of the ranks of the edges' l-subsets; the minimum
+l-degree, its epsilon relaxation, the histogram and the poor/rich split at a
+density p are array passes over it.  The split is exact: p is a Fraction, and
+an integer degree is below p * C(n - l, r - l) exactly when it is below the
+integer ceil(p * C(n - l, r - l)), so there is never a float tie.
 """
 
 from __future__ import annotations
@@ -22,18 +23,23 @@ from .errors import LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
-# Largest table degree_table builds: C(n, l) entries, each a Python int.
+# Largest table degree_table builds: C(n, l) int64 entries, 80 MB at the limit.
 MAX_TABLE_ENTRIES = 10**7
 
 
-@dataclass(frozen=True)
+def least_rich_degree(p: Fraction, max_possible: int) -> int:
+    """The poor/rich cut, ceil(p * C(n - l, r - l)): a lower degree is poor."""
+    return math.ceil(p * max_possible)
+
+
+@dataclass(frozen=True, eq=False)
 class DegreeTable:
-    """deg(S) for every l-subset S of [0, n), indexed by colex rank."""
+    """deg(S) for every l-subset S of [0, n), by colex rank: a read-only int64 array."""
 
     n: int
     r: int
     ell: int
-    degrees: tuple[int, ...]
+    degrees: np.ndarray
 
     @property
     def max_possible(self) -> int:
@@ -42,30 +48,37 @@ class DegreeTable:
             return 0
         return binom(self.n - self.ell, self.r - self.ell)
 
+    def poor(self, p) -> np.ndarray:
+        """Mask of the poor l-subsets, deg(S) < p * C(n - l, r - l)."""
+        return self.degrees < least_rich_degree(to_probability(p), self.max_possible)
+
+    def sets(self) -> np.ndarray:
+        """The l-subsets in colex order as vertex columns: row i holds the i-th
+        smallest vertex of each, in the smallest unsigned dtype that holds n."""
+        size = len(self.degrees)
+        if not size:
+            return np.zeros((self.ell, 0), dtype=np.min_scalar_type(self.n))
+        ((_, cols),) = colex_blocks(self.n, self.ell, size)
+        return cols
+
     def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for d in self.degrees:
-            hist[d] = hist.get(d, 0) + 1
-        return dict(sorted(hist.items()))
+        values, counts = np.unique(self.degrees, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
     def csv(self) -> str:
         """The table as CSV text: a rank,subset,degree header, then one line
         per l-subset in colex order, its vertices separated by spaces.
 
-        The subsets come as vertex columns from colex_blocks; rank, vertices
-        and degree are stacked into one array and formatted in one go.
+        Rank, vertices and degree are stacked into one array and formatted
+        in one go.
         """
-        header = "rank,subset,degree\n"
         size = len(self.degrees)
-        if not size:
-            return header
-        ((_, cols),) = colex_blocks(self.n, self.ell, size)
         rows = np.empty((size, self.ell + 2), dtype=np.int64)
         rows[:, 0] = np.arange(size)
-        rows[:, 1:-1] = cols.T
+        rows[:, 1:-1] = self.sets().T
         rows[:, -1] = self.degrees
         line = "%d," + " ".join(["%d"] * self.ell) + ",%d\n"
-        return header + (line * size) % tuple(rows.ravel().tolist())
+        return "rank,subset,degree\n" + (line * size) % tuple(rows.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -87,9 +100,20 @@ class PoorSetReport:
         return float(self.fraction)
 
 
-def _check_ell(G: Hypergraph, ell: int) -> None:
-    if not 1 <= ell < G.r:
-        raise ValidationError(f"need 1 <= ell < r, got ell={ell}, r={G.r}")
+def check_table_size(n: int, ell: int) -> int:
+    """C(n, l), the size of a degree table; refused above MAX_TABLE_ENTRIES."""
+    size = binom(n, ell)
+    if size > MAX_TABLE_ENTRIES:
+        raise LimitExceeded(
+            f"the degree table over C({n}, {ell}) = {size} subsets exceeds the "
+            f"limit of {MAX_TABLE_ENTRIES} entries"
+        )
+    return size
+
+
+def edges_through(G: Hypergraph, S: Sequence[int]) -> np.ndarray:
+    """Mask of the edges of G that contain the set S, over G.edge_array."""
+    return np.isin(G.edge_array, S).sum(axis=1) == len(S)
 
 
 def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
@@ -101,8 +125,7 @@ def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
         raise ValidationError(f"subset size {len(s)} must be below r={G.r}")
     if s and (s[0] < 0 or s[-1] >= G.n):
         raise ValidationError(f"subset {s} has a vertex outside [0, {G.n})")
-    sset = set(s)
-    return sum(1 for e in G.edges if sset.issubset(e))
+    return int(np.count_nonzero(edges_through(G, s)))
 
 
 def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
@@ -113,24 +136,21 @@ def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
     edge, and a bincount of those ranks adds them into the table.  Refuses a
     table of more than MAX_TABLE_ENTRIES subsets before building anything.
     """
-    _check_ell(G, ell)
-    size = binom(G.n, ell)
-    if size > MAX_TABLE_ENTRIES:
-        raise LimitExceeded(
-            f"the degree table over C({G.n}, {ell}) = {size} subsets exceeds the "
-            f"limit of {MAX_TABLE_ENTRIES} entries"
-        )
+    if not 1 <= ell < G.r:
+        raise ValidationError(f"need 1 <= ell < r, got ell={ell}, r={G.r}")
+    size = check_table_size(G.n, ell)
     ranks = tuple_ranks(G.edge_array.T, ell, G.n)
     counts = sum(np.bincount(rank, minlength=size) for _, rank in ranks)
-    return DegreeTable(G.n, G.r, ell, tuple(counts.tolist()))
+    counts.flags.writeable = False
+    return DegreeTable(G.n, G.r, ell, counts)
 
 
 def min_degree(G: Hypergraph, ell: int) -> int:
     """The minimum l-degree over all l-subsets of V(G)."""
-    _check_ell(G, ell)
-    if G.n < ell:
+    degrees = degree_table(G, ell).degrees
+    if not len(degrees):  # n < l
         raise ValidationError(f"need at least ell={ell} vertices, got n={G.n}")
-    return min(degree_table(G, ell).degrees)
+    return int(degrees.min())
 
 
 def kth_min_degree(table: DegreeTable, exceptions: int) -> int:
@@ -142,7 +162,7 @@ def kth_min_degree(table: DegreeTable, exceptions: int) -> int:
     """
     if exceptions >= len(table.degrees):
         return table.max_possible
-    return sorted(table.degrees)[exceptions]
+    return int(np.partition(table.degrees, exceptions)[exceptions])
 
 
 def eps_exceptions(table: DegreeTable, eps) -> int:
@@ -156,12 +176,9 @@ def eps_exceptions(table: DegreeTable, eps) -> int:
 def table_poor_sets(table: DegreeTable, p) -> PoorSetReport:
     """Classify the table's l-subsets as poor (deg < p * C(n-l, r-l))."""
     p = to_probability(p)
-    threshold = p * table.max_possible
-    poor = tuple(
-        rank for rank, d in enumerate(table.degrees) if d < threshold
-    )
+    poor = tuple(np.flatnonzero(table.poor(p)).tolist())
     return PoorSetReport(
-        p=p, ell=table.ell, threshold=threshold, poor=poor, total=len(table.degrees)
+        p=p, ell=table.ell, threshold=p * table.max_possible, poor=poor, total=len(table.degrees)
     )
 
 

@@ -47,15 +47,13 @@ from .combinatorics import (
     Links,
     binom,
     colex_blocks,
-    colex_unrank,
     random_ksubset,
     subset_mask,
     tuple_ranks,
-    vertex_columns,
     vertex_words,
 )
 from . import degree
-from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree, poor_sets, table_poor_sets
+from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
@@ -124,6 +122,14 @@ def _certified_ge_ln(lhs: Fraction, coeff: Fraction, q: Fraction) -> bool:
     raise ArithmeticError(f"cannot separate {lhs} from {coeff} * ln({q})")
 
 
+def _check_delta(delta) -> Fraction:
+    """delta as a Fraction, checked to lie in (0, 1), the one domain of delta."""
+    delta = to_fraction(delta, "delta")
+    if not 0 < delta < 1:
+        raise ValidationError(f"need 0 < delta < 1, got {delta}")
+    return delta
+
+
 def theorem_params(r: int, ell: int, delta, m: int) -> TheoremParams:
     """Compute m0 = ceil(26 l (r-l)^2 delta^-2 ln(1/delta)) and companions.
 
@@ -133,9 +139,7 @@ def theorem_params(r: int, ell: int, delta, m: int) -> TheoremParams:
     """
     if not 1 <= ell < r:
         raise ValidationError(f"need 1 <= ell < r, got ell={ell}, r={r}")
-    delta = to_fraction(delta, "delta")
-    if not 0 < delta < 1:
-        raise ValidationError(f"need 0 < delta < 1, got {delta}")
+    delta = _check_delta(delta)
     if m < r:
         raise ValidationError(f"need m >= r, got m={m}, r={r}")
     inv = 1 / delta
@@ -189,13 +193,15 @@ def _induced_min_degree(links: dict, r: int, X: Sequence[int], ell: int) -> int:
     return min(totals.values()) // k
 
 
-def _check_extract_args(G: Hypergraph, ell: int, m: int) -> None:
+def _check_extract_args(G: Hypergraph, ell: int, m: int, p, delta=None):
+    """Check l, m, p and, unless it is None, delta; returns p and delta as Fractions."""
     if not 1 <= ell < G.r:
         raise ValidationError(f"need 1 <= ell < r, got ell={ell}, r={G.r}")
     if m > G.n:
         raise ValidationError(f"need m <= n, got m={m}, n={G.n}")
     if m < ell:
         raise ValidationError(f"need m >= ell, got m={m}, ell={ell}")
+    return to_probability(p), None if delta is None else _check_delta(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +243,10 @@ def extract_random(
     minimum l-degree, ties to the earliest attempt).  The reported degree is
     recomputed on the induced subgraph, never trusted from the search loop.
     """
-    _check_extract_args(G, ell, m)
-    p = to_probability(p)
-    delta = to_fraction(delta, "delta")
+    p, delta = _check_extract_args(G, ell, m, p, delta)
     if budget < 1:
         raise ValidationError(f"budget must be at least 1, got {budget}")
+    degree.check_table_size(m, ell)  # the recheck's min_degree(G[X], l)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     links = Links(G.n, G.edge_array.T).masks()
@@ -385,9 +390,7 @@ def extract_exhaustive(
     The m-subsets are scored a colex block at a time, so memory stays within
     a few BLOCK_BYTES besides the result.
     """
-    _check_extract_args(G, ell, m)
-    p = to_probability(p)
-    delta = to_fraction(delta, "delta")
+    p, delta = _check_extract_args(G, ell, m, p, delta)
     _check_enum_budget(binom(G.n, m), f"extract_exhaustive with C({G.n}, {m})", enum_budget)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
@@ -415,15 +418,15 @@ class AuditReport:
     context: dict = field(default_factory=dict)
 
 
-def _count_poor_free(n: int, m: int, ell: int, poor: list[tuple[int, ...]]) -> int:
-    """m-subsets of [0, n) holding none of the poor l-subsets.
+def _count_poor_free(n: int, m: int, ell: int, poor: np.ndarray) -> int:
+    """m-subsets of [0, n) holding none of the poor l-subsets (vertex columns).
 
     The poor sets are the edges of an l-graph: X holds none of them iff no
     (l-1)-subset of X has a poor link vertex in X, a link sum below 1.
     """
-    if not poor:
+    if not poor.shape[1]:
         return binom(n, m)
-    links = _LinkWords(n, vertex_columns(poor, ell, n))
+    links = _LinkWords(n, poor)
     return sum(
         int(np.count_nonzero(links.bad_counts(cols, ell - 1, 1, None) == binom(m, ell - 1)))
         for _, cols in _colex_blocks(n, m)
@@ -438,12 +441,13 @@ def audit_eq3(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> AuditReport:
     """Poor-free m-subset count against the union bound (must always hold)."""
-    _check_extract_args(G, ell, m)
-    p = to_probability(p)
+    p, _ = _check_extract_args(G, ell, m, p)
     _check_enum_budget(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget)
-    poor = [colex_unrank(rank, ell, G.n) for rank in poor_sets(G, ell, p).poor]
+    # looked up at call time, so a wrapper records the build
+    table = degree.degree_table(G, ell)
+    poor = table.sets()[:, table.poor(p)]
     lhs = _count_poor_free(G.n, m, ell, poor)
-    eps_eff = Fraction(len(poor), binom(G.n, ell))
+    eps_eff = Fraction(poor.shape[1], len(table.degrees))
     rhs = (1 - eps_eff * m**ell) * binom(G.n, m)
     return AuditReport(
         inequality_id="eq3_rich_count",
@@ -456,7 +460,7 @@ def audit_eq3(
             "ell": ell,
             "m": m,
             "p": p,
-            "poor_count": len(poor),
+            "poor_count": poor.shape[1],
             "eps_eff": eps_eff,
         },
     )
@@ -478,7 +482,7 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
     # relabelled as [0, n - l) by v -> v - |{s in S: s < v}|; deg_{S+T}(S)
     # counts the link edges inside T
     rows = G.edge_array
-    through = rows[np.isin(rows, S).sum(axis=1) == ell]
+    through = rows[degree.edges_through(G, S)]
     rest = through[~np.isin(through, S)].reshape(-1, k)  # row order is kept
     link = rest - np.searchsorted(np.array(S, dtype=rows.dtype), rest, side="right")
     if k == 1:
@@ -492,11 +496,8 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
 
 
 def _tail_bound_factor(delta: Fraction, m: int, r: int, ell: int) -> float:
-    """exp(-delta^2 m / (2 (r - l)^2)), 0.0 once the exponent is past float range."""
-    try:
-        return math.exp(-float(delta * delta * m) / (2 * (r - ell) ** 2))
-    except OverflowError:
-        return 0.0
+    """exp(-delta^2 m / (2 (r - l)^2)); delta < 1 keeps the exponent within m."""
+    return math.exp(-float(delta * delta * m) / (2 * (r - ell) ** 2))
 
 
 def _within_tail_bound(lhs: int, total: int, x: Fraction) -> bool:
@@ -522,14 +523,12 @@ def audit_eq2_phi(
     """Exact phi_S against the martingale tail bound (diagnostic, not asserted)."""
     S = tuple(sorted(S))
     ell = len(S)
-    _check_extract_args(G, ell, m)
-    p = to_probability(p)
-    delta = to_fraction(delta, "delta")
+    p, delta = _check_extract_args(G, ell, m, p, delta)
     deg = degree_of(G, S)
-    rich_floor = p * binom(G.n - ell, G.r - ell)
-    if deg < rich_floor:
+    max_possible = binom(G.n - ell, G.r - ell)
+    if deg < degree.least_rich_degree(p, max_possible):
         raise ValidationError(
-            f"S={S} is poor (deg {deg} < {rich_floor}); the bound only covers rich subsets"
+            f"S={S} is poor (deg {deg} < {p * max_possible}); the bound only covers rich subsets"
         )
     if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
         _check_enum_budget(
@@ -567,9 +566,7 @@ def audit_bad_total(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> AuditReport:
     """Sum of phi_S over rich S against C(n, m)/2 (diagnostic, not asserted)."""
-    _check_extract_args(G, ell, m)
-    p = to_probability(p)
-    delta = to_fraction(delta, "delta")
+    p, delta = _check_extract_args(G, ell, m, p, delta)
     if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
         _check_enum_budget(binom(G.n, m), f"audit_bad_total with C({G.n}, {m})", enum_budget)
         _check_enum_budget(
@@ -577,19 +574,18 @@ def audit_bad_total(
             f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
             enum_budget,
         )
-    # looked up at call time, as poor_sets does, so a wrapper records the build
+    # looked up at call time, so a wrapper records the build
     table = degree.degree_table(G, ell)
-    report = table_poor_sets(table, p)
-    rich = np.ones(report.total, dtype=bool)
-    rich[list(report.poor)] = False
-    rich_count = report.total - len(report.poor)
+    rich = ~table.poor(p)
+    rich_count = int(np.count_nonzero(rich))
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
     cap = math.floor(boundary)  # S is bad in X when deg_X(S) <= cap
     lhs = 0
     if ell == G.r - 1:
-        # phi_S in closed form, from the a = |link(S)| = deg(S) link vertices of S
-        for a in itertools.compress(table.degrees, rich.tolist()):
-            lhs += _tail_count(a, G.n - ell - a, m - ell, cap)
+        # phi_S in closed form in a = |link(S)| = deg(S): once per distinct rich degree
+        values, counts = np.unique(table.degrees[rich], return_counts=True)
+        for a, count in zip(values.tolist(), counts.tolist()):
+            lhs += count * _tail_count(a, G.n - ell - a, m - ell, cap)
     elif cap >= 0 and rich_count:
         # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
         # with S rich and bad in X: one pass over X
@@ -614,7 +610,7 @@ def audit_bad_total(
             "p": p,
             "delta": delta,
             "rich_count": rich_count,
-            "poor_count": len(report.poor),
+            "poor_count": len(table.degrees) - rich_count,
             "intermediate_bound": intermediate,
         },
     )

@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import Links, binom, mask_vertices, mask_words
+from .combinatorics import BLOCK_BYTES, Links, binom, mask_vertices, mask_words
 from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
 from .errors import DegexError, LimitExceeded, ValidationError
 from .hypergraph import Hypergraph
@@ -60,10 +60,6 @@ DEFAULT_EXACT_LIMIT_111 = 13
 
 INT64_SAFE = 1 << 62
 
-# A sweep scores 2^b states at once from a 2^b x width table and a scratch
-# block of the same shape; b is the largest with the block in BLOCK_BYTES.
-# Each array of a sampled (trials x pairs) block stays within it too.
-BLOCK_BYTES = 1 << 18
 # an object element is a pointer plus a boxed Python int, rounded up
 OBJECT_ELEMENT_BYTES = 64
 
@@ -148,7 +144,7 @@ def _weight_dtype(n: int, num: int, den: int):
 
 
 def _block_bits(width: int, dtype, low_bits: int) -> int:
-    """Inner bits b of a sweep: the 2^b x width block fits BLOCK_BYTES."""
+    """Inner bits b of a sweep: its 2^b x width table and scratch block fit BLOCK_BYTES."""
     cost = OBJECT_ELEMENT_BYTES if dtype == object else np.dtype(dtype).itemsize
     return min(low_bits, max(BLOCK_BYTES // (cost * max(width, 1)), 1).bit_length() - 1)
 

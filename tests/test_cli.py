@@ -171,6 +171,15 @@ class TestStats:
         assert payload["min_degree"] == 4
         assert payload["histogram"] == {"4": 15}
 
+    def test_one_subset_of_degree_zero(self, capsys, tmp_path):
+        # n = 2, l = 2: the table is one subset of degree 0, and 0 is not null
+        path = tmp_path / "g.hg"
+        path.write_text("3 2\n")
+        code, out, _ = run(capsys, "stats", "--in", str(path), "--ell", "2")
+        assert code == 0
+        assert '"min_degree": 0,' in out
+        assert json.loads(out)["histogram"] == {"0": 1}
+
     def test_bad_ell_is_validation_error(self, capsys, example_file):
         code, _, err = run(capsys, "stats", "--in", example_file, "--ell", "5")
         assert code == 2
@@ -234,6 +243,23 @@ class TestExtract:
         assert out == ""
         assert err.startswith("internal error: subset")
         assert err.count("internal error") == 1
+
+    def test_recheck_table_refused_before_the_first_draw(self, capsys, monkeypatch, tmp_path):
+        # the final recheck builds a C(400, 3) degree table, above the limit
+        import degex.extraction
+
+        draws = []
+        monkeypatch.setattr(degex.extraction, "random_ksubset", lambda *a: draws.append(a))
+        path = tmp_path / "wide.hg"
+        path.write_text("4 400\n")
+        code, out, err = run(
+            capsys, "extract", "--in", str(path), "--ell", "3", "--m", "400",
+            "--p", "1/2", "--delta", "1/4", "--budget", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the degree table over C(400, 3)") and err.count("\n") == 1
+        assert draws == []
 
     def test_reproducible_output(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
@@ -311,7 +337,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("which", ["eq2", "bad-total"])
     def test_delta_past_float_range(self, capsys, tmp_path, which):
-        # exp(-delta^2 m / 2) underflows: the tail bound reads 0.0, no crash
+        # delta = 10^200, where exp(-delta^2 m / 2) would underflow, lies
+        # outside (0, 1) and is refused before any counting
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "12", "--r", "3", "--p", "1/2", "--seed", "1", "--out", str(g))
         G = load(g)
@@ -321,11 +348,26 @@ class TestAudit:
             capsys, "audit", "--in", str(g), "--which", which, *flags,
             "--m", "6", "--p", "1/2", "--delta", "1" + "0" * 200,
         )
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        assert payload["lhs"] == 0 and payload["holds"] is True
-        bound = payload["rhs"] if which == "eq2" else payload["context"]["intermediate_bound"]
-        assert bound == 0.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need 0 < delta < 1, got 1{'0' * 200}\n"
+
+    @pytest.mark.parametrize("delta", ["0", "1", "-1/2", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("extract", "--mode", "random", "--ell", "2"),
+         ("extract", "--mode", "exhaustive", "--ell", "2"),
+         ("audit", "--which", "eq2", "--subset", "0,1"),
+         ("audit", "--which", "bad-total", "--ell", "2")],
+        ids=["extract-random", "extract-exhaustive", "eq2", "bad-total"],
+    )
+    def test_delta_outside_0_1_is_exit_2(self, capsys, example_file, argv, delta):
+        code, out, err = run(
+            capsys, *argv, "--in", example_file, "--m", "4", "--p", "1/2", f"--delta={delta}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need 0 < delta < 1") and err.count("\n") == 1
 
     @pytest.mark.parametrize("which", ["eq2", "bad-total"])
     def test_enum_budget_only_where_subsets_are_enumerated(self, capsys, tmp_path, which):
@@ -502,6 +544,19 @@ class TestQr:
         assert code == 1
         assert out == ""
         assert err.startswith("internal error: " + type(exc).__name__)
+        assert err.count("\n") == 1
+
+    def test_other_exceptions_exit_1_without_traceback(self, capsys, monkeypatch):
+        import numpy as np
+
+        def handler(args):  # a numpy scalar that reaches the report encoder: TypeError
+            return degex.cli.jsonio.dumps(np.int64(1))
+
+        monkeypatch.setitem(degex.cli._HANDLERS, "qr", handler)
+        code, out, err = run(capsys, "qr", "--kind", "12", "--p", "1/2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: TypeError")
         assert err.count("\n") == 1
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from degex.degree import (
     kth_min_degree,
     min_degree,
     poor_sets,
+    table_poor_sets,
 )
 from degex.errors import ValidationError
 from degex.generators import complete, erdos_renyi
@@ -118,8 +120,30 @@ class TestDegreeTable:
             possible = list(itertools.combinations(range(n), r))
             edges = data.draw(st.lists(st.sampled_from(possible), max_size=40)) if kind == "random" else []
             G = build(n, r, edges)
+        den = 2**55 + 2 * data.draw(st.integers(0, 2**20)) + 1  # p past int64 products
         for ell in range(1, r):
-            assert degree_table(G, ell).degrees == counter_degree_table(G, ell)
+            table = degree_table(G, ell)
+            degrees = list(counter_degree_table(G, ell))
+            assert table.degrees.dtype == np.int64 and not table.degrees.flags.writeable
+            assert table.degrees.tolist() == degrees
+            assert min_degree(G, ell) == min(degrees) and type(min_degree(G, ell)) is int
+            histogram = table.histogram()
+            assert list(histogram.items()) == sorted(Counter(degrees).items())
+            assert all(type(d) is int and type(c) is int for d, c in histogram.items())
+            ordered = sorted(degrees)
+            for k in range(len(degrees) + 2):
+                kth = kth_min_degree(table, k)
+                assert type(kth) is int
+                assert kth == (ordered[k] if k < len(degrees) else table.max_possible)
+            cap = table.max_possible
+            # p * cap an exact integer (a degree equal to it is rich), and p
+            # with a denominator near 2^55
+            for p in (Fraction(data.draw(st.integers(0, cap)), cap),
+                      Fraction(data.draw(st.integers(0, den)), den)):
+                poor = [d < p * cap for d in degrees]
+                assert table.poor(p).tolist() == poor
+                ranks = tuple(i for i, bad in enumerate(poor) if bad)
+                assert table_poor_sets(table, p).poor == ranks
 
     def test_ell_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -246,6 +270,13 @@ class TestPoorSets:
                     if d < p * table.max_possible
                 }
                 assert set(report.poor) == expected
+
+    def test_cut_past_int64(self):
+        # C(69, 34) > 2^63: the integer cut still compares with the int64 degrees
+        G = build(70, 35, [tuple(range(35))])  # degree 1 on [0, 35), 0 above
+        assert poor_sets(G, 1, 0).poor == ()
+        assert poor_sets(G, 1, Fraction(1, binom(69, 34))).poor == tuple(range(35, 70))
+        assert poor_sets(G, 1, Fraction(1, 2)).poor == tuple(range(70))
 
     def test_few_poor_implies_high_eps_min_degree(self):
         # if at most k subsets are poor at p, the k-exception minimum is
