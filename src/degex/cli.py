@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--seed", type=int, default=0)
     extract.add_argument(
         "--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
-        help="refuse exhaustive enumerations above this many subsets",
+        help="refuse above this many subsets: C(n, m) exhaustive, "
+        "budget x C(m, r-1) random",
     )
     add_io(extract)
 
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     # worker cap; outputs are identical for every K, and serial runs are
     # always a valid schedule
     qr.add_argument("--threads", type=int, default=1, metavar="K",
-                    help="cap on worker processes (exact --kind 12 only)")
+                    help="cap on worker processes (exact mode only)")
 
     return parser
 
@@ -224,7 +225,7 @@ def _cmd_extract(args) -> None:
     G = _load_input(args.input)
     if args.mode == "random":
         report = extract_random(
-            G, args.ell, args.m, args.p, args.delta, args.budget, args.seed
+            G, args.ell, args.m, args.p, args.delta, args.budget, args.seed, args.enum_budget
         )
     else:
         report = extract_exhaustive(
@@ -258,19 +259,15 @@ def _cmd_audit(args) -> None:
 
 def _cmd_qr(args) -> None:
     G = _load_input(args.input)
-    if args.threads != 1 and (args.kind != "12" or args.mode != "exact"):
-        raise ValidationError("--threads applies only to exact --kind 12")
-    if args.kind == "12":
-        if args.mode == "sampled":
-            report = deviation_12_sampled(G, args.p, args.trials, args.seed)
-        else:
-            report = deviation_12_exact(
-                G, args.p, exact_limit=args.exact_limit, threads=args.threads
-            )
+    if args.mode == "exact":
+        exact = deviation_12_exact if args.kind == "12" else deviation_111_exact
+        report = exact(G, args.p, exact_limit=args.exact_limit, threads=args.threads)
+    elif args.threads != 1:
+        raise ValidationError("--threads applies only to exact mode")
+    elif args.kind == "12":
+        report = deviation_12_sampled(G, args.p, args.trials, args.seed)
     else:
-        if args.mode == "sampled":
-            raise ValidationError("sampled mode is only available for --kind 12")
-        report = deviation_111_exact(G, args.p, exact_limit=args.exact_limit)
+        raise ValidationError("sampled mode is only available for --kind 12")
     _write_text(args.output, jsonio.dumps(report))
 
 

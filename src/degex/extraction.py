@@ -98,15 +98,13 @@ def _ln_bracket(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 
 def _certified_ceil(coeff: Fraction, q: Fraction) -> int:
-    """ceil(coeff * ln(q)) exactly (coeff > 0, rational q > 1)."""
-    prec = 40
-    while prec <= 4000:
-        lo, hi = _ln_bracket(q, prec)
-        clo, chi = math.ceil(coeff * lo), math.ceil(coeff * hi)
-        if clo == chi:
-            return clo
-        prec *= 2
-    raise ArithmeticError(f"cannot certify ceil({coeff} * ln({q}))")
+    """ceil(coeff * ln(q)) exactly (coeff > 0, rational q > 1): the least c
+    with c >= coeff * ln(q), found up from a bracket good to coeff's digits."""
+    lo, _ = _ln_bracket(q, 40 + len(str(math.ceil(coeff))))
+    c = math.ceil(coeff * lo)
+    while not _certified_ge_ln(Fraction(c), coeff, q):
+        c += 1
+    return c
 
 
 def _certified_ge_ln(lhs: Fraction, coeff: Fraction, q: Fraction) -> bool:
@@ -234,6 +232,7 @@ def extract_random(
     delta,
     budget: int,
     seed: int,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ExtractionReport:
     """Sample uniform m-subsets until one is good or the budget runs out.
 
@@ -242,11 +241,14 @@ def extract_random(
     failure the report carries the best subset seen (maximum achieved
     minimum l-degree, ties to the earliest attempt).  The reported degree is
     recomputed on the induced subgraph, never trusted from the search loop.
+    Attempts walking more than enum_budget (r-1)-subsets in all are refused.
     """
     p, delta = _check_extract_args(G, ell, m, p, delta)
     if budget < 1:
         raise ValidationError(f"budget must be at least 1, got {budget}")
     degree.check_table_size(m, ell)  # the recheck's min_degree(G[X], l)
+    what = f"extract_random with {budget} attempts of C({m}, {G.r - 1})"
+    _check_enum_budget(budget * binom(m, G.r - 1), what, enum_budget)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     links = Links(G.n, G.edge_array.T).masks()

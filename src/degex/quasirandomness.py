@@ -11,19 +11,23 @@ attained at the positive or negative support.  The (1,1,1) deviation
 quantifies over X and Y, with the set Z optimal in the same way from the
 per-vertex weights e_XY(z) - p|X||Y|.
 
-One kernel, _sweep, scores every exact deviation.  It enumerates subsets of
-a set of dense integer rows, with vec the sum of a subset's rows and k its
-size, and scores each from vec - step*k with the formula above.  The low
-rows form a block whose subset sums are tabulated once; a Gray walk over
-the rest adds or subtracts one row per step and scores the whole block in
-one vectorized pass.  The block's size is derived from the row width, so
-its memory stays within a fixed byte budget.
+One kernel, _sweep, scores every exact deviation.  It enumerates subsets X
+of a set of dense integer rows of (groups x width), each row x the weight
+that x adds, so that the weights w of X in group g are the sum of X's rows
+there, and scores them with the formula above.  The low rows form a block
+whose subset sums are tabulated once; a Gray walk over the rest adds or
+subtracts one row per step and scores the whole block, in every group, in
+one vectorized pass.  The block's size is derived from the row size, so its
+memory stays within a fixed byte budget.  One driver runs the sweeps as
+tasks, serially or in processes, one for each block of Y and value of the
+top bits of X:
 
-* (1,2) exact: row x is den at the pairs uv of its link incidences (x, uv)
-  (combinatorics.Links), so vec = den * d_X.  The 2^n sets X are one sweep,
-  or with threads > 1 one sweep per value of the top bits.
-* (1,1,1) exact: a Gray walk over X keeps M[y, z] = den * #{x in X : xyz
-  an edge}; for each X one sweep over the rows of M gives vec = den * e_XY.
+* (1,2) exact: one block, one group; row x is den at the pairs uv of its
+  link incidences (x, uv) (combinatorics.Links), less num, so that X's
+  rows sum to den * (d_X - p|X|).
+* (1,1,1) exact: group j of the block of Y's top bits ymask is Y = ymask | j,
+  and row x is den * #{y in Y : xyz an edge} - num * |Y| for each z, so
+  that X's rows sum to den * (e_XY - p|X||Y|).
 
 The sampled (1,2) deviation scores many sampled sets X at once by popcount:
 d_X(uv) is the popcount of link(uv) & X, in 64-vertex words, for a block of
@@ -39,7 +43,9 @@ Python ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -121,16 +127,16 @@ def _weight_dtype(n: int, num: int, den: int):
     # Every integer the kernel keeps in an array, den included, is at most
     # max(n, 1)^3 (num + den) in absolute value, for both kinds; partial sums
     # of |w| stay below the full sum.
-    #   (1,2):   an entry of vec is den*d_X(uv) <= den*n and step*k = num*|X|
-    #            <= num*n, so |w| <= n(num + den); over the C(n, 2) < n^2
-    #            pairs, sum |w| and |total - step*k*width| stay under
-    #            n^3 (num + den).
-    #   (1,1,1): M[y, z] <= den*n, an entry of vec is den*e_XY(z) <= den*n^2
-    #            and step*k = num*|X||Y| <= num*n^2, so |w| <= n^2 (num + den);
-    #            over the n vertices z both sums stay under n^3 (num + den).
-    # A score, sum |w| + |sum w|, is then below 2^63.  Row j of a sweep's
-    # block table is w for the set of the bits of j alone, so it obeys the
-    # same bounds, and so does its sum.  The (1,2) witness sums the same w.
+    #   (1,2):   w = den*d_X(uv) - num*|X| with d_X(uv), |X| <= n, so
+    #            |w| <= n(num + den); over the C(n, 2) < n^2 pairs, sum |w|
+    #            and |sum w| stay under n^3 (num + den).
+    #   (1,1,1): w = den*e_XY(z) - num*|X||Y| with e_XY(z), |X||Y| <= n^2, so
+    #            |w| <= n^2 (num + den); over the n vertices z both sums
+    #            stay under n^3 (num + den).
+    # A score, sum |w| + |sum w|, is then below 2^63.  A row of the sweep, and
+    # row j of its block table, is w, in a group, for the set of x or of the
+    # bits of j alone, so it obeys the same bounds, and so does its sum.  The
+    # (1,2) witness sums the same w.
     # The sampled scorer's last step holds den * (sum of d_X), num*k*C(n, 2),
     # num*k*lo and den*d_lo, each under n^3 (num + den) as lo <= C(n, 2) and
     # d_lo <= n C(n, 2); a score adds at most two of them, below 2^63.
@@ -149,63 +155,76 @@ def _block_bits(width: int, dtype, low_bits: int) -> int:
     return min(low_bits, max(BLOCK_BYTES // (cost * max(width, 1)), 1).bit_length() - 1)
 
 
-def _sweep(
-    rows: np.ndarray,
-    step: int,
-    start: np.ndarray,
-    mask: int,
-    low_bits: int,
-) -> tuple[int, int]:
+def _sweep(rows: np.ndarray, start: np.ndarray, mask: int, low_bits: int) -> tuple[int, int, int]:
     """Best score over the masks that agree with `mask` above its low bits.
 
-    The low `low_bits` bits of mask must be clear, and `start` is the sum of
-    rows[x] over the bits x of mask.  A state is a mask; with vec the sum of
-    its rows and k its bit count it scores
-    (sum |vec - step*k| + |sum(vec - step*k)|) // 2, the larger of the
-    positive and the negative support weight of w = vec - step*k.  Returns
-    (best score, its mask), ties toward the smallest mask.
+    Each rows[x] is (groups x width).  The low `low_bits` bits of mask must
+    be clear, and `start` is the sum of rows[x] over the bits x of mask.  A
+    state is a mask and a group g; with w the sum of its rows in g, it scores
+    (sum |w| + |sum w|) // 2, the larger support weight of w.  Returns (best
+    score, its mask, its group), ties toward the smallest (mask, group).
 
     The low bits split into b inner bits, b from _block_bits, and the outer
     bits above them.  Row j of `table`, for each of the 2^b inner masks j, is
-    the sum of rows[v] - step over the bits v of j, built by doubling:
-    table[h:2h] = table[:h] + rows[v] - step with h = 2^v.  A Gray walk over
-    the outer bits keeps vec (`start`, updated in place) and k.  At each
-    outer state, row j of table + (vec - step*k) is w for the mask with inner
-    bits j, so one vectorized pass scores the whole block; argmax takes the
-    first maximum, so the smallest inner mask wins.  A sweep with
-    low_bits = 0 scores `mask` alone and reads no rows.
+    the sum of rows[v] over the bits v of j, built by doubling:
+    table[2^v:2^(v+1)] = table[:2^v] + rows[v].  A Gray walk over the outer
+    bits keeps vec, the sum of the rows of the outer bits (`start`, updated
+    in place).  At each outer state, row j of table + vec is w for the mask
+    with inner bits j, so one vectorized pass scores the whole block in every
+    group; argmax takes the first maximum, so the smallest (inner mask,
+    group) wins, and a mask is met at one outer state only, so ties between
+    outer states compare masks alone.  A sweep with low_bits = 0 scores
+    `mask` alone.
     """
     vec = start
-    width = vec.shape[0]
-    inner = _block_bits(width, vec.dtype, low_bits)
-    table = np.zeros((1 << inner, width), dtype=vec.dtype)
+    groups, width = vec.shape
+    inner = _block_bits(groups * width, vec.dtype, low_bits)
+    table = np.zeros((1 << inner, groups, width), dtype=vec.dtype)
     for v in range(inner):
-        h = 1 << v
-        np.add(table[:h], rows[v] - step, out=table[h : 2 * h])
-    table_sums = table.sum(axis=1)
+        np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
+    table_sums = table.sum(axis=2)
     buf = np.empty_like(table)
-    k = mask.bit_count()
-    best, best_mask = -1, mask
+    best, best_mask, best_group = -1, mask, 0
     for i in range(1 << (low_bits - inner)):
         if i:
             x = inner + (i & -i).bit_length() - 1
             mask ^= 1 << x
-            if mask >> x & 1:
-                k += 1
-                np.add(vec, rows[x], out=vec)
-            else:
-                k -= 1
-                np.subtract(vec, rows[x], out=vec)
-        w = vec - step * k
-        np.add(table, w, out=buf)
+            (np.add if mask >> x & 1 else np.subtract)(vec, rows[x], out=vec)
+        np.add(table, vec, out=buf)
         np.abs(buf, out=buf)
-        scores = buf.sum(axis=1)
-        scores += np.abs(table_sums + w.sum())
-        j = int(scores.argmax())
-        score = int(scores[j]) // 2
+        scores = buf.sum(axis=2)
+        scores += np.abs(table_sums + vec.sum(axis=1))
+        j, g = divmod(int(scores.argmax()), groups)
+        score = int(scores[j, g]) // 2
         if score > best or (score == best and mask | j < best_mask):
-            best, best_mask = score, mask | j
-    return best, best_mask
+            best, best_mask, best_group = score, mask | j, g
+    return best, best_mask, best_group
+
+
+def _sweep_task(rows_of, args: tuple, ymask: int, xmask: int, low_bits: int) -> tuple:
+    """(-score, xmask, ymask) of the best state of the Y block ymask, whose rows
+    are rows_of(*args, ymask), and the X that match xmask's top bits."""
+    rows = rows_of(*args, ymask)
+    start = rows[list(mask_vertices(xmask))].sum(axis=0)
+    score, xmask, group = _sweep(rows, start, xmask, low_bits)
+    return -score, xmask, ymask | group
+
+
+def _exact_best(rows_of, args: tuple, n: int, yblocks: Iterable[int], threads: int) -> tuple:
+    """The least _sweep_task result over the Y blocks and the values of enough top
+    bits of X for a task a worker, run in min(threads, os.cpu_count()) processes."""
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    low_bits = n - min((workers - 1).bit_length(), n)
+    task = functools.partial(_sweep_task, rows_of, args, low_bits=low_bits)
+    ys, xs = zip(*itertools.product(yblocks, range(0, 1 << n, 1 << low_bits)))
+    if min(workers, len(xs)) == 1:
+        return min(map(task, ys, xs))
+    # spawned workers import degex afresh: forking a process with threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(workers, len(xs)), mp_context=spawn) as pool:
+        return min(pool.map(task, ys, xs))
 
 
 def _best_support(w: np.ndarray) -> tuple[int, np.ndarray]:
@@ -258,8 +277,7 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
     """
     n = G.n
     X = mask_vertices(mask)
-    member = np.zeros(n, dtype=bool)
-    member[list(X)] = True
+    member = np.isin(np.arange(n), X)
     a, b, c = G.edge_array.T.astype(np.intp)
     d = np.zeros(n * n, dtype=np.int64)
     for x, u, v in ((a, b, c), (b, a, c), (c, a, b)):
@@ -269,6 +287,15 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
     w = d[u * n + v].astype(_weight_dtype(n, num, den)) * den - num * len(X)
     scaled, indexes = _best_support(w)
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
+
+
+def _rows_12(n: int, ends: np.ndarray, num: int, den: int, dtype, ymask: int) -> tuple:
+    """The (1,2) rows, of one group; there is no Y (ymask = 0).  Row x is den
+    at the pairs uv of its link incidences (x, uv), less num."""
+    links = Links(n, ends)
+    rows = np.full((n, 1, binom(n, 2)), -num, dtype=dtype)
+    rows[links.verts, 0, links.ranks()] += den
+    return rows
 
 
 def deviation_12_exact(
@@ -292,34 +319,12 @@ def deviation_12_exact(
             f"exact (1,2) deviation enumerates 2^{G.n} vertex sets, above the "
             f"limit of n={limit}; use deviation_12_sampled or raise the limit"
         )
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
     num, den = p.numerator, p.denominator
     n = G.n
-    dtype = _weight_dtype(n, num, den)
-    links = Links(n, G.edge_array.T)
-    # den at (x, rank of uv) when {x, u, v} is an edge
-    rows = np.zeros((n, binom(n, 2)), dtype=np.int64)
-    rows[links.verts, links.ranks()] = 1
-    rows = rows.astype(dtype) * den
-
-    workers = min(threads, os.cpu_count() or 1)
-    block_bits = min((workers - 1).bit_length(), n)
-    low_bits = n - block_bits
-    masks = [b << low_bits for b in range(1 << block_bits)]
-    starts = [rows[list(mask_vertices(mask))].sum(axis=0) for mask in masks]
-    if len(masks) == 1:
-        results = [_sweep(rows, num, starts[0], 0, low_bits)]
-    else:
-        tasks = len(masks)
-        with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
-            results = list(pool.map(
-                _sweep, [rows] * tasks, [num] * tasks,
-                starts, masks, [low_bits] * tasks,
-            ))
-    best, best_mask = min(results, key=lambda r: (-r[0], r[1]))
+    args = (n, G.edge_array.T, num, den, _weight_dtype(n, num, den))
+    best, best_mask, _ = _exact_best(_rows_12, args, n, [0], threads)
     scaled, X, P = _witness_12(G, best_mask, num, den)
-    return _report("12", p, n, best, scaled, (X, P), "exact")
+    return _report("12", p, n, -best, scaled, (X, P), "exact")
 
 
 def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> list[int]:
@@ -419,27 +424,40 @@ def deviation_12_sampled(
 # (1,1,1) exact deviation
 
 
-def _e111_vector(G: Hypergraph, xmask: int, ymask: int) -> list[int]:
-    """e_{XY}(z) for every z: ordered pairs (x, y) in X times Y with xyz an edge."""
-    out = [0] * G.n
-    for e in G.edges:
-        for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            if xmask >> e[x] & 1 and ymask >> e[y] & 1:
-                out[e[z]] += 1
-    return out
+def _e111_vector(G: Hypergraph, xmask: int, ymask: int) -> np.ndarray:
+    """e_{XY}(z) for every z: ordered pairs (x, y) in X times Y with xyz an
+    edge, one np.bincount for each of the six orders of the edge columns."""
+    inx, iny = (np.isin(np.arange(G.n), mask_vertices(mask)) for mask in (xmask, ymask))
+    orders = itertools.permutations(G.edge_array.T.astype(np.intp))
+    return sum(np.bincount(z[inx[x] & iny[y]], minlength=G.n) for x, y, z in orders)
+
+
+def _rows_111(n: int, ends: np.ndarray, num: int, den: int, dtype, group_bits: int, ymask: int):
+    """The (1,1,1) rows over X of the Y block ymask: in group j, Y = ymask | j,
+    row x is den * #{y in Y : xyz an edge} - num * |Y| for each z.  The
+    groups are built by doubling over Y's low vertices."""
+    R = np.zeros((n, n, n), dtype=dtype)  # den at (x, y, z) when xyz is an edge
+    R[tuple(map(np.concatenate, zip(*itertools.permutations(ends))))] = den
+    rows = np.empty((n, 1 << group_bits, n), dtype=dtype)
+    rows[:, 0] = R[:, list(mask_vertices(ymask))].sum(axis=1)
+    for v in range(group_bits):
+        np.add(rows[:, : 1 << v], R[:, v, None], out=rows[:, 1 << v : 2 << v])
+    rows -= np.array([[num * (ymask | j).bit_count()] for j in range(1 << group_bits)], dtype)
+    return rows
 
 
 def deviation_111_exact(
     G: Hypergraph,
     p,
     exact_limit: int | None = None,
+    threads: int = 1,
 ) -> DiscrepancyReport:
     """Exact maximum (1,1,1) deviation over all (X, Y, Z), with a witness.
 
-    A Gray walk over X keeps M[y, z] = den * #{x in X : xyz an edge}; for
-    each X one sweep over Y scores the per-vertex weights e_{XY}(z) - p|X||Y|,
-    with Z optimal analytically (4^n states in all).  Refuses above
-    `exact_limit` vertices (default 13).
+    For each block of Y by its top bits, one grouped sweep over X scores the
+    per-vertex weights e_{XY}(z) - p|X||Y| of every Y in it, with Z optimal
+    analytically (4^n states in all).  threads splits the tasks as in
+    deviation_12_exact.  Refuses above `exact_limit` vertices (default 13).
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -452,37 +470,18 @@ def deviation_111_exact(
     num, den = p.numerator, p.denominator
     n = G.n
     dtype = _weight_dtype(n, num, den)
-
-    # R[x] is den at (y, z) when xyz is an edge
-    R = np.zeros((n, n, n), dtype=np.int64)
-    for x, y, z in itertools.permutations(G.edge_array.T):
-        R[x, y, z] = 1
-    R = R.astype(dtype) * den
-    M = np.zeros((n, n), dtype=dtype)
-
-    best = -1
-    best_x = best_y = 0
-    xmask = kx = 0
-    for i in range(1 << n):
-        if i:
-            x = (i & -i).bit_length() - 1
-            xmask ^= 1 << x
-            if xmask >> x & 1:
-                kx += 1
-                np.add(M, R[x], out=M)
-            else:
-                kx -= 1
-                np.subtract(M, R[x], out=M)
-        score, ymask = _sweep(M, num * kx, np.zeros(n, dtype=dtype), 0, n)
-        if score > best or (score == best and (xmask, ymask) < (best_x, best_y)):
-            best, best_x, best_y = score, xmask, ymask
+    # a row within BLOCK_BYTES / 16 leaves the sweep of a block 4 or more inner bits
+    group_bits = _block_bits(16 * n, dtype, n)
+    args = (n, G.edge_array.T, num, den, dtype, group_bits)
+    yblocks = range(0, 1 << n, 1 << group_bits)
+    best, best_x, best_y = _exact_best(_rows_111, args, n, yblocks, threads)
 
     # witness: recompute the winning (X, Y) directly and pick the Z support
     c = num * best_x.bit_count() * best_y.bit_count()
     e = np.array(_e111_vector(G, best_x, best_y), dtype=dtype)
     scaled, Z = _best_support(e * den - c)
     witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z.tolist()))
-    return _report("111", p, n, best, scaled, witness, "exact")
+    return _report("111", p, n, -best, scaled, witness, "exact")
 
 
 # ---------------------------------------------------------------------------

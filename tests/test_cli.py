@@ -261,6 +261,25 @@ class TestExtract:
         assert err.startswith("error: the degree table over C(400, 3)") and err.count("\n") == 1
         assert draws == []
 
+    def test_attempt_walks_refused_before_the_first_draw(self, capsys, monkeypatch, tmp_path):
+        # each attempt walks the C(200, 3) 3-subsets of its X: 1000 attempts
+        # are 1.3 * 10^9 subsets, above the default enumeration budget
+        import degex.extraction
+
+        draws = []
+        monkeypatch.setattr(degex.extraction, "random_ksubset", lambda *a: draws.append(a))
+        path = tmp_path / "wide.hg"
+        path.write_text("4 3000\n")
+        code, out, err = run(
+            capsys, "extract", "--in", str(path), "--ell", "1", "--m", "200",
+            "--p", "1/2", "--delta", "1/4",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: extract_random with 1000 attempts of C(200, 3)")
+        assert err.count("\n") == 1
+        assert draws == []
+
     def test_reproducible_output(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "14", "--r", "3", "--p", "3/5", "--seed", "5", "--out", str(g))
@@ -513,14 +532,10 @@ class TestQr:
         )
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flags",
-        [("--kind", "111", "--p", "0"), ("--kind", "12", "--p", "1/2", "--mode", "sampled")],
-        ids=["111", "sampled"],
-    )
-    def test_threads_rejected_outside_exact_12(self, capsys, tmp_path, flags):
+    def test_threads_rejected_in_sampled_mode(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))
+        flags = ("--kind", "12", "--p", "1/2", "--mode", "sampled")
         code, out, err = run(capsys, "qr", "--in", str(g), *flags, "--threads", "8")
         assert code == 2
         assert out == ""
@@ -528,6 +543,16 @@ class TestQr:
         code, out, _ = run(capsys, "qr", "--in", str(g), *flags, "--threads", "1")
         assert code == 0
         assert json.loads(out)["D"]
+
+    def test_threads_split_111_with_identical_output(self, capsys, tmp_path):
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))
+        code1, out1, err1 = run(capsys, "qr", "--in", str(g), "--kind", "111", "--p", "0", "--threads", "1")
+        code8, out8, err8 = run(capsys, "qr", "--in", str(g), "--kind", "111", "--p", "0", "--threads", "8")
+        assert code1 == code8 == 0
+        assert err1 == err8 == ""
+        assert out1 == out8
+        assert json.loads(out1)["D"]
 
     @pytest.mark.parametrize(
         "exc", [ZeroDivisionError("division by zero"), OverflowError("too large"), MemoryError()],

@@ -123,6 +123,14 @@ class TestTheoremParams:
         assert tp.eps == Fraction(1, 200)
         assert float(tp.eps) == 0.005
 
+    def test_m0_of_a_tiny_delta_is_exact(self):
+        # m0 = ceil(52 * 10^400 * ln(10^200)) has 403 digits: the bracket
+        # behind it must carry the digits of the coefficient
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            x = 52 * Decimal(10) ** 400 * Decimal(10**200).ln()
+        assert theorem_params(3, 2, Fraction(1, 10**200), m=3).m0 == math.ceil(x)
+
     def test_float_delta_accepted(self):
         assert theorem_params(3, 2, 0.1, m=10).m0 == 11974
 
@@ -209,6 +217,17 @@ class TestExtractRandom:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValidationError):
             extract_random(EXAMPLE, 2, 4, Fraction(1, 2), Fraction(1, 10), 0, 0)
+
+    def test_attempt_walks_bounded_by_the_enum_budget(self):
+        # an attempt walks the C(6, 2) = 15 pairs of its X; the refusal
+        # comes before the first draw
+        G = build(12, 3, [])
+        args = (G, 1, 6, Fraction(1, 2), Fraction(1, 4))
+        report = extract_random(*args, budget=4, seed=0, enum_budget=60)
+        assert report.attempts == 4 and not report.success
+        with mock.patch.object(extraction, "random_ksubset", side_effect=AssertionError):
+            with pytest.raises(LimitExceeded, match=r"5 attempts of C\(6, 2\) .* 75 subsets"):
+                extract_random(*args, budget=5, seed=0, enum_budget=60)
 
 
 class TestExtractExhaustive:

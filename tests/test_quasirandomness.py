@@ -118,6 +118,38 @@ def reference_sweep(rows, step, start, mask, low_bits):
     return best, best_mask
 
 
+def reference_grouped_sweep(rows, step, start, mask, low_bits):
+    """reference_sweep once per group of (groups x width) rows, each group g
+    with its own step[g]: the best (score, mask, group), ties toward the
+    smallest (mask, group)."""
+    score, mask, group = min(
+        (-score, best_mask, g)
+        for g in range(start.shape[0])
+        for score, best_mask in [
+            reference_sweep(rows[:, g], step[g], start[g].copy(), mask, low_bits)
+        ]
+    )
+    return -score, mask, group
+
+
+def folded_sweep(rows, step, start, mask, low_bits):
+    """qr._sweep on the same states: each row less its group's step, so that
+    a set's rows sum to vec - step*k."""
+    step = step[:, None]
+    return qr._sweep(rows - step, start - step * mask.bit_count(), mask, low_bits)
+
+
+def gray_tie_sweep():
+    """Two groups of 2500-wide rows, so a sweep of 5 bits has 2 inner bits
+    and outer bits 2 to 4, walked 0, {2}, {2,3}, {3}, {3,4}, {2,3,4}, {2,4},
+    {4}.  Group 0 scores 2500 only on {3,4} and group 1 on every mask with 4,
+    so {3,4} ties across the groups, and the walk meets it and {2,4} before
+    the smallest winner, ({4}, group 1)."""
+    rows = np.zeros((5, 2, 2500), dtype=np.int64)
+    rows[3, 0, :1250] = rows[4, 0, 1250:] = rows[4, 1] = 1
+    return rows, np.array([0, 0]), np.zeros((2, 2500), dtype=np.int64), 0, 5
+
+
 def reference_sampled_scores(G, masks, num, den):
     """The per-trial path that qr._sampled_scores replaces: each trial counts
     den * d_X over every pair from the link incidences (x, uv) and scores it
@@ -127,12 +159,12 @@ def reference_sampled_scores(G, masks, num, den):
     a, b, c = G.edge_array.T.astype(np.intp)
     verts = np.concatenate([a, b, c])
     ranks = np.concatenate([c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a])
-    no_rows = np.zeros((0, binom(G.n, 2)), dtype=dtype)
+    no_rows = np.zeros((0, 1, binom(G.n, 2)), dtype=dtype)
     scores = []
     for mask in masks:
         inside = np.isin(verts, mask_vertices(mask))
-        start = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(dtype) * den
-        scores.append(qr._sweep(no_rows, num, start, mask, 0)[0])
+        d = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(dtype)
+        scores.append(qr._sweep(no_rows, d[None] * den - num * mask.bit_count(), mask, 0)[0])
     return scores
 
 
@@ -260,12 +292,21 @@ class TestDeviation12Exact:
             assert deviation_111_exact(H, p).D == brute_dev111(H, p)
 
     def test_threads_do_not_change_output(self):
-        # at n = 13 each worker's sweep has outer Gray bits on both dtypes
+        # at n = 13 each worker's (1,2) sweep has outer Gray bits on both
+        # dtypes; (1,1,1) at n = 10 has 8 Y blocks, and with BLOCK_BYTES at
+        # 4096, n = 8 has 64 (int64) or 256 (big int) blocks of few groups
         big = Fraction(2**55 + 1, 3 * 2**55 + 7)
-        for n, p in ((10, Fraction(1, 2)), (13, Fraction(1, 3)), (13, big)):
+        cases = [(deviation_12_exact, 10, Fraction(1, 2), qr.BLOCK_BYTES),
+                 (deviation_12_exact, 13, Fraction(1, 3), qr.BLOCK_BYTES),
+                 (deviation_12_exact, 13, big, qr.BLOCK_BYTES),
+                 (deviation_111_exact, 10, Fraction(1, 3), qr.BLOCK_BYTES),
+                 (deviation_111_exact, 8, Fraction(1, 3), 4096),
+                 (deviation_111_exact, 8, big, 4096)]
+        for deviation, n, p, block_bytes in cases:
             G = erdos_renyi(n, 3, Fraction(1, 2), seed=99)
-            one = deviation_12_exact(G, p, threads=1)
-            four = deviation_12_exact(G, p, threads=4)
+            with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
+                one = deviation(G, p, threads=1)
+                four = deviation(G, p, threads=4)
             assert one == four
             assert dumps(one) == dumps(four)
 
@@ -274,7 +315,8 @@ class TestDeviation12Exact:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 seen.append(max_workers)
 
             def __enter__(self):
@@ -289,14 +331,17 @@ class TestDeviation12Exact:
         monkeypatch.setattr(qr, "ProcessPoolExecutor", SerialPool)
         G = erdos_renyi(9, 3, Fraction(1, 2), seed=98)
         p = Fraction(1, 3)
-        serial = deviation_12_exact(G, p, threads=1)
-        monkeypatch.setattr(qr.os, "cpu_count", lambda: 2)
-        assert deviation_12_exact(G, p, threads=10**6) == serial
-        assert seen and max(seen) <= 2
-        for cpus in (None, 1, 3, 8, 64):  # every split gives the same report
-            monkeypatch.setattr(qr.os, "cpu_count", lambda: cpus)
-            assert deviation_12_exact(G, p, threads=10**6) == serial
-        assert max(seen) <= 64
+        for deviation in (deviation_12_exact, deviation_111_exact):
+            seen.clear()
+            serial = deviation(G, p, threads=1)
+            assert seen == []
+            monkeypatch.setattr(qr.os, "cpu_count", lambda: 2)
+            assert deviation(G, p, threads=10**6) == serial
+            assert seen == [2]
+            for cpus in (None, 1, 3, 8, 64):  # every split gives the same report
+                monkeypatch.setattr(qr.os, "cpu_count", lambda: cpus)
+                assert deviation(G, p, threads=10**6) == serial
+                assert max(seen) <= max(cpus or 1, 2)
 
     def test_p_out_of_range_rejected(self):
         # a huge negative p used to overflow the int64 weights and trip the
@@ -556,6 +601,30 @@ class TestDeviation111Exact:
         with pytest.raises(LimitExceeded):
             deviation_111_exact(build(20, 3, []), Fraction(1, 2))
 
+    def test_memory_stays_within_a_few_blocks(self):
+        # one (n, 2^n, n) int64 array of every Y would take 4.5 MiB at n = 12;
+        # each Y block builds rows of 128 groups, 0.14 MiB
+        G = erdos_renyi(12, 3, Fraction(1, 2), seed=12)
+        tracemalloc.start()
+        try:
+            report = deviation_111_exact(G, Fraction(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.D > 0
+        assert peak < 2 * 2**20 < 12 * 2**12 * 12 * 8
+
+    @given(st.integers(0, 9), st.integers(0, 2**32), st.integers(0, 2**9 - 1),
+           st.integers(0, 2**9 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_e111_vector_matches_the_counts(self, n, seed, xbits, ybits):
+        G = erdos_renyi(n, 3, Fraction(1, 2), seed=seed)
+        xmask, ymask = xbits & ((1 << n) - 1), ybits & ((1 << n) - 1)
+        X, Y = mask_vertices(xmask), mask_vertices(ymask)
+        assert qr._e111_vector(G, xmask, ymask).tolist() == [
+            e111(G, X, Y, [z]) for z in range(n)
+        ]
+
 
 class TestSweepKernel:
     """Every deviation runs on the one Gray-sweep kernel; check it against the oracles."""
@@ -582,37 +651,59 @@ class TestSweepKernel:
 
     @staticmethod
     @st.composite
-    def sweeps(draw):
-        """Kernel inputs: rows, step, start, mask, low_bits."""
+    def sweeps(draw, groups):
+        """Kernel inputs: rows, step, start, mask, low_bits, with `groups` drawn
+        from its strategy."""
         dtype = draw(st.sampled_from([np.int64, object]))
+        g = draw(groups)
         n = draw(st.integers(0, 8))
         low_bits = draw(st.integers(0, n))
         # wide rows leave outer Gray bits above the block; {-1, 0, 1} and
-        # all-zero rows are heavy with ties
-        width = draw(st.sampled_from([0, 1, 5, 40, 700] + ([5000] if dtype is np.int64 else [])))
+        # all-zero rows are heavy with ties, within and across groups
+        widths = [0, 1, 5, 40, 700] + ([5000 // g] if dtype is np.int64 else [])
+        width = draw(st.sampled_from(widths))
         spread = draw(st.sampled_from([0, 1, 3, 1000]))
         scale = draw(st.sampled_from([1, 2**64])) if dtype is object else 1
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-        rows = rng.integers(-spread, spread + 1, size=(n, width)).astype(dtype) * scale
+        rows = rng.integers(-spread, spread + 1, size=(n, g, width)).astype(dtype) * scale
         rows[list(mask_vertices(draw(st.integers(0, 2**n - 1))))] = 0
-        step = draw(st.integers(0, spread * scale))
+        steps = st.integers(0, spread * scale)
+        step = np.array(draw(st.one_of(st.lists(steps, min_size=g, max_size=g),
+                                       steps.map(lambda c: [c] * g))), dtype=dtype)
         mask = draw(st.integers(0, 2 ** (n - low_bits) - 1)) << low_bits
-        start = np.zeros(width, dtype=dtype)
+        start = np.zeros((g, width), dtype=dtype)
         for x in mask_vertices(mask):
             start += rows[x]
         return rows, step, start, mask, low_bits
 
-    @given(sweeps())
+    @given(sweeps(st.just(1)))
     # outer bits 2 and 3 over 5000-wide rows; only row 3 is nonzero, so the
     # Gray walk reaches mask 0b1100 before the smaller tying mask 0b1000
-    @example((np.repeat(np.array([[0], [0], [0], [1]]), 5000, axis=1),
-              0, np.zeros(5000, dtype=np.int64), 0, 4))
+    @example((np.repeat(np.array([[[0]], [[0]], [[0]], [[1]]]), 5000, axis=2),
+              np.array([0]), np.zeros((1, 5000), dtype=np.int64), 0, 4))
     @settings(max_examples=150, deadline=None)
     def test_sweep_matches_reference_kernel(self, args):
         rows, step, start, mask, low_bits = args
-        assert qr._sweep(rows, step, start.copy(), mask, low_bits) == reference_sweep(
-            rows, step, start.copy(), mask, low_bits
+        assert folded_sweep(rows, step, start, mask, low_bits) == (
+            *reference_sweep(rows[:, 0], step[0], start[0].copy(), mask, low_bits), 0
         )
+
+    @given(sweeps(st.sampled_from([2, 3, 5, 8])))
+    @example(gray_tie_sweep())
+    @example((np.ones((3, 2, 4), dtype=object) * 2**64, np.array([2**64, 2**64], dtype=object),
+              np.zeros((2, 4), dtype=object), 0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_sweep_matches_reference_per_group(self, args):
+        rows, step, start, mask, low_bits = args
+        assert folded_sweep(rows, step, start, mask, low_bits) == reference_grouped_sweep(
+            rows, step, start, mask, low_bits
+        )
+
+    def test_grouped_sweep_ties_go_to_the_smallest_mask_then_group(self):
+        rows, step, start, mask, low_bits = gray_tie_sweep()
+        assert qr._block_bits(2 * 2500, np.int64, 5) == 2
+        assert qr._sweep(rows, start.copy(), mask, low_bits) == (2500, 0b10000, 1)
+        assert folded_sweep(rows, step, start, mask, low_bits) == (2500, 0b10000, 1)
 
     def test_sweep_block_fills_its_byte_budget(self):
         for dtype, cost in ((np.int64, 8), (object, qr.OBJECT_ELEMENT_BYTES)):
@@ -635,9 +726,11 @@ class TestSweepKernel:
             ([(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 1, 4), (0, 3, 4), (2, 3, 4)], Fraction(1, 3)),
             ([(0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 3, 4), (2, 3, 4)], Fraction(1, 3)),
         ]
-        for edges, p in cases:
+        for (edges, p), block_bytes in itertools.product(cases, (qr.BLOCK_BYTES, 64)):
+            # at 64 bytes each Y is a block of its own, and ties meet across blocks
             G = build(5, 3, edges)
-            report = deviation_111_exact(G, p)
+            with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
+                report = deviation_111_exact(G, p)
 
             def best_over_z(xmask, ymask):
                 X, Y = mask_vertices(xmask), mask_vertices(ymask)
