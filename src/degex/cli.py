@@ -140,12 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     qr.add_argument("--kind", choices=("12", "111"), required=True)
     qr.add_argument("--p", type=_fraction_arg, required=True)
     qr.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    qr.add_argument("--trials", type=int, default=10000, help="sampled mode only")
-    qr.add_argument("--seed", type=int, default=0, help="sampled mode only")
-    qr.add_argument(
-        "--exact-limit", type=int,
-        default=None, help="override the exact-mode vertex limit",
-    )
+    qr.add_argument("--trials", type=int, help="sampled mode only (default 10000)")
+    qr.add_argument("--seed", type=int, help="sampled mode only (default 0)")
+    qr.add_argument("--exact-limit", type=int, help="override the exact-mode vertex limit")
     add_io(qr)
     # worker cap; outputs are identical for every K, and serial runs are
     # always a valid schedule
@@ -258,16 +255,21 @@ def _cmd_audit(args) -> None:
 
 
 def _cmd_qr(args) -> None:
+    if args.mode == "sampled" and args.kind == "111":
+        raise ValidationError("sampled mode is only available for --kind 12")
+    threads = None if args.threads == 1 else args.threads
+    only = {"--trials": (args.trials, "sampled"), "--seed": (args.seed, "sampled"),
+            "--exact-limit": (args.exact_limit, "exact"), "--threads": (threads, "exact")}
+    for flag, (value, mode) in only.items():
+        if value is not None and mode != args.mode:
+            raise ValidationError(f"{flag} applies only to {mode} mode")
     G = _load_input(args.input)
     if args.mode == "exact":
         exact = deviation_12_exact if args.kind == "12" else deviation_111_exact
         report = exact(G, args.p, exact_limit=args.exact_limit, threads=args.threads)
-    elif args.threads != 1:
-        raise ValidationError("--threads applies only to exact mode")
-    elif args.kind == "12":
-        report = deviation_12_sampled(G, args.p, args.trials, args.seed)
     else:
-        raise ValidationError("sampled mode is only available for --kind 12")
+        trials = 10000 if args.trials is None else args.trials
+        report = deviation_12_sampled(G, args.p, trials, args.seed or 0)
     _write_text(args.output, jsonio.dumps(report))
 
 

@@ -6,28 +6,16 @@ The (1,2) deviation of G at density p is
 
 For fixed X the optimal P is analytic: with w(uv) = d_X(uv) - p|X|, where
 d_X(uv) counts x in X with xuv an edge, the maximum over P is
-max(sum of positive w, -(sum of negative w)) = (sum |w| + |sum w|) / 2,
-attained at the positive or negative support.  The (1,1,1) deviation
-quantifies over X and Y, with the set Z optimal in the same way from the
-per-vertex weights e_XY(z) - p|X||Y|.
+max(sum of positive w, -(sum of negative w)), attained at the positive or
+negative support.  The (1,1,1) deviation quantifies over X and Y, with the
+set Z optimal in the same way from the per-vertex weights e_XY(z) - p|X||Y|.
 
-One kernel, _sweep, scores every exact deviation.  It enumerates subsets X
-of a set of dense integer rows of (groups x width), each row x the weight
-that x adds, so that the weights w of X in group g are the sum of X's rows
-there, and scores them with the formula above.  The low rows form a block
-whose subset sums are tabulated once; a Gray walk over the rest adds or
-subtracts one row per step and scores the whole block, in every group, in
-one vectorized pass.  The block's size is derived from the row size, so its
-memory stays within a fixed byte budget.  One driver runs the sweeps as
-tasks, serially or in processes, one for each block of Y and value of the
-top bits of X:
-
-* (1,2) exact: one block, one group; row x is den at the pairs uv of its
-  link incidences (x, uv) (combinatorics.Links), less num, so that X's
-  rows sum to den * (d_X - p|X|).
-* (1,1,1) exact: group j of the block of Y's top bits ymask is Y = ymask | j,
-  and row x is den * #{y in Y : xyz an edge} - num * |Y| for each z, so
-  that X's rows sum to den * (e_XY - p|X||Y|).
+Both exact deviations run on one kernel, _sweep, over the subsets X of a
+set of count rows: row x holds the counts x adds in each group and column,
+so X's rows sum to d_X for (1,2), one group over the pairs uv, and to e_XY
+for (1,1,1), a group for each Y of a block of Y's top bits, over the z.  One
+driver runs the sweeps as tasks, serially or in processes, one for each
+block of Y and value of the top bits of X.
 
 The sampled (1,2) deviation scores many sampled sets X at once by popcount:
 d_X(uv) is the popcount of link(uv) & X, in 64-vertex words, for a block of
@@ -35,10 +23,11 @@ trials against a block of the pairs that lie in some edge (combinatorics.
 Links).  A trial's score needs only three sums over the pairs, so no
 n x C(n, 2) rows are built and memory stays O(|E| + trials) at any n.
 
-Everything is exact: p is a Fraction num/den, the kernel works on integer
-weights scaled by den, and results are returned as Fractions.  When the
-weights could overflow int64 the same kernel runs on object-dtype arrays of
-Python ints.
+Everything is exact: p is a Fraction num/den, every score is an integer, den
+times a deviation, and results are returned as Fractions.  The sweep holds
+counts and int64 limbs of its scores for every p; the witnesses and the
+sampled scorer's last step hold den-scaled weights, as Python ints when they
+could overflow int64.
 """
 
 from __future__ import annotations
@@ -65,9 +54,8 @@ DEFAULT_EXACT_LIMIT_12 = 22
 DEFAULT_EXACT_LIMIT_111 = 13
 
 INT64_SAFE = 1 << 62
-
-# an object element is a pointer plus a boxed Python int, rounded up
-OBJECT_ELEMENT_BYTES = 64
+# a sweep state's share of the int64 score arrays, in each group
+SCORE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -120,23 +108,18 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# integer weights
+# integer bounds
 
 
 def _weight_dtype(n: int, num: int, den: int):
-    # Every integer the kernel keeps in an array, den included, is at most
-    # max(n, 1)^3 (num + den) in absolute value, for both kinds; partial sums
-    # of |w| stay below the full sum.
+    # The witnesses and the sampled scorer's last step hold den-scaled weights,
+    # each at most max(n, 1)^3 (num + den) in absolute value.
     #   (1,2):   w = den*d_X(uv) - num*|X| with d_X(uv), |X| <= n, so
     #            |w| <= n(num + den); over the C(n, 2) < n^2 pairs, sum |w|
     #            and |sum w| stay under n^3 (num + den).
     #   (1,1,1): w = den*e_XY(z) - num*|X||Y| with e_XY(z), |X||Y| <= n^2, so
     #            |w| <= n^2 (num + den); over the n vertices z both sums
     #            stay under n^3 (num + den).
-    # A score, sum |w| + |sum w|, is then below 2^63.  A row of the sweep, and
-    # row j of its block table, is w, in a group, for the set of x or of the
-    # bits of j alone, so it obeys the same bounds, and so does its sum.  The
-    # (1,2) witness sums the same w.
     # The sampled scorer's last step holds den * (sum of d_X), num*k*C(n, 2),
     # num*k*lo and den*d_lo, each under n^3 (num + den) as lo <= C(n, 2) and
     # d_lo <= n C(n, 2); a score adds at most two of them, below 2^63.
@@ -145,79 +128,129 @@ def _weight_dtype(n: int, num: int, den: int):
     return np.int64 if max(n, 1) ** 3 * (num + den) < INT64_SAFE else object
 
 
+def _count_bounds(n: int, width: int, top: int, num: int, den: int) -> tuple:
+    # The sweep's dtypes and limbs, for n rows of `width` columns whose entries
+    # in group g are at most sizes[g], and top = n * max(sizes).
+    #   A count d sums n entries or fewer, so d <= top: n for (1,2), whose rows
+    #   are 0/1, and at most n^2 for (1,1,1), whose entries count y in Y.  A
+    #   threshold ceil(num*m / den), m <= top, is at most m as num <= den.  So
+    #   counts, table entries and thresholds fit the smallest unsigned dtype
+    #   holding top, and lo <= width and d_lo <= top * width the ones holding
+    #   those.  In a score den*P + c*R, |P| <= top * width and |R| <= width; in
+    #   limbs of `bits` bits, den_i*P + c_i*R is below 2^bits * width * (top + 1)
+    #   and a carry adds at most width * (top + 1) + 1, so with
+    #   2^bits * (width * (top + 1) + 1) < 2^62 every limb stays below 2^63.
+    bits = INT64_SAFE.bit_length() - 1 - (width * (top + 1) + 1).bit_length()
+    limbs = -(-max(den, num * top).bit_length() // bits)
+    return (*map(np.min_scalar_type, (top, width, top * width)), bits, limbs)
+
+
 # ---------------------------------------------------------------------------
 # the sweep kernel
 
 
-def _block_bits(width: int, dtype, low_bits: int) -> int:
-    """Inner bits b of a sweep: its 2^b x width table and scratch block fit BLOCK_BYTES."""
-    cost = OBJECT_ELEMENT_BYTES if dtype == object else np.dtype(dtype).itemsize
-    return min(low_bits, max(BLOCK_BYTES // (cost * max(width, 1)), 1).bit_length() - 1)
+def _block_bits(groups: int, width: int, dtype, low_bits: int) -> int:
+    """Inner bits b of a sweep: 2^b states, each with groups x width counts of
+    dtype and SCORE_BYTES a group, fit BLOCK_BYTES."""
+    cost = groups * (width * np.dtype(dtype).itemsize + SCORE_BYTES)
+    return min(low_bits, max(BLOCK_BYTES // cost, 1).bit_length() - 1)
 
 
-def _sweep(rows: np.ndarray, start: np.ndarray, mask: int, low_bits: int) -> tuple[int, int, int]:
+def _sweep(rows: np.ndarray, sizes, num: int, den: int, mask: int, low_bits: int) -> tuple:
     """Best score over the masks that agree with `mask` above its low bits.
 
-    Each rows[x] is (groups x width).  The low `low_bits` bits of mask must
-    be clear, and `start` is the sum of rows[x] over the bits x of mask.  A
-    state is a mask and a group g; with w the sum of its rows in g, it scores
-    (sum |w| + |sum w|) // 2, the larger support weight of w.  Returns (best
-    score, its mask, its group), ties toward the smallest (mask, group).
+    rows[x] is (groups x width) counts, at most sizes[g] in group g; the low
+    `low_bits` bits of mask must be clear.  A state is a mask X and a group g;
+    with d the sum of X's rows in g and c = num * m, m = |X| sizes[g], it
+    scores the larger support weight of w = den*d - c.  Returns (best score,
+    its mask, its group), ties toward the smallest (mask, group).
 
-    The low bits split into b inner bits, b from _block_bits, and the outer
-    bits above them.  Row j of `table`, for each of the 2^b inner masks j, is
-    the sum of rows[v] over the bits v of j, built by doubling:
-    table[2^v:2^(v+1)] = table[:2^v] + rows[v].  A Gray walk over the outer
-    bits keeps vec, the sum of the rows of the outer bits (`start`, updated
-    in place).  At each outer state, row j of table + vec is w for the mask
-    with inner bits j, so one vectorized pass scores the whole block in every
-    group; argmax takes the first maximum, so the smallest (inner mask,
-    group) wins, and a mask is met at one outer state only, so ties between
-    outer states compare masks alone.  A sweep with low_bits = 0 scores
-    `mask` alone.
+    No weight is formed: w < 0 exactly when d < ceil(c / den).  With D the sum
+    of d, lo the number of columns below that and d_lo their sum, and
+    s = [D >= ceil(c * width / den)], the score is
+    max(den*D - c * width, 0) + c*lo - den*d_lo = den*P + c*R, with
+    P = s*D - d_lo and R = lo - s * width; the ceilings and c are tables over m.
+
+    The low bits split into b inner bits, b from _block_bits, and outer bits.
+    table[:, j, g] sums rows[v, g] over the bits v of inner mask j, built by
+    doubling, as are D and m of j alone; (j, g) are the contiguous axes, so a
+    sum over the width adds whole rows.  A Gray walk over the outer bits keeps
+    vec, the counts of mask's outer bits; at each outer state one add, one
+    compare and two sums over the width give lo and d_lo of the whole block,
+    and den*P + c*R is held in carried int64 limbs (_count_bounds) whose
+    lexicographic maximum, first met at the smallest (inner mask, group), is
+    the block's best.  A mask is met at one outer state only, so ties between
+    outer states compare masks alone.
     """
-    vec = start
-    groups, width = vec.shape
-    inner = _block_bits(groups * width, vec.dtype, low_bits)
-    table = np.zeros((1 << inner, groups, width), dtype=vec.dtype)
+    n, groups, width = rows.shape
+    sizes = np.asarray(sizes, dtype=np.intp)
+    top = n * int(sizes.max())
+    count, lo_dtype, d_lo_dtype, bits, limbs = _count_bounds(n, width, top, num, den)
+    c = [num * m for m in range(top + 1)]
+    thr = np.array([-(-cm // den) for cm in c], dtype=count)
+    thr_width = np.array([-(-cm * width // den) for cm in c], dtype=np.int64)
+    c_limbs = np.array([[cm >> bits * i & (1 << bits) - 1 for cm in c] for i in range(limbs)])
+    den_limbs = [den >> bits * i & (1 << bits) - 1 for i in range(limbs)]
+
+    cols = rows.astype(count, copy=False).transpose(0, 2, 1)[:, :, None]  # (width, 1, groups)
+    inner = _block_bits(groups, width, count, low_bits)
+    table = np.zeros((width, 1 << inner, groups), dtype=count)
+    sums = np.zeros((2, 1 << inner, groups), dtype=np.int64)  # D and m of each inner mask
+    steps = np.stack([rows.sum(axis=2, dtype=np.int64), np.broadcast_to(sizes, (n, groups))], 1)
     for v in range(inner):
-        np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
-    table_sums = table.sum(axis=2)
-    buf = np.empty_like(table)
+        np.add(table[:, : 1 << v], cols[v], out=table[:, 1 << v : 2 << v])
+        np.add(sums[:, : 1 << v], steps[v, :, None], out=sums[:, 1 << v : 2 << v])
+    table_sums, m_inner = sums
+    vec = cols[list(mask_vertices(mask))].sum(axis=0, dtype=count)
+    buf, low = np.empty_like(table), np.empty(table.shape, dtype=bool)
+    lo, d_lo = np.empty(m_inner.shape, lo_dtype), np.empty(m_inner.shape, d_lo_dtype)
     best, best_mask, best_group = -1, mask, 0
     for i in range(1 << (low_bits - inner)):
         if i:
             x = inner + (i & -i).bit_length() - 1
             mask ^= 1 << x
-            (np.add if mask >> x & 1 else np.subtract)(vec, rows[x], out=vec)
+            (np.add if mask >> x & 1 else np.subtract)(vec, cols[x], out=vec)
+        m = m_inner + mask.bit_count() * sizes
         np.add(table, vec, out=buf)
-        np.abs(buf, out=buf)
-        scores = buf.sum(axis=2)
-        scores += np.abs(table_sums + vec.sum(axis=1))
-        j, g = divmod(int(scores.argmax()), groups)
-        score = int(scores[j, g]) // 2
+        np.less(buf, thr[m], out=low)
+        np.add.reduce(low.view(np.uint8), axis=0, dtype=lo_dtype, out=lo)
+        np.multiply(buf, low, out=buf)
+        np.add.reduce(buf, axis=0, dtype=d_lo_dtype, out=d_lo)
+        D = table_sums + vec.sum(axis=0, dtype=np.int64)
+        s = D >= thr_width[m]
+        P, R = D * s - d_lo, lo - width * s
+        t = [den_limbs[i] * P + c_limbs[i][m] * R for i in range(limbs)]
+        for i in range(limbs - 1):
+            t[i + 1] += t[i] >> bits
+            t[i] &= (1 << bits) - 1
+        score, hit = 0, True
+        for part in reversed(t):
+            high = int(part[hit].max())
+            score, hit = (score << bits) + high, hit & (part == high)
+        j, g = divmod(int(hit.argmax()), groups)
         if score > best or (score == best and mask | j < best_mask):
             best, best_mask, best_group = score, mask | j, g
     return best, best_mask, best_group
 
 
-def _sweep_task(rows_of, args: tuple, ymask: int, xmask: int, low_bits: int) -> tuple:
+def _sweep_task(rows_of, args: tuple, num: int, den: int, ymask: int, xmask: int,
+                low_bits: int) -> tuple:
     """(-score, xmask, ymask) of the best state of the Y block ymask, whose rows
-    are rows_of(*args, ymask), and the X that match xmask's top bits."""
-    rows = rows_of(*args, ymask)
-    start = rows[list(mask_vertices(xmask))].sum(axis=0)
-    score, xmask, group = _sweep(rows, start, xmask, low_bits)
+    and sizes are rows_of(*args, ymask), and the X that match xmask's top bits."""
+    rows, sizes = rows_of(*args, ymask)
+    score, xmask, group = _sweep(rows, sizes, num, den, xmask, low_bits)
     return -score, xmask, ymask | group
 
 
-def _exact_best(rows_of, args: tuple, n: int, yblocks: Iterable[int], threads: int) -> tuple:
+def _exact_best(rows_of, args: tuple, num: int, den: int, n: int, yblocks: Iterable[int],
+                threads: int) -> tuple:
     """The least _sweep_task result over the Y blocks and the values of enough top
     bits of X for a task a worker, run in min(threads, os.cpu_count()) processes."""
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
     low_bits = n - min((workers - 1).bit_length(), n)
-    task = functools.partial(_sweep_task, rows_of, args, low_bits=low_bits)
+    task = functools.partial(_sweep_task, rows_of, args, num, den, low_bits=low_bits)
     ys, xs = zip(*itertools.product(yblocks, range(0, 1 << n, 1 << low_bits)))
     if min(workers, len(xs)) == 1:
         return min(map(task, ys, xs))
@@ -225,6 +258,13 @@ def _exact_best(rows_of, args: tuple, n: int, yblocks: Iterable[int], threads: i
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=min(workers, len(xs)), mp_context=spawn) as pool:
         return min(pool.map(task, ys, xs))
+
+
+def _member(n: int, mask: int) -> np.ndarray:
+    """member[v]: whether vertex v < n lies in mask."""
+    member = np.zeros(n, dtype=bool)
+    member[list(mask_vertices(mask))] = True
+    return member
 
 
 def _best_support(w: np.ndarray) -> tuple[int, np.ndarray]:
@@ -236,31 +276,14 @@ def _best_support(w: np.ndarray) -> tuple[int, np.ndarray]:
     return abs(int(w[support].sum())), support
 
 
-def _report(
-    kind: str,
-    p: Fraction,
-    n: int,
-    best: int,
-    scaled: int,
-    witness: tuple,
-    mode: str,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> DiscrepancyReport:
+def _report(kind: str, p: Fraction, n: int, best: int, scaled: int, witness: tuple, mode: str,
+            trials: int | None = None, seed: int | None = None) -> DiscrepancyReport:
     """Report the sweep's best scaled deviation once its witness rechecks."""
     if scaled != best:
         raise DegexError("internal error: witness recomputation disagrees with the sweep")
     D = Fraction(best, p.denominator)
-    return DiscrepancyReport(
-        kind=kind,
-        p=p,
-        D=D,
-        eps_star=D / n**3 if n else Fraction(0),
-        witness=witness,
-        mode=mode,
-        trials=trials,
-        seed=seed,
-    )
+    eps_star = D / n**3 if n else Fraction(0)
+    return DiscrepancyReport(kind, p, D, eps_star, witness, mode, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +300,29 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
     """
     n = G.n
     X = mask_vertices(mask)
-    member = np.isin(np.arange(n), X)
+    member = _member(n, mask)
     a, b, c = G.edge_array.T.astype(np.intp)
     d = np.zeros(n * n, dtype=np.int64)
     for x, u, v in ((a, b, c), (b, a, c), (c, a, b)):
         inside = member[x]
         d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
-    v, u = np.tril_indices(n, -1)
+    v, u = np.nonzero(np.tri(n, k=-1, dtype=bool))
     w = d[u * n + v].astype(_weight_dtype(n, num, den)) * den - num * len(X)
     scaled, indexes = _best_support(w)
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
 
 
-def _rows_12(n: int, ends: np.ndarray, num: int, den: int, dtype, ymask: int) -> tuple:
-    """The (1,2) rows, of one group; there is no Y (ymask = 0).  Row x is den
-    at the pairs uv of its link incidences (x, uv), less num."""
+def _rows_12(n: int, ends: np.ndarray, ymask: int) -> tuple:
+    """The (1,2) rows and sizes, of one group of size 1; there is no Y
+    (ymask = 0).  Row x is 1 at the pairs uv of its link incidences (x, uv)."""
     links = Links(n, ends)
-    rows = np.full((n, 1, binom(n, 2)), -num, dtype=dtype)
-    rows[links.verts, 0, links.ranks()] += den
-    return rows
+    rows = np.zeros((n, 1, binom(n, 2)), dtype=np.uint8)
+    rows[links.verts, 0, links.ranks()] = 1
+    return rows, [1]
 
 
-def deviation_12_exact(
-    G: Hypergraph,
-    p,
-    exact_limit: int | None = None,
-    threads: int = 1,
-) -> DiscrepancyReport:
+def deviation_12_exact(G: Hypergraph, p, exact_limit: int | None = None,
+                       threads: int = 1) -> DiscrepancyReport:
     """Exact maximum (1,2) deviation over all (X, P), with a witness.
 
     The 2^n loop over X refuses above `exact_limit` vertices (default 22);
@@ -321,8 +340,7 @@ def deviation_12_exact(
         )
     num, den = p.numerator, p.denominator
     n = G.n
-    args = (n, G.edge_array.T, num, den, _weight_dtype(n, num, den))
-    best, best_mask, _ = _exact_best(_rows_12, args, n, [0], threads)
+    best, best_mask, _ = _exact_best(_rows_12, (n, G.edge_array.T), num, den, n, [0], threads)
     scaled, X, P = _witness_12(G, best_mask, num, den)
     return _report("12", p, n, -best, scaled, (X, P), "exact")
 
@@ -384,12 +402,7 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
     return (np.maximum(w_sum, 0) + num * k * below - den * below_sum).tolist()
 
 
-def deviation_12_sampled(
-    G: Hypergraph,
-    p,
-    trials: int,
-    seed: int,
-) -> DiscrepancyReport:
+def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> DiscrepancyReport:
     """Lower-bound the (1,2) deviation by sampling X uniformly.
 
     Trial t draws mask = Random(seed).getrandbits(n) (one draw per trial, in
@@ -427,31 +440,28 @@ def deviation_12_sampled(
 def _e111_vector(G: Hypergraph, xmask: int, ymask: int) -> np.ndarray:
     """e_{XY}(z) for every z: ordered pairs (x, y) in X times Y with xyz an
     edge, one np.bincount for each of the six orders of the edge columns."""
-    inx, iny = (np.isin(np.arange(G.n), mask_vertices(mask)) for mask in (xmask, ymask))
+    inx, iny = _member(G.n, xmask), _member(G.n, ymask)
     orders = itertools.permutations(G.edge_array.T.astype(np.intp))
     return sum(np.bincount(z[inx[x] & iny[y]], minlength=G.n) for x, y, z in orders)
 
 
-def _rows_111(n: int, ends: np.ndarray, num: int, den: int, dtype, group_bits: int, ymask: int):
-    """The (1,1,1) rows over X of the Y block ymask: in group j, Y = ymask | j,
-    row x is den * #{y in Y : xyz an edge} - num * |Y| for each z.  The
-    groups are built by doubling over Y's low vertices."""
-    R = np.zeros((n, n, n), dtype=dtype)  # den at (x, y, z) when xyz is an edge
-    R[tuple(map(np.concatenate, zip(*itertools.permutations(ends))))] = den
-    rows = np.empty((n, 1 << group_bits, n), dtype=dtype)
-    rows[:, 0] = R[:, list(mask_vertices(ymask))].sum(axis=1)
+def _rows_111(n: int, ends: np.ndarray, group_bits: int, ymask: int) -> tuple:
+    """The (1,1,1) rows and sizes over X of the Y block ymask: group j is
+    Y = ymask | j, of size |Y|, and row x counts y in Y with xyz an edge, for
+    each z.  The groups are built by doubling over Y's low vertices."""
+    R = np.zeros((n, n, n), dtype=np.min_scalar_type(n))  # 1 at (x, y, z) when xyz is an edge
+    R[tuple(map(np.concatenate, zip(*itertools.permutations(ends))))] = 1
+    rows = np.empty((n, 1 << group_bits, n), dtype=R.dtype)
+    rows[:, 0] = R[:, list(mask_vertices(ymask))].sum(axis=1, dtype=R.dtype)
+    sizes = np.full(1 << group_bits, ymask.bit_count())
     for v in range(group_bits):
         np.add(rows[:, : 1 << v], R[:, v, None], out=rows[:, 1 << v : 2 << v])
-    rows -= np.array([[num * (ymask | j).bit_count()] for j in range(1 << group_bits)], dtype)
-    return rows
+        np.add(sizes[: 1 << v], 1, out=sizes[1 << v : 2 << v])
+    return rows, sizes
 
 
-def deviation_111_exact(
-    G: Hypergraph,
-    p,
-    exact_limit: int | None = None,
-    threads: int = 1,
-) -> DiscrepancyReport:
+def deviation_111_exact(G: Hypergraph, p, exact_limit: int | None = None,
+                        threads: int = 1) -> DiscrepancyReport:
     """Exact maximum (1,1,1) deviation over all (X, Y, Z), with a witness.
 
     For each block of Y by its top bits, one grouped sweep over X scores the
@@ -469,16 +479,15 @@ def deviation_111_exact(
         )
     num, den = p.numerator, p.denominator
     n = G.n
-    dtype = _weight_dtype(n, num, den)
-    # a row within BLOCK_BYTES / 16 leaves the sweep of a block 4 or more inner bits
-    group_bits = _block_bits(16 * n, dtype, n)
-    args = (n, G.edge_array.T, num, den, dtype, group_bits)
+    # groups and inner states cost alike: a block of Y leaves its sweep 4 or more inner bits
+    group_bits = _block_bits(16, n, np.min_scalar_type(n * n), n)
     yblocks = range(0, 1 << n, 1 << group_bits)
-    best, best_x, best_y = _exact_best(_rows_111, args, n, yblocks, threads)
+    best, best_x, best_y = _exact_best(_rows_111, (n, G.edge_array.T, group_bits), num, den, n,
+                                       yblocks, threads)
 
     # witness: recompute the winning (X, Y) directly and pick the Z support
     c = num * best_x.bit_count() * best_y.bit_count()
-    e = np.array(_e111_vector(G, best_x, best_y), dtype=dtype)
+    e = np.array(_e111_vector(G, best_x, best_y), dtype=_weight_dtype(n, num, den))
     scaled, Z = _best_support(e * den - c)
     witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z.tolist()))
     return _report("111", p, n, -best, scaled, witness, "exact")
@@ -502,12 +511,8 @@ class QrImplicationVerdict:
     discrepancy: DiscrepancyReport
 
 
-def check_qr_codegree_implication(
-    G: Hypergraph,
-    p,
-    exact_limit: int | None = None,
-    threads: int = 1,
-) -> QrImplicationVerdict:
+def check_qr_codegree_implication(G: Hypergraph, p, exact_limit: int | None = None,
+                                  threads: int = 1) -> QrImplicationVerdict:
     """Verify the quasirandomness-to-codegree implication at eps* = D / n^3.
 
     The comparison is exact: lhs >= (p - 4 sqrt(eps*)) n is decided by
@@ -529,13 +534,4 @@ def check_qr_codegree_implication(
     rho = p * n - lhs
     passed = rho <= 0 or 16 * n * n * eps_star >= rho * rho
     bound = float(p) * n - 4 * n * float(eps_star) ** 0.5
-    return QrImplicationVerdict(
-        passed=passed,
-        p=p,
-        n=n,
-        eps_star=eps_star,
-        exceptions=exceptions,
-        min_degree_eps=lhs,
-        bound_float=bound,
-        discrepancy=report,
-    )
+    return QrImplicationVerdict(passed, p, n, eps_star, exceptions, lhs, bound, report)

@@ -532,6 +532,40 @@ class TestQr:
         )
         assert code == 2
 
+    def test_sampled_111_refused_before_the_input_is_read(self, capsys, tmp_path):
+        missing = tmp_path / "missing.hg"
+        code, out, err = run(
+            capsys, "qr", "--in", str(missing), "--kind", "111", "--p", "0", "--mode", "sampled"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: sampled mode is only available for --kind 12\n"
+
+    @pytest.mark.parametrize("flags, named, mode", [
+        (("--trials", "0", "--seed", "5"), "--trials", "sampled"),
+        (("--trials", "10"), "--trials", "sampled"),
+        (("--seed", "0"), "--seed", "sampled"),
+        (("--mode", "sampled", "--exact-limit", "2"), "--exact-limit", "exact"),
+        (("--mode", "sampled", "--threads", "2"), "--threads", "exact"),
+    ])
+    def test_options_of_the_other_mode_are_exit_2(self, capsys, tmp_path, flags, named, mode):
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))
+        for path in (g, tmp_path / "missing.hg"):  # refused before the input is read
+            code, out, err = run(capsys, "qr", "--kind", "12", "--p", "1/2", "--in", str(path), *flags)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {named} applies only to {mode} mode\n"
+
+    def test_sampled_defaults_apply_when_unset(self, capsys, tmp_path):
+        g = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))
+        flags = ("--kind", "12", "--p", "1/2", "--mode", "sampled")
+        _, implicit, _ = run(capsys, "qr", "--in", str(g), *flags)
+        _, explicit, _ = run(capsys, "qr", "--in", str(g), *flags, "--trials", "10000", "--seed", "0")
+        assert implicit == explicit
+        assert json.loads(implicit)["trials"] == 10000 and json.loads(implicit)["seed"] == 0
+
     def test_threads_rejected_in_sampled_mode(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
         run(capsys, "gen", "er", "--n", "6", "--r", "3", "--p", "1/2", "--seed", "3", "--out", str(g))

@@ -132,39 +132,42 @@ def reference_grouped_sweep(rows, step, start, mask, low_bits):
     return -score, mask, group
 
 
-def folded_sweep(rows, step, start, mask, low_bits):
-    """qr._sweep on the same states: each row less its group's step, so that
-    a set's rows sum to vec - step*k."""
-    step = step[:, None]
-    return qr._sweep(rows - step, start - step * mask.bit_count(), mask, low_bits)
+def oracle_sweep(rows, sizes, num, den, mask, low_bits):
+    """reference_grouped_sweep on the weights that qr._sweep scores from counts:
+    den * count, less step * k with step = num * sizes[g] in group g."""
+    weights = rows.astype(object) * den
+    start = np.zeros(weights.shape[1:], dtype=object)
+    for x in mask_vertices(mask):
+        start += weights[x]
+    step = np.array([num * int(s) for s in sizes], dtype=object)
+    return reference_grouped_sweep(weights, step, start, mask, low_bits)
 
 
 def gray_tie_sweep():
-    """Two groups of 2500-wide rows, so a sweep of 5 bits has 2 inner bits
-    and outer bits 2 to 4, walked 0, {2}, {2,3}, {3}, {3,4}, {2,3,4}, {2,4},
-    {4}.  Group 0 scores 2500 only on {3,4} and group 1 on every mask with 4,
-    so {3,4} ties across the groups, and the walk meets it and {2,4} before
-    the smallest winner, ({4}, group 1)."""
-    rows = np.zeros((5, 2, 2500), dtype=np.int64)
-    rows[3, 0, :1250] = rows[4, 0, 1250:] = rows[4, 1] = 1
-    return rows, np.array([0, 0]), np.zeros((2, 2500), dtype=np.int64), 0, 5
+    """Two groups of 8-wide 0/1 rows at p = 0, with a block budget that gives
+    a sweep of 5 bits 2 inner bits and outer bits 2 to 4, walked 0, {2},
+    {2,3}, {3}, {3,4}, {2,3,4}, {2,4}, {4}.  Group 0 scores 8 only on {3,4}
+    and group 1 on every mask with 4, so {3,4} ties across the groups, and
+    the walk meets it and {2,4} before the smallest winner, ({4}, group 1)."""
+    rows = np.zeros((5, 2, 8), dtype=np.uint8)
+    rows[3, 0, :4] = rows[4, 0, 4:] = rows[4, 1] = 1
+    return rows, [1, 1], Fraction(0), 0, 5, 2 * (8 + qr.SCORE_BYTES) << 2
 
 
 def reference_sampled_scores(G, masks, num, den):
     """The per-trial path that qr._sampled_scores replaces: each trial counts
     den * d_X over every pair from the link incidences (x, uv) and scores it
-    with a sweep of zero bits."""
-    dtype = qr._weight_dtype(G.n, num, den)
+    with a reference sweep of zero bits."""
     # each edge a < b < c gives x the pair uv, u < v, of colex rank C(v, 2) + u
     a, b, c = G.edge_array.T.astype(np.intp)
     verts = np.concatenate([a, b, c])
     ranks = np.concatenate([c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a])
-    no_rows = np.zeros((0, 1, binom(G.n, 2)), dtype=dtype)
     scores = []
     for mask in masks:
         inside = np.isin(verts, mask_vertices(mask))
-        d = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(dtype)
-        scores.append(qr._sweep(no_rows, d[None] * den - num * mask.bit_count(), mask, 0)[0])
+        d = np.bincount(ranks[inside], minlength=binom(G.n, 2))
+        d = d.astype(qr._weight_dtype(G.n, num, den))
+        scores.append(reference_sweep(None, num, d * den, mask, 0)[0])
     return scores
 
 
@@ -192,7 +195,7 @@ def reference_witness_12(G, mask, num, den):
 
 
 def ksubsets_witness_12(G, mask, num, den):
-    """qr._witness_12 with its pairs listed by ksubsets, not np.tril_indices."""
+    """qr._witness_12 with its pairs listed by ksubsets, not by np.tri."""
     n = G.n
     X = mask_vertices(mask)
     member = np.zeros(n, dtype=bool)
@@ -209,12 +212,21 @@ def ksubsets_witness_12(G, mask, num, den):
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
 
 
-# small fractions run on int64; denominators near 2^60 take the object dtype
+def fractions_over(dens):
+    return dens.flatmap(lambda den: st.integers(0, den).map(lambda num: Fraction(num, den)))
+
+
+# small fractions fit int64 weights; denominators near 2^60 need Python ints
 PROBABILITIES = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=12),
-    st.integers(2**60 - 2**20, 2**60 + 2**20).flatmap(
-        lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
-    ),
+    fractions_over(st.integers(2**60 - 2**20, 2**60 + 2**20)),
+)
+# the sweep holds one int64 limb for small fractions and two or more for the
+# benchmark's 2^55 denominators and for 2^60 to 2^64
+SWEEP_PROBABILITIES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    fractions_over(st.integers(0, 2**20).map(lambda r: 2**55 + 2 * r + 1)),
+    fractions_over(st.integers(2**60, 2**64)),
 )
 
 
@@ -280,10 +292,14 @@ class TestDeviation12Exact:
             X, P = report.witness
             assert abs(e12(G, X, P) - p * len(X) * len(P)) == report.D
 
-    def test_huge_denominator_falls_back_exactly(self):
+    def test_huge_denominator_is_exact_on_limbs(self):
+        # no other path: den past int64 splits the sweep's scores into limbs
         G = erdos_renyi(5, 3, Fraction(1, 2), seed=3)
-        p = Fraction(10**20 + 1, 3 * 10**20)  # forces the object-dtype path
+        p = Fraction(10**20 + 1, 3 * 10**20)
+        assert qr._count_bounds(5, 10, 5, p.numerator, p.denominator)[4] == 2
         assert deviation_12_exact(G, p).D == brute_dev12(G, p)
+        H = erdos_renyi(4, 3, Fraction(1, 2), seed=3)
+        assert deviation_111_exact(H, p).D == brute_dev111(H, p)
         # den alone overflows int64; with n = 1 this used to raise OverflowError
         for n in (0, 1, 2):
             H = build(n, 3, [])
@@ -518,7 +534,7 @@ class TestSampledScorer:
 
     def test_witness_pairs_are_listed_in_colex_order(self):
         for n in range(71):
-            v, u = np.tril_indices(n, -1)
+            v, u = np.nonzero(np.tri(n, k=-1, dtype=bool))
             assert list(zip(u.tolist(), v.tolist())) == list(ksubsets(n, 2))
 
     def test_witness_matches_the_ksubsets_listing(self):
@@ -652,71 +668,108 @@ class TestSweepKernel:
     @staticmethod
     @st.composite
     def sweeps(draw, groups):
-        """Kernel inputs: rows, step, start, mask, low_bits, with `groups` drawn
-        from its strategy."""
-        dtype = draw(st.sampled_from([np.int64, object]))
+        """Kernel inputs: count rows, sizes, p, mask, low_bits and a block
+        budget, with `groups` drawn from its strategy.  Entries of group g are
+        at most sizes[g], as the kernel requires."""
         g = draw(groups)
         n = draw(st.integers(0, 8))
         low_bits = draw(st.integers(0, n))
-        # wide rows leave outer Gray bits above the block; {-1, 0, 1} and
-        # all-zero rows are heavy with ties, within and across groups
-        widths = [0, 1, 5, 40, 700] + ([5000 // g] if dtype is np.int64 else [])
-        width = draw(st.sampled_from(widths))
-        spread = draw(st.sampled_from([0, 1, 3, 1000]))
-        scale = draw(st.sampled_from([1, 2**64])) if dtype is object else 1
+        width = draw(st.sampled_from([0, 1, 3, 40, 300]))
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-        rows = rng.integers(-spread, spread + 1, size=(n, g, width)).astype(dtype) * scale
+        # 0/1 rows of one size, as in (1,2), or counts up to each group's size,
+        # as in (1,1,1); all-zero and all-full rows are heavy with ties, within
+        # and across groups
+        sizes = draw(st.one_of(st.just([1] * g),
+                               st.lists(st.integers(0, 9), min_size=g, max_size=g)))
+        cap = np.array(sizes)[None, :, None]
+        fill = draw(st.sampled_from(["random", "sparse", "zero", "full"]))
+        rows = {
+            "random": lambda: rng.integers(0, cap + 1, size=(n, g, width)),
+            "sparse": lambda: cap * (rng.random((n, g, width)) < 0.1),
+            "zero": lambda: np.zeros((n, g, width)),
+            "full": lambda: np.broadcast_to(cap, (n, g, width)),
+        }[fill]().astype(np.uint8)
         rows[list(mask_vertices(draw(st.integers(0, 2**n - 1))))] = 0
-        steps = st.integers(0, spread * scale)
-        step = np.array(draw(st.one_of(st.lists(steps, min_size=g, max_size=g),
-                                       steps.map(lambda c: [c] * g))), dtype=dtype)
         mask = draw(st.integers(0, 2 ** (n - low_bits) - 1)) << low_bits
-        start = np.zeros((g, width), dtype=dtype)
-        for x in mask_vertices(mask):
-            start += rows[x]
-        return rows, step, start, mask, low_bits
+        # small budgets leave outer Gray bits above the block
+        block_bytes = draw(st.sampled_from([64, 512, 4096, qr.BLOCK_BYTES]))
+        return rows, sizes, draw(SWEEP_PROBABILITIES), mask, low_bits, block_bytes
+
+    @staticmethod
+    def check_sweep(rows, sizes, p, mask, low_bits, block_bytes):
+        num, den = p.numerator, p.denominator
+        with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
+            got = qr._sweep(rows, sizes, num, den, mask, low_bits)
+        assert got == oracle_sweep(rows, sizes, num, den, mask, low_bits)
+        return got
 
     @given(sweeps(st.just(1)))
-    # outer bits 2 and 3 over 5000-wide rows; only row 3 is nonzero, so the
-    # Gray walk reaches mask 0b1100 before the smaller tying mask 0b1000
-    @example((np.repeat(np.array([[[0]], [[0]], [[0]], [[1]]]), 5000, axis=2),
-              np.array([0]), np.zeros((1, 5000), dtype=np.int64), 0, 4))
+    # outer bits 2 and 3; only row 3 is nonzero, so the Gray walk reaches mask
+    # 0b1100 before the smaller tying mask 0b1000
+    @example((np.repeat(np.array([[[0]], [[0]], [[0]], [[1]]], dtype=np.uint8), 40, axis=2),
+              [1], Fraction(0), 0, 4, (40 + qr.SCORE_BYTES) << 2))
+    @example((np.ones((6, 1, 40), dtype=np.uint8), [1], Fraction(2**55 + 1, 3 * 2**55 + 7),
+              0, 6, 512))
     @settings(max_examples=150, deadline=None)
     def test_sweep_matches_reference_kernel(self, args):
-        rows, step, start, mask, low_bits = args
-        assert folded_sweep(rows, step, start, mask, low_bits) == (
-            *reference_sweep(rows[:, 0], step[0], start[0].copy(), mask, low_bits), 0
-        )
+        self.check_sweep(*args)
 
-    @given(sweeps(st.sampled_from([2, 3, 5, 8])))
+    @given(sweeps(st.integers(2, 8)))
     @example(gray_tie_sweep())
-    @example((np.ones((3, 2, 4), dtype=object) * 2**64, np.array([2**64, 2**64], dtype=object),
-              np.zeros((2, 4), dtype=object), 0, 3))
+    @example((np.full((3, 2, 4), 9, dtype=np.uint8), [9, 9], Fraction(2**64 - 1, 2**64), 0, 3, 64))
     @settings(max_examples=150, deadline=None)
     def test_grouped_sweep_matches_reference_per_group(self, args):
-        rows, step, start, mask, low_bits = args
-        assert folded_sweep(rows, step, start, mask, low_bits) == reference_grouped_sweep(
-            rows, step, start, mask, low_bits
-        )
+        self.check_sweep(*args)
 
     def test_grouped_sweep_ties_go_to_the_smallest_mask_then_group(self):
-        rows, step, start, mask, low_bits = gray_tie_sweep()
-        assert qr._block_bits(2 * 2500, np.int64, 5) == 2
-        assert qr._sweep(rows, start.copy(), mask, low_bits) == (2500, 0b10000, 1)
-        assert folded_sweep(rows, step, start, mask, low_bits) == (2500, 0b10000, 1)
+        rows, sizes, p, mask, low_bits, block_bytes = gray_tie_sweep()
+        with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
+            assert qr._block_bits(2, 8, np.uint8, 5) == 2
+        assert self.check_sweep(*gray_tie_sweep()) == (8, 0b10000, 1)
+
+    def test_narrow_dtypes_meet_the_oracle_at_their_bounds(self):
+        big = Fraction(2**55 + 1, 3 * 2**55 + 7)
+        # every column sums to n * size, 255 in uint8 and 256 in uint16
+        for n, size, dtype in ((5, 51, np.uint8), (4, 64, np.uint16)):
+            assert qr._count_bounds(n, 3, n * size, 1, 2)[0] == dtype
+            rows = np.full((n, 1, 3), size, dtype=np.uint8)
+            for p in (Fraction(0), Fraction(1, 2), Fraction(1), big):
+                self.check_sweep(rows, [size], p, 0, n, qr.BLOCK_BYTES)
+        # 300 columns of counts 124 below thresholds 125 k at p = 1: lo reaches
+        # 300 and d_lo 148800, past uint8 and 2^16
+        rows = np.full((4, 1, 300), 124, dtype=np.uint8)
+        assert qr._count_bounds(4, 300, 500, 1, 1)[:3] == (np.uint16, np.uint16, np.uint32)
+        for p in (Fraction(1), Fraction(2**64 - 1, 2**64)):
+            assert self.check_sweep(rows, [125], p, 0, 4, qr.BLOCK_BYTES)[1] == 0b1111
+
+    @pytest.mark.parametrize("deviation, n", [(deviation_12_exact, 14), (deviation_111_exact, 8)])
+    def test_big_int_p_stays_within_a_few_blocks(self, deviation, n):
+        # a block's table, its copy and its compare, and the int64 limbs of its
+        # scores: no array of Python ints at any p
+        G = erdos_renyi(n, 3, Fraction(1, 2), seed=14)
+        p = Fraction(2**55 + 1, 3 * 2**55 + 7)
+        tracemalloc.start()
+        try:
+            report = deviation(G, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.D > 0
+        assert peak < 4 * qr.BLOCK_BYTES
 
     def test_sweep_block_fills_its_byte_budget(self):
-        for dtype, cost in ((np.int64, 8), (object, qr.OBJECT_ELEMENT_BYTES)):
-            for width in (1, 5, 78, 120, 190, 700, 5000):
-                b = qr._block_bits(width, dtype, 64)
-                # the largest block in the budget; one row at least
-                assert b == 0 or cost * width << b <= qr.BLOCK_BYTES
-                assert qr.BLOCK_BYTES < cost * width << b + 1
-                assert qr._block_bits(width, dtype, 3) == min(b, 3)
-        # the widths drawn above leave outer Gray bits on both dtypes
-        assert qr._block_bits(5000, np.int64, 8) < 8
-        assert qr._block_bits(700, object, 8) < 8
-        assert qr._block_bits(10**6, np.int64, 0) == 0
+        for dtype in (np.uint8, np.uint16):
+            for groups, width in itertools.product((1, 3, 64), (0, 1, 5, 78, 120, 190, 700, 5000)):
+                b = qr._block_bits(groups, width, dtype, 64)
+                cost = groups * (width * np.dtype(dtype).itemsize + qr.SCORE_BYTES)
+                # the largest block in the budget; one state at least
+                assert b == 0 or cost << b <= qr.BLOCK_BYTES
+                assert qr.BLOCK_BYTES < cost << b + 1
+                assert qr._block_bits(groups, width, dtype, 3) == min(b, 3)
+        # (1,2) at n = 16 and (1,1,1) at n = 16 (uint16 counts) have outer Gray bits
+        assert qr._block_bits(1, 120, np.uint8, 16) < 16
+        assert qr._count_bounds(16, 16, 16 * 16, 1, 2)[0] == np.uint16
+        assert qr._block_bits(1, 10**6, np.uint8, 0) == 0
 
     def test_111_witness_is_smallest_mask_pair(self):
         # graphs where the first maximum in Gray order over X is not the
@@ -758,7 +811,7 @@ class TestSweepKernel:
 
     def test_witness_agrees_with_scorer_at_60_vertices(self):
         # the scorer groups pairs by combinatorics.colex_order, the witness
-        # lists them with np.tril_indices: two derivations of colex order
+        # lists them off np.tri: two derivations of colex order
         G = erdos_renyi(60, 3, Fraction(1, 2), seed=3)
         p = Fraction(2, 5)
         num, den = p.numerator, p.denominator
