@@ -272,29 +272,12 @@ def mask_words(masks: Sequence[int], n: int) -> np.ndarray:
 
 
 def ksubsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of [0, n) in increasing colex rank.
-
-    Colex successor rule: find the smallest i with S[i] + 1 < S[i+1]
-    (taking S[k] = n), increment S[i] and reset S[0..i-1] to 0..i-1.
-    Yields exactly C(n, k) subsets.
-    """
+    """All k-subsets of [0, n) in increasing colex rank, C(n, k) of them,
+    read off colex_blocks a block at a time."""
     if k < 0 or n < 0:
         raise ValidationError(f"ksubsets requires k, n >= 0, got k={k}, n={n}")
-    if k > n:
-        return
-    S = list(range(k))
-    while True:
-        yield tuple(S)
-        if k == 0:
-            return
-        i = 0
-        while i + 1 < k and S[i] + 1 == S[i + 1]:
-            i += 1
-        if i == k - 1 and S[i] + 1 == n:
-            return
-        S[i] += 1
-        for j in range(i):
-            S[j] = j
+    for _, cols in colex_blocks(n, k, BLOCK_BYTES // 8):
+        yield from map(tuple, cols.T.tolist())
 
 
 def random_ksubset(n: int, k: int, rng: random.Random) -> tuple[int, ...]:

@@ -93,7 +93,8 @@ class PoorSetReport:
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(len(self.poor), self.total)
+        """The poor share of the C(n, l) subsets; 0 when there are none (n < l)."""
+        return Fraction(len(self.poor), self.total or 1)
 
     @property
     def fraction_float(self) -> float:

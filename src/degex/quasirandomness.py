@@ -25,9 +25,9 @@ n x C(n, 2) rows are built and memory stays O(|E| + trials) at any n.
 
 Everything is exact: p is a Fraction num/den, every score is an integer, den
 times a deviation, and results are returned as Fractions.  The sweep holds
-counts and int64 limbs of its scores for every p; the witnesses and the
-sampled scorer's last step hold den-scaled weights, as Python ints when they
-could overflow int64.
+counts and int64 limbs of its scores for every p.  The witnesses and the
+sampled scorer decide each weight's sign from its count in the same way, and
+form only their few sums of weights, as Python ints.
 """
 
 from __future__ import annotations
@@ -109,23 +109,6 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 
 # ---------------------------------------------------------------------------
 # integer bounds
-
-
-def _weight_dtype(n: int, num: int, den: int):
-    # The witnesses and the sampled scorer's last step hold den-scaled weights,
-    # each at most max(n, 1)^3 (num + den) in absolute value.
-    #   (1,2):   w = den*d_X(uv) - num*|X| with d_X(uv), |X| <= n, so
-    #            |w| <= n(num + den); over the C(n, 2) < n^2 pairs, sum |w|
-    #            and |sum w| stay under n^3 (num + den).
-    #   (1,1,1): w = den*e_XY(z) - num*|X||Y| with e_XY(z), |X||Y| <= n^2, so
-    #            |w| <= n^2 (num + den); over the n vertices z both sums
-    #            stay under n^3 (num + den).
-    # The sampled scorer's last step holds den * (sum of d_X), num*k*C(n, 2),
-    # num*k*lo and den*d_lo, each under n^3 (num + den) as lo <= C(n, 2) and
-    # d_lo <= n C(n, 2); a score adds at most two of them, below 2^63.
-    # This needs num >= 0, which holds because every entry point takes p
-    # through to_probability (0 <= p <= 1).
-    return np.int64 if max(n, 1) ** 3 * (num + den) < INT64_SAFE else object
 
 
 def _count_bounds(n: int, width: int, top: int, num: int, den: int) -> tuple:
@@ -267,13 +250,19 @@ def _member(n: int, mask: int) -> np.ndarray:
     return member
 
 
-def _best_support(w: np.ndarray) -> tuple[int, np.ndarray]:
-    """max(sum of positive w, -(sum of negative w)) and the indexes attaining it.
+def _best_support(d: np.ndarray, c: int, den: int) -> tuple[int, np.ndarray]:
+    """For the weights w = den*d - c of int64 counts d: max(sum of positive w,
+    -(sum of negative w)) and the indexes attaining it.
 
-    Ties prefer the positive support.
+    Ties prefer the positive support.  No weight is formed: w > 0 exactly when
+    d > c // den, w < 0 exactly when d < ceil(c / den), and a support S weighs
+    den * (sum of d over S) - c |S|, two Python ints.
     """
-    support = np.flatnonzero(w > 0 if w.sum() >= 0 else w < 0)
-    return abs(int(w[support].sum())), support
+    if den * int(d.sum()) >= c * len(d):
+        support = np.flatnonzero(d > c // den)
+    else:
+        support = np.flatnonzero(d < -(-c // den))
+    return abs(den * int(d[support].sum()) - c * len(support)), support
 
 
 def _report(kind: str, p: Fraction, n: int, best: int, scaled: int, witness: tuple, mode: str,
@@ -307,8 +296,7 @@ def _witness_12(G: Hypergraph, mask: int, num: int, den: int) -> tuple[int, tupl
         inside = member[x]
         d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
     v, u = np.nonzero(np.tri(n, k=-1, dtype=bool))
-    w = d[u * n + v].astype(_weight_dtype(n, num, den)) * den - num * len(X)
-    scaled, indexes = _best_support(w)
+    scaled, indexes = _best_support(d[u * n + v], num * len(X), den)
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
 
 
@@ -359,17 +347,18 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
     a time (Links.blocks): d_X(uv) = popcount(link(uv) & X) for a whole
     (trials x pairs) block in a few numpy passes, every array of a block
     within BLOCK_BYTES.  A pair in no edge has d_X = 0, so it adds to lo
-    exactly when num*k > 0.  The final sums run in the _weight_dtype choice.
+    exactly when num*k > 0.  The last step runs on Python ints, a trial at a
+    time.
     """
     n = G.n
     pairs = binom(n, 2)
     links = Links(n, G.edge_array.T)
     trials = len(masks)
     xwords = mask_words(masks, n)
-    k = np.fromiter((m.bit_count() for m in masks), np.int64, trials)
+    c = [num * m.bit_count() for m in masks]
     # ceil(num*k / den) <= k, in Python ints: w < 0 exactly when d_X < thr
     count_dtype = np.min_scalar_type(n)
-    thr = np.fromiter((-(-num * kt // den) for kt in k.tolist()), count_dtype, trials)
+    thr = np.fromiter((-(-ct // den) for ct in c), count_dtype, trials)
     total = np.zeros(trials, dtype=np.int64)
     below = np.zeros(trials, dtype=np.int64)
     below_sum = np.zeros(trials, dtype=np.int64)
@@ -396,10 +385,8 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
             below_sum[t0:t1] += (d * low).sum(axis=1, dtype=np.uint32)
     below += (pairs - linked) * (thr > 0)
 
-    dtype = _weight_dtype(n, num, den)
-    k, total, below, below_sum = (a.astype(dtype) for a in (k, total, below, below_sum))
-    w_sum = den * total - num * k * pairs
-    return (np.maximum(w_sum, 0) + num * k * below - den * below_sum).tolist()
+    sums = zip(c, total.tolist(), below.tolist(), below_sum.tolist())
+    return [max(den * t - ct * pairs, 0) + ct * lo - den * d_lo for ct, t, lo, d_lo in sums]
 
 
 def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> DiscrepancyReport:
@@ -487,8 +474,7 @@ def deviation_111_exact(G: Hypergraph, p, exact_limit: int | None = None,
 
     # witness: recompute the winning (X, Y) directly and pick the Z support
     c = num * best_x.bit_count() * best_y.bit_count()
-    e = np.array(_e111_vector(G, best_x, best_y), dtype=_weight_dtype(n, num, den))
-    scaled, Z = _best_support(e * den - c)
+    scaled, Z = _best_support(_e111_vector(G, best_x, best_y), c, den)
     witness = (mask_vertices(best_x), mask_vertices(best_y), tuple(Z.tolist()))
     return _report("111", p, n, -best, scaled, witness, "exact")
 

@@ -3,11 +3,15 @@ import io
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import degex.cli
 from degex.cli import build_parser, main
+from degex.combinatorics import BLOCK_BYTES
 from degex.degree import degree_of
 from degex.hypergraph import load, parse
 
@@ -687,3 +691,145 @@ class TestNonUtf8Input:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: text is not UTF-8: byte 0xff cannot be decoded\n"
+
+
+# flag values at the edges of their domains: 0, 1, negative and past range,
+# and rationals outside [0, 1]; None leaves an optional flag unset.  Values
+# inside the domain are listed twice, so that more runs get past validation.
+COUNTS = ["0", "1", "2", "3", "1", "2", "3", "-1", "9"]
+FRACTIONS = ["0", "1", "1/2", "1/3", "1/2", "1/3", "0.25", "-1/2", "3/2"]
+BUDGETS = [None, "0", "1", "-1", "5"]
+SEEDS = [None, "0", "-1", "7"]
+COMMANDS = {  # argv head, whether it reads --in, and each flag's values
+    ("gen", "er"): (False, {"--n": COUNTS + ["1000000000"], "--r": [None, *COUNTS],
+                            "--p": FRACTIONS, "--seed": SEEDS[1:]}),
+    ("gen", "complete"): (False, {"--n": COUNTS + ["1000000000"], "--r": [None, *COUNTS]}),
+    ("gen", "partition-del"): (True, {"--N": COUNTS}),
+    ("stats",): (True, {"--ell": COUNTS, "--eps": [None, *FRACTIONS], "--p": [None, *FRACTIONS],
+                        "--format": [None, "json", "csv"]}),
+    ("extract",): (True, {"--ell": COUNTS, "--m": COUNTS, "--p": FRACTIONS, "--delta": FRACTIONS,
+                          "--mode": [None, "random", "exhaustive"], "--budget": BUDGETS,
+                          "--seed": SEEDS, "--enum-budget": BUDGETS}),
+    ("audit",): (True, {"--which": ["eq3", "eq2", "bad-total"], "--ell": [None, *COUNTS],
+                        "--m": COUNTS, "--p": FRACTIONS, "--delta": [None, *FRACTIONS],
+                        "--subset": [None, "0,1", "2", "", "0,0", "-1,9"],
+                        "--enum-budget": BUDGETS}),
+    # --threads stays 1 or unset, so no process is started
+    ("qr", "--mode=exact"): (True, {"--kind": ["12", "111"], "--p": FRACTIONS,
+                                    "--exact-limit": [None, "0", "-1", "3", "30"],
+                                    "--threads": [None, "1"]}),
+    ("qr", "--mode=sampled"): (True, {"--kind": ["12", "111"], "--p": FRACTIONS,
+                                      "--trials": BUDGETS + ["100000000"], "--seed": SEEDS}),
+}
+
+
+@st.composite
+def hg_texts(draw):
+    """A small .hg text, valid or with one fault: its header, an edge's field
+    count, a vertex out of range, a repeated vertex or a byte that is not
+    UTF-8; or a valid one whose header claims 10^5 vertices, past the limits
+    of every table over pairs; or None, for a file that does not exist."""
+    r = draw(st.sampled_from([3, 3, 3, 2, 4]))
+    n = draw(st.sampled_from([0, 1, 2, *[3, 4, 5, 6, 7] * 2]))
+    subsets = list(itertools.combinations(range(n), r))
+    keep = draw(st.integers(0, 2 ** len(subsets) - 1))
+    lines = [f"{r} {n}", *(" ".join(map(str, e)) for i, e in enumerate(subsets) if keep >> i & 1)]
+    fault = draw(st.sampled_from(
+        [None] * 6 + ["huge"] * 2 + ["header", "fields", "vertex", "repeat", "byte", "missing"]))
+    if fault == "missing":
+        return None
+    if fault == "huge":
+        lines[0] = f"{r} 100000"
+    elif fault == "header":
+        lines[0] = draw(st.sampled_from(["", "3", "3 x", "0 5", "3 -1", "3 5 7"]))
+    elif fault == "fields":
+        lines.append(" ".join(map(str, range(r + draw(st.sampled_from([-1, 1]))))))
+    elif fault == "vertex":
+        lines.append(" ".join(map(str, [*range(r - 1), draw(st.sampled_from([n + r, -1]))])))
+    elif fault == "repeat":
+        lines.append(" ".join(["0"] * r))
+    text = ("\n".join(lines) + "\n").encode()
+    if fault == "byte":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand, each of its flags at a drawn value or unset, and its input."""
+    head = draw(st.sampled_from(sorted(COMMANDS)))
+    reads, flags = COMMANDS[head]
+    argv = list(head)
+    for flag, values in flags.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "=" keeps a leading "-" a value
+    # one run in eight fails in argparse: a flag missing, or a value it cannot convert
+    if len(argv) > len(head) and draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(len(head), len(argv) - 1))
+        flag = argv.pop(i).partition("=")[0]
+        garbled = draw(st.sampled_from([None, "x", "1/0", ""]))
+        if garbled is not None:
+            argv.append(f"{flag}={garbled}")
+    return argv, reads, draw(hg_texts()) if reads else None
+
+
+class TestExitContract:
+    """Every run exits 0, 2 or 3; a failed run writes one stderr line and no
+    stdout, a refusal (exit 3) comes before a large allocation, and a
+    successful run repeats byte for byte."""
+
+    @staticmethod
+    def call(argv, outputs):
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage error
+                assert exc.code == 2
+                code = "usage"
+        written = [path.read_bytes() if path.exists() else None for path in outputs]
+        return code, out.getvalue(), err.getvalue(), written
+
+    @given(invocations())
+    @example((["stats", "--ell=1", "--p=1/2"], True, b"3 0\n"))  # a poor share of no subsets
+    # one refusal of each limit kind: instance size, table size, pair count, enumeration
+    @example((["gen", "er", "--n=1000000000", "--p=1/2", "--seed=1"], False, None))
+    @example((["stats", "--ell=2"], True, b"3 100000\n0 1 2\n"))
+    @example((["qr", "--mode=sampled", "--kind=12", "--p=1/2"], True, b"3 100000\n0 1 2\n"))
+    @example((["audit", "--which=eq3", "--ell=1", "--m=3", "--p=1/2"], True, b"3 100000\n0 1 2\n"))
+    @settings(max_examples=250, deadline=None)
+    def test_exits_are_0_2_or_3_and_failures_write_one_line(self, tmp_path_factory, drawn):
+        argv, reads, text = drawn
+        base = tmp_path_factory.getbasetemp()
+        src, out = base / "contract.hg", base / "contract_out.hg"
+        outputs = [out, base / "contract_out.hg.partition.json"]
+        src.unlink(missing_ok=True)
+        if reads:
+            if text is not None:
+                src.write_bytes(text)
+            argv += ["--in", str(src)]
+        if argv[:2] == ["gen", "partition-del"]:
+            argv += ["--out", str(out)]
+        code, stdout, stderr, written = self.call(argv, outputs)
+        if code == "usage":
+            assert stdout == ""
+            assert stderr.startswith("usage: degex")
+            assert ": error: " in stderr.splitlines()[-1]
+        elif code:
+            assert code in (2, 3)
+            assert stdout == ""
+            assert stderr.endswith("\n") and stderr.count("\n") == 1
+            if code == 3:  # refused before anything of the size it refuses is allocated
+                tracemalloc.start()
+                try:
+                    assert self.call(argv, outputs)[0] == 3
+                    assert tracemalloc.get_traced_memory()[1] < 4 * BLOCK_BYTES
+                finally:
+                    tracemalloc.stop()
+        else:
+            assert stderr == ""
+            assert self.call(argv, outputs) == (code, stdout, stderr, written)

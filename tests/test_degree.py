@@ -258,6 +258,13 @@ class TestPoorSets:
         with pytest.raises(ValidationError):
             poor_sets(EXAMPLE, 2, Fraction(3, 2))
 
+    def test_no_subsets_is_no_poor_share(self):
+        # n < l leaves C(n, l) = 0 subsets, none of them poor
+        for n in (0, 1):
+            report = poor_sets(build(n, 3, []), 2, Fraction(1, 2))
+            assert (report.poor, report.total, report.fraction) == ((), 0, 0)
+            assert report.fraction_float == 0.0
+
     def test_exact_strict_classification(self):
         for seed in range(5):
             G = erdos_renyi(8, 3, "1/2", seed=500 + seed)

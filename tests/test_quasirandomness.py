@@ -165,8 +165,7 @@ def reference_sampled_scores(G, masks, num, den):
     scores = []
     for mask in masks:
         inside = np.isin(verts, mask_vertices(mask))
-        d = np.bincount(ranks[inside], minlength=binom(G.n, 2))
-        d = d.astype(qr._weight_dtype(G.n, num, den))
+        d = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(object)
         scores.append(reference_sweep(None, num, d * den, mask, 0)[0])
     return scores
 
@@ -207,9 +206,17 @@ def ksubsets_witness_12(G, mask, num, den):
         d += np.bincount(u[inside] * n + v[inside], minlength=n * n)
     pairs = np.fromiter(itertools.chain.from_iterable(ksubsets(n, 2)), np.intp, 2 * binom(n, 2))
     u, v = pairs.reshape(-1, 2).T
-    w = d[u * n + v].astype(qr._weight_dtype(n, num, den)) * den - num * len(X)
-    scaled, indexes = qr._best_support(w)
+    w = d[u * n + v].astype(object) * den - num * len(X)
+    scaled, indexes = reference_best_support(w)
     return scaled, X, tuple(zip(u[indexes].tolist(), v[indexes].tolist()))
+
+
+def reference_best_support(w):
+    """The weight rule that qr._best_support replaces, on den-scaled weights w
+    of object dtype: max(sum of positive w, -(sum of negative w)) and the
+    indexes attaining it, ties to the positive support."""
+    support = np.flatnonzero(w > 0 if w.sum() >= 0 else w < 0)
+    return abs(int(w[support].sum())), support
 
 
 def fractions_over(dens):
@@ -489,6 +496,8 @@ class TestSampledScorer:
     @example(sparse_graph(130, 300, 1), Fraction(1, 7), 30, 5, 64)
     @example(sparse_graph(130, 300, 2), Fraction(2**60 + 1, 2**61 + 3), 30, 5, 64)
     @example(complete(9, 3), Fraction(1), 30, 5, 64)
+    @example(erdos_renyi(20, 3, Fraction(1, 2), seed=4), Fraction(2**60 + 1, 3 * 2**60), 10, 2,
+             qr.BLOCK_BYTES)
     @settings(max_examples=120, deadline=None)
     def test_scores_match_the_per_trial_path(self, G, p, trials, seed, block_bytes):
         num, den = p.numerator, p.denominator
@@ -502,16 +511,6 @@ class TestSampledScorer:
         assert report.D == Fraction(best, den)
         smallest = min(m for m, score in zip(masks, expected) if score == best)
         assert report.witness[0] == mask_vertices(smallest)
-
-    def test_dtype_follows_the_weight_bound(self):
-        G = erdos_renyi(20, 3, Fraction(1, 2), seed=4)
-        masks = [random.Random(2).getrandbits(20) for _ in range(10)]
-        for p, dtype in ((Fraction(1, 3), np.int64), (Fraction(2**60 + 1, 3 * 2**60), object)):
-            num, den = p.numerator, p.denominator
-            assert qr._weight_dtype(G.n, num, den) is dtype
-            assert qr._sampled_scores(G, masks, num, den) == reference_sampled_scores(
-                G, masks, num, den
-            )
 
     def test_smallest_mask_wins_ties(self):
         # with no edges and p = 0 every score is 0; drawn masks repeat at n = 2
@@ -582,6 +581,58 @@ class TestSampledScorer:
             tracemalloc.stop()
         assert scores[:3] == reference_sampled_scores(G, masks[:3], 1, 1000)
         assert peak < 4 * qr.BLOCK_BYTES + 160 * len(edges) < 56000 * 16 * 8
+
+    def test_a_denominator_past_int64_costs_no_memory(self):
+        # n = 500 with 300 edges: the witness lists about 124000 pairs; weights
+        # past int64, one Python int for each of the C(n, 2) pairs, would raise
+        # the peak by a fifth, but counts decide every weight's sign
+        rng = random.Random(400)
+        G = build(500, 3, sorted({tuple(sorted(rng.sample(range(500), 3))) for _ in range(300)}))
+        peaks = []
+        for p in (Fraction(1, 3), Fraction(2**64 + 1, 3 * 2**64 + 1)):
+            tracemalloc.start()
+            try:
+                report = deviation_12_sampled(G, p, trials=20, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.D > 0
+        assert peaks[1] <= 1.05 * peaks[0]
+
+
+class TestBestSupport:
+    """qr._best_support, on counts, against the weight rule it replaces."""
+
+    @staticmethod
+    @st.composite
+    def supports(draw):
+        """int64 counts d, den and c in [0, den * max(d)]: random counts, all
+        equal ones, or ones whose weights den*d - c sum to 0, where the tie goes
+        to the positive support.  c also lands next to a multiple den*x of a
+        count, where floor and ceiling of c / den part."""
+        den = draw(st.one_of(st.integers(1, 12), st.integers(2**60, 2**66)))
+        d = draw(st.lists(st.integers(0, 2**40), max_size=40))
+        kind = draw(st.sampled_from(["random", "equal", "balanced"]))
+        if kind == "equal":
+            d = [draw(st.integers(0, 2**40))] * len(d)
+        if kind == "balanced" and d:
+            # w = den * (len(d) x - sum d) over the counts x of d
+            return np.array([x * len(d) for x in d], dtype=np.int64), den * sum(d), den
+        top = den * max(d, default=0)
+        near = [den * x + e for x in d for e in (-1, 0, 1)]
+        c = draw(st.one_of(st.integers(0, top), st.sampled_from(near or [0])))
+        return np.array(d, dtype=np.int64), min(max(c, 0), top), den
+
+    @given(supports())
+    @example((np.zeros(0, dtype=np.int64), 0, 1))
+    @example((np.array([3, 1, 2], dtype=np.int64), 2 * (2**64 + 1), 2**64 + 1))  # sum w = 0
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_weight_rule(self, args):
+        d, c, den = args
+        scaled, support = qr._best_support(d, c, den)
+        expected, indexes = reference_best_support(d.astype(object) * den - c)
+        assert scaled == expected
+        assert support.tolist() == indexes.tolist()
 
 
 class TestDeviation111Exact:
@@ -834,7 +885,7 @@ class TestSweepKernel:
             return scaled + 1, X, P
 
         monkeypatch.setattr(qr, "_witness_12", off_by_one)
-        monkeypatch.setattr(qr, "_e111_vector", lambda *a: [e + 1 for e in e111_vector(*a)])
+        monkeypatch.setattr(qr, "_e111_vector", lambda *a: e111_vector(*a) + 1)
         for run in (
             lambda: deviation_12_exact(G, p),
             lambda: deviation_12_sampled(G, p, trials=5, seed=0),
