@@ -229,14 +229,18 @@ class Links:
         verts, bits = self.verts[order], self.bits[order]
         starts = np.append(np.flatnonzero(first), len(verts))
         keys = np.take(self.sets, order[first], axis=1)
+        held, left = [], verts >> 6  # the words that hold an incidence
+        while len(left):
+            held.append(left.min())
+            left = left[left != held[-1]]
         for lo in range(0, keys.shape[1], rows):
             hi = min(lo + rows, keys.shape[1])
             run = slice(starts[lo], starts[hi])
-            words = np.empty((self.width, hi - lo), dtype=np.uint64)
-            for w, out in enumerate(words):
+            words = np.zeros((self.width, hi - lo), dtype=np.uint64)
+            for w in held:
                 # word w of link(T): the OR of the bits of T's run of vertices in that word
-                held = np.where(verts[run] >> 6 == w, bits[run], 0)
-                np.bitwise_or.reduceat(held, starts[lo:hi] - starts[lo], out=out)
+                part = np.where(verts[run] >> 6 == w, bits[run], 0)
+                np.bitwise_or.reduceat(part, starts[lo:hi] - starts[lo], out=words[w])
             yield keys[:, lo:hi], words
 
     def masks(self) -> dict[tuple[int, ...], int]:
@@ -244,9 +248,10 @@ class Links:
         out = {}
         for keys, words in self.blocks(max(len(self.verts), 1)):
             ints = [0] * words.shape[1]
-            for w, word in enumerate(words):
-                held = np.flatnonzero(word)
-                for g, x in zip(held.tolist(), word[held].tolist()):
+            # only the words that hold an incidence
+            for w in np.flatnonzero(words.any(axis=1)).tolist():
+                held = np.flatnonzero(words[w])
+                for g, x in zip(held.tolist(), words[w, held].tolist()):
                     ints[g] |= x << 64 * w
             out.update(zip(map(tuple, keys.T.tolist()), ints))
         return out

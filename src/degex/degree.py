@@ -19,12 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import binom, colex_blocks, tuple_ranks
-from .errors import LimitExceeded, ValidationError
+from .errors import ValidationError, refuse_above
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
-
-# Largest table degree_table builds: C(n, l) int64 entries, 80 MB at the limit.
-MAX_TABLE_ENTRIES = 10**7
 
 
 def least_rich_degree(p: Fraction, max_possible: int) -> int:
@@ -101,17 +98,6 @@ class PoorSetReport:
         return float(self.fraction)
 
 
-def check_table_size(n: int, ell: int) -> int:
-    """C(n, l), the size of a degree table; refused above MAX_TABLE_ENTRIES."""
-    size = binom(n, ell)
-    if size > MAX_TABLE_ENTRIES:
-        raise LimitExceeded(
-            f"the degree table over C({n}, {ell}) = {size} subsets exceeds the "
-            f"limit of {MAX_TABLE_ENTRIES} entries"
-        )
-    return size
-
-
 def edges_through(G: Hypergraph, S: Sequence[int]) -> np.ndarray:
     """Mask of the edges of G that contain the set S, over G.edge_array."""
     return np.isin(G.edge_array, S).sum(axis=1) == len(S)
@@ -135,11 +121,12 @@ def degree_table(G: Hypergraph, ell: int) -> DegreeTable:
     Column i of the edge array holds the i-th smallest vertex of every edge;
     each l-tuple of columns gives the colex ranks of one l-subset of every
     edge, and a bincount of those ranks adds them into the table.  Refuses a
-    table of more than MAX_TABLE_ENTRIES subsets before building anything.
+    table of more than MAX_ENTRIES subsets before building anything.
     """
     if not 1 <= ell < G.r:
         raise ValidationError(f"need 1 <= ell < r, got ell={ell}, r={G.r}")
-    size = check_table_size(G.n, ell)
+    size = binom(G.n, ell)
+    refuse_above(size, f"the degree table over C({G.n}, {ell})")
     ranks = tuple_ranks(G.edge_array.T, ell, G.n)
     counts = sum(np.bincount(rank, minlength=size) for _, rank in ranks)
     counts.flags.writeable = False

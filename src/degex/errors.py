@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one refusal check.
 
 The CLI maps these onto exit codes: ValidationError (and subclasses) exit 2,
-LimitExceeded exits 3, anything else exits 1.
+LimitExceeded exits 3, anything else exits 1.  Every size refusal goes
+through refuse_above before anything of that size is allocated: tables,
+generated subsets, sampled trials and link masks against MAX_ENTRIES, and
+enumerations and exact sweeps against the caller's budget or limit.
 """
+
+# Most entries any table, generator or trial batch may hold: 80 MB of int64.
+MAX_ENTRIES = 10**7
 
 
 class DegexError(Exception):
@@ -25,3 +31,10 @@ class FormatError(ValidationError):
 
 class LimitExceeded(DegexError):
     """An enumeration or exact-computation budget was exceeded."""
+
+
+def refuse_above(count: int, what: str, limit: int = MAX_ENTRIES, advice: str = "") -> None:
+    """Raise LimitExceeded when count, the size of what, is above limit."""
+    if count > limit:
+        tail = f"; {advice}" if advice else ""
+        raise LimitExceeded(f"{what} = {count} exceeds the limit of {limit}{tail}")

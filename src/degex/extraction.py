@@ -53,12 +53,13 @@ from .combinatorics import (
     vertex_words,
 )
 from . import degree
-from .degree import MAX_TABLE_ENTRIES, degree_of, min_degree
-from .errors import DegexError, LimitExceeded, ValidationError
+from .degree import degree_of, min_degree
+from .errors import DegexError, ValidationError, refuse_above
 from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
 DEFAULT_ENUM_BUDGET = 100_000_000
+_RAISE_BUDGET = "raise the budget to force it"
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +242,20 @@ def extract_random(
     failure the report carries the best subset seen (maximum achieved
     minimum l-degree, ties to the earliest attempt).  The reported degree is
     recomputed on the induced subgraph, never trusted from the search loop.
-    Attempts walking more than enum_budget (r-1)-subsets in all are refused.
+    Attempts walking more than enum_budget (r-1)-subsets in all are refused,
+    as are link masks of more than MAX_ENTRIES words, ceil(n / 64) for each
+    of the r |E| link incidences.
     """
     p, delta = _check_extract_args(G, ell, m, p, delta)
     if budget < 1:
         raise ValidationError(f"budget must be at least 1, got {budget}")
-    degree.check_table_size(m, ell)  # the recheck's min_degree(G[X], l)
+    # the recheck's min_degree(G[X], l)
+    refuse_above(binom(m, ell), f"the degree table over C({m}, {ell})")
     what = f"extract_random with {budget} attempts of C({m}, {G.r - 1})"
-    _check_enum_budget(budget * binom(m, G.r - 1), what, enum_budget)
+    refuse_above(budget * binom(m, G.r - 1), what, enum_budget, _RAISE_BUDGET)
+    width = -(-G.n // 64)
+    what = f"the link masks of {G.r} * {G.edge_count} incidences * {width} words"
+    refuse_above(G.r * G.edge_count * width, what)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     links = Links(G.n, G.edge_array.T).masks()
@@ -301,14 +308,9 @@ class _LinkWords:
     [0, n), t = r - 1, of the edges held as vertex columns ends (Links)."""
 
     def __init__(self, n: int, ends: np.ndarray):
-        links = Links(n, ends)
-        size = binom(n, links.t)
-        if size * links.width > MAX_TABLE_ENTRIES:
-            raise LimitExceeded(
-                f"the link table over C({n}, {links.t}) = {size} subsets of {links.width} "
-                f"words exceeds the limit of {MAX_TABLE_ENTRIES} words"
-            )
-        self.n, self.t, self.words = n, links.t, links.table()
+        t, width = len(ends) - 1, -(-n // 64)
+        refuse_above(binom(n, t) * width, f"the link table over C({n}, {t}) * {width} words")
+        self.n, self.t, self.words = n, t, Links(n, ends).table()
 
     def bad_counts(self, cols: np.ndarray, ell: int, thr: int, keep) -> np.ndarray:
         """For each row X of a block: the number of l-subsets S of X, with
@@ -371,14 +373,6 @@ class ExhaustiveExtraction:
         return len(self.good_ranks)
 
 
-def _check_enum_budget(count: int, what: str, budget: int) -> None:
-    if count > budget:
-        raise LimitExceeded(
-            f"{what} requires enumerating {count} subsets, above the budget "
-            f"of {budget}; raise the budget to force it"
-        )
-
-
 def extract_exhaustive(
     G: Hypergraph,
     ell: int,
@@ -393,7 +387,8 @@ def extract_exhaustive(
     a few BLOCK_BYTES besides the result.
     """
     p, delta = _check_extract_args(G, ell, m, p, delta)
-    _check_enum_budget(binom(G.n, m), f"extract_exhaustive with C({G.n}, {m})", enum_budget)
+    what = f"extract_exhaustive with C({G.n}, {m})"
+    refuse_above(binom(G.n, m), what, enum_budget, _RAISE_BUDGET)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     # X is good when (r - l) deg_X(S) >= (r - l) need for every l-subset S of X
@@ -444,7 +439,7 @@ def audit_eq3(
 ) -> AuditReport:
     """Poor-free m-subset count against the union bound (must always hold)."""
     p, _ = _check_extract_args(G, ell, m, p)
-    _check_enum_budget(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget)
+    refuse_above(binom(G.n, m), f"audit_eq3 with C({G.n}, {m})", enum_budget, _RAISE_BUDGET)
     # looked up at call time, so a wrapper records the build
     table = degree.degree_table(G, ell)
     poor = table.sets()[:, table.poor(p)]
@@ -533,9 +528,8 @@ def audit_eq2_phi(
             f"S={S} is poor (deg {deg} < {p * max_possible}); the bound only covers rich subsets"
         )
     if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
-        _check_enum_budget(
-            binom(G.n - ell, m - ell), f"audit_eq2_phi with C({G.n - ell}, {m - ell})", enum_budget
-        )
+        what = f"audit_eq2_phi with C({G.n - ell}, {m - ell})"
+        refuse_above(binom(G.n - ell, m - ell), what, enum_budget, _RAISE_BUDGET)
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
     lhs = _phi_count(G, S, m, boundary)
     total = binom(G.n - ell, m - ell)
@@ -570,12 +564,9 @@ def audit_bad_total(
     """Sum of phi_S over rich S against C(n, m)/2 (diagnostic, not asserted)."""
     p, delta = _check_extract_args(G, ell, m, p, delta)
     if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
-        _check_enum_budget(binom(G.n, m), f"audit_bad_total with C({G.n}, {m})", enum_budget)
-        _check_enum_budget(
-            binom(G.n, ell) * binom(G.n - ell, m - ell),
-            f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})",
-            enum_budget,
-        )
+        # the pass over the C(n, m) m-subsets X visits C(n, l) C(n - l, m - l) pairs S <= X
+        what = f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})"
+        refuse_above(binom(G.n, ell) * binom(G.n - ell, m - ell), what, enum_budget, _RAISE_BUDGET)
     # looked up at call time, so a wrapper records the build
     table = degree.degree_table(G, ell)
     rich = ~table.poor(p)

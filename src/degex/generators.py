@@ -3,7 +3,7 @@
 Seeding is documented and version-stable: erdos_renyi walks the r-subsets of
 [0, n) in colex order and draws one random.Random(seed).random() per subset,
 keeping the subset when the draw is strictly below p.  Both generators
-refuse more than MAX_SUBSETS r-subsets before drawing any.
+refuse more than MAX_ENTRIES r-subsets before drawing any.
 
 erdos_renyi takes those draws in blocks without calling random() itself.
 CPython's random() is (a * 2^26 + b) / 2^53, from two 32-bit Mersenne
@@ -25,30 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import BLOCK_BYTES, binom, colex_blocks
-from .errors import LimitExceeded, ValidationError
+from .errors import ValidationError, refuse_above
 from .hypergraph import Hypergraph
 from .rational import to_probability
 
-# Most r-subsets a generator walks: one draw or one edge each.
-MAX_SUBSETS = 10**7
 # r-subsets a block: one 64-bit draw each fits BLOCK_BYTES
 BLOCK_ROWS = BLOCK_BYTES // 8
-
-
-def _check_subsets(n: int, r: int) -> None:
-    count = binom(n, r)
-    if count > MAX_SUBSETS:
-        raise LimitExceeded(
-            f"generating over C({n}, {r}) = {count} subsets exceeds the limit of "
-            f"{MAX_SUBSETS} subsets"
-        )
 
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph K_n^(r) (empty when r > n)."""
     if r > n:
         return Hypergraph(n, r, ())
-    _check_subsets(n, r)
+    refuse_above(binom(n, r), f"generating over C({n}, {r})")
     blocks = [cols for _, cols in colex_blocks(n, r, BLOCK_ROWS)]
     return Hypergraph.from_rows(n, r, np.concatenate(blocks, axis=1).T)
 
@@ -58,7 +47,7 @@ def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
     p = to_probability(p)
     if r < 1:
         raise ValidationError(f"uniformity must be at least 1, got {r}")
-    _check_subsets(n, r)
+    refuse_above(binom(n, r), f"generating over C({n}, {r})")
     rng = random.Random(seed)
     cut = math.ceil(p * (1 << 53))  # a draw k / 2^53 is below p iff k < cut
     kept = []

@@ -45,8 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import BLOCK_BYTES, Links, binom, mask_vertices, mask_words
-from .degree import MAX_TABLE_ENTRIES, degree_table, kth_min_degree
-from .errors import DegexError, LimitExceeded, ValidationError
+from .degree import degree_table, kth_min_degree
+from .errors import DegexError, ValidationError, refuse_above
 from .hypergraph import Hypergraph
 from .rational import floor_sqrt_scaled, to_probability
 
@@ -321,11 +321,8 @@ def deviation_12_exact(G: Hypergraph, p, exact_limit: int | None = None,
     _require_3graph(G)
     p = to_probability(p)
     limit = DEFAULT_EXACT_LIMIT_12 if exact_limit is None else exact_limit
-    if G.n > limit:
-        raise LimitExceeded(
-            f"exact (1,2) deviation enumerates 2^{G.n} vertex sets, above the "
-            f"limit of n={limit}; use deviation_12_sampled or raise the limit"
-        )
+    refuse_above(G.n, "exact (1,2) deviation over 2^n vertex sets with n", limit,
+                 "use deviation_12_sampled or raise the limit")
     num, den = p.numerator, p.denominator
     n = G.n
     best, best_mask, _ = _exact_best(_rows_12, (n, G.edge_array.T), num, den, n, [0], threads)
@@ -396,7 +393,7 @@ def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> Discrepanc
     order), so the best-so-far is monotone in the trial count for a fixed
     seed.  The inner P is still exactly optimal, hence D <= the true maximum.
     Ties go to the smallest mask.  The witness lists the C(n, 2) pairs and a
-    trial takes ceil(n / 64) words, so more than MAX_TABLE_ENTRIES of either
+    trial takes ceil(n / 64) words, so more than MAX_ENTRIES of either
     are refused before anything is drawn.
     """
     _require_3graph(G)
@@ -406,11 +403,8 @@ def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> Discrepanc
     num, den = p.numerator, p.denominator
     n = G.n
     pairs, width = binom(n, 2), max(-(-n // 64), 1)
-    if max(pairs, trials * width) > MAX_TABLE_ENTRIES:
-        raise LimitExceeded(
-            f"sampled (1,2) scoring over C({n}, 2) = {pairs} pairs and {trials} trials "
-            f"of {width} words exceeds the limit of {MAX_TABLE_ENTRIES} entries"
-        )
+    refuse_above(pairs, f"sampled (1,2) scoring over C({n}, 2) pairs")
+    refuse_above(trials * width, f"sampled (1,2) scoring over {trials} trials * {width} words")
     rng = random.Random(seed)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
     scores = _sampled_scores(G, masks, num, den)
@@ -459,11 +453,8 @@ def deviation_111_exact(G: Hypergraph, p, exact_limit: int | None = None,
     _require_3graph(G)
     p = to_probability(p)
     limit = DEFAULT_EXACT_LIMIT_111 if exact_limit is None else exact_limit
-    if G.n > limit:
-        raise LimitExceeded(
-            f"exact (1,1,1) deviation enumerates 4^{G.n} set pairs, above the "
-            f"limit of n={limit}; raise the limit to force it"
-        )
+    refuse_above(G.n, "exact (1,1,1) deviation over 4^n set pairs with n", limit,
+                 "raise the limit to force it")
     num, den = p.numerator, p.denominator
     n = G.n
     # groups and inner states cost alike: a block of Y leaves its sweep 4 or more inner bits

@@ -2,6 +2,8 @@ import contextlib
 import io
 import itertools
 import json
+import math
+import pathlib
 import time
 import tracemalloc
 
@@ -317,6 +319,22 @@ class TestExtract:
             assert out == ""
             assert "--threads" in err
 
+    def test_random_link_masks_skip_empty_words(self, capsys, tmp_path):
+        # 156250 words a link, of which 2 edges fill a handful
+        path = tmp_path / "wide.hg"
+        path.write_text("3 10000000\n0 1 2\n5 9999990 9999999\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "extract", "--in", str(path), "--ell", "1", "--m", "3",
+            "--p", "1/2", "--delta", "1/2", "--budget", "20",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "success": False, "subset": [1619619, 4325282, 5892764],
+            "achieved_min_degree": 0, "threshold": 1, "attempts": 20, "seed": 0,
+        }
+
 
 class TestAudit:
     def test_eq3(self, capsys, example_file):
@@ -409,7 +427,9 @@ class TestAudit:
             assert code == expected
             if expected:
                 assert out == ""
-                assert "above the budget" in err and err.count("\n") == 1
+                count = {"eq2": math.comb(39, 29), "bad-total": 40 * math.comb(39, 29)}[which]
+                assert f"= {count} exceeds the limit of 100000000; raise the budget" in err
+                assert err.count("\n") == 1
             else:
                 assert err == ""
                 assert json.loads(out)["context"]["ell"] == ell
@@ -500,7 +520,8 @@ class TestQr:
         assert code == 3
         assert out == ""
         assert err.startswith("error: sampled (1,2) scoring") and err.count("\n") == 1
-        assert f"and {trials} trials of {-(-n // 64)} words exceeds" in err
+        w = -(-n // 64)
+        assert f"{trials} trials * {w} words = {trials * w} exceeds the limit of 10000000" in err
 
     def test_exact_limit_flag(self, capsys, tmp_path):
         g = tmp_path / "g.hg"
@@ -621,6 +642,82 @@ class TestQr:
         assert out == ""
         assert err.startswith("internal error: TypeError")
         assert err.count("\n") == 1
+
+
+# One refusal site each: (.hg text, or None for an er graph on 10 vertices,
+# argv, the count refused, and the flag that sets its limit, or None for the
+# fixed cap of 10^7 entries)
+REFUSALS = {
+    "degree-table": ("3 4473\n", ("stats", "--ell", "2"), math.comb(4473, 2), None),
+    "link-table": ("3 1086\n", ("extract", "--mode", "exhaustive", "--ell", "2", "--m", "2",
+                                "--p", "1/2", "--delta", "1/4"), math.comb(1086, 2) * 17, None),
+    "link-masks": ("3 106666688\n0 1 2\n3 4 5\n", ("extract", "--ell", "1", "--m", "3", "--p",
+                                                   "1/2", "--delta", "1/2"), 6 * 1666667, None),
+    "gen-er": (None, ("gen", "er", "--n", "393", "--r", "3", "--p", "1/2", "--seed", "1"),
+               math.comb(393, 3), None),
+    "gen-complete": (None, ("gen", "complete", "--n", "393", "--r", "3"), math.comb(393, 3), None),
+    "sampled-pairs": ("3 4473\n", ("qr", "--kind", "12", "--mode", "sampled", "--p", "1/2",
+                                   "--trials", "1"), math.comb(4473, 2), None),
+    "exhaustive": (None, ("extract", "--mode", "exhaustive", "--ell", "2", "--m", "4", "--p",
+                          "1/2", "--delta", "1/4"), math.comb(10, 4), "--enum-budget"),
+    "random": (None, ("extract", "--ell", "2", "--m", "4", "--p", "1/2", "--delta", "1/4",
+                      "--budget", "7"), 7 * math.comb(4, 2), "--enum-budget"),
+    "eq3": (None, ("audit", "--which", "eq3", "--ell", "2", "--m", "4", "--p", "1/2"),
+            math.comb(10, 4), "--enum-budget"),
+    "eq2": (None, ("audit", "--which", "eq2", "--subset", "0", "--m", "4", "--p", "0",
+                   "--delta", "1/4"), math.comb(9, 3), "--enum-budget"),
+    "bad-total": (None, ("audit", "--which", "bad-total", "--ell", "1", "--m", "4", "--p", "1/2",
+                         "--delta", "1/4"), 10 * math.comb(9, 3), "--enum-budget"),
+    "exact-12": (None, ("qr", "--kind", "12", "--p", "1/2"), 10, "--exact-limit"),
+    "exact-111": (None, ("qr", "--kind", "111", "--p", "1/2"), 10, "--exact-limit"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("text, argv, count, flag", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_one_past_the_limit_is_exit_3(self, capsys, tmp_path, text, argv, count, flag):
+        path = tmp_path / "g.hg"
+        if text is None:
+            run(capsys, "gen", "er", "--n", "10", "--r", "3", "--p", "1/2", "--seed", "1",
+                "--out", str(path))
+        else:
+            path.write_text(text)
+        reads = () if argv[0] == "gen" else ("--in", str(path))
+        limit = 10**7 if flag is None else count - 1
+        past = () if flag is None else (flag, str(limit))
+        code, out, err = run(capsys, *argv, *reads, *past)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"= {count} exceeds the limit of {limit}" in err
+        if flag is not None:  # the count itself is within the limit
+            code, out, err = run(capsys, *argv, *reads, flag, str(count))
+            assert (code, err) == (0, "")
+            assert json.loads(out)
+
+    @pytest.mark.parametrize("n", [2**40, 2**64 + 5])
+    @pytest.mark.parametrize("argv, what, count", [
+        # ceil(n / 64) words for each of the 6 link incidences of 2 edges
+        (("extract", "--ell", "1", "--m", "3", "--p", "1/2", "--delta", "1/2"),
+         "the link masks of 3 * 2 incidences", lambda n: 6 * -(-n // 64)),
+        # phi_S for S = {0} at m = 1 scores the one empty extension on the pair links
+        (("audit", "--which", "eq2", "--subset", "0", "--m", "1", "--p", "0", "--delta", "1/2"),
+         "the link table over C(", lambda n: (n - 1) * -(-(n - 1) // 64)),
+    ], ids=["extract-random", "eq2"])
+    def test_links_at_huge_n_are_exit_3(self, capsys, tmp_path, n, argv, what, count):
+        path = tmp_path / "wide.hg"
+        path.write_text(f"3 {n}\n0 1 2\n3 4 5\n")
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {what}")
+        assert f"= {count(n)} exceeds the limit of 10000000" in err
+        assert err.count("\n") == 1
+
+    def test_one_raise_site(self):
+        # every refusal goes through errors.refuse_above
+        sources = pathlib.Path(degex.cli.__file__).parent.glob("*.py")
+        assert sum(path.read_text().count("raise LimitExceeded") for path in sources) == 1
 
 
 class TestParserReuse:
