@@ -156,8 +156,9 @@ def colex_blocks(n: int, m: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
     the smallest unsigned dtype that holds n, and the block's colex ranks run
     from offset.  The m-subsets of [0, k) are those of [0, k - 1) followed by
     the (m-1)-subsets of [0, k - 1) plus k - 1; the walk unrolls that
-    recursion on a stack and splits a part until it fits the rows left, so
-    every block but the last has `rows` subsets.
+    recursion on a stack and splits only a part larger than `rows`; a part
+    that does not fit the rows left starts the next block, so every block has
+    at most `rows` subsets.
     """
     dtype = np.min_scalar_type(n)  # unsigned, and holds every vertex
     offset, filled, parts = 0, 0, []
@@ -165,16 +166,17 @@ def colex_blocks(n: int, m: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
     while stack:
         k, j, high = stack.pop()
         size = math.comb(k, j) if j >= 0 else 0
-        if size > rows - filled:
+        if size > rows:
             stack += [(k - 1, j - 1, (k - 1,) + high), (k - 1, j, high)]
             continue
+        if size > rows - filled:
+            yield offset, np.concatenate(parts, axis=1)
+            offset, filled, parts = offset + filled, 0, []
         if size:
             parts.append(_subset_columns(k, j, high, dtype))
             filled += size
-        if filled == rows or filled and not stack:
-            block, parts = np.concatenate(parts, axis=1), []
-            yield offset, block
-            offset, filled = offset + filled, 0
+    if filled:
+        yield offset, np.concatenate(parts, axis=1)
 
 
 def colex_order(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

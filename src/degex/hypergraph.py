@@ -16,9 +16,11 @@ rows (the generators, induced and parse) use the trusted from_rows.
 Canonical output sorts vertices within each edge and orders edges by colex
 rank.  UTF-8, LF line endings.
 
-parse reads edge lines of ASCII digits and whitespace in bulk with numpy.
-Any other text, and any text with an error, goes through the line parser,
-which reports the first bad line.
+load and parse read ASCII digit fields and whitespace in bulk with numpy, as
+bytes: one scan of the non-digit bytes finds every field and line end, and
+edges already in colex order, as dump writes them, are not sorted again.  Any
+other text, and any text with an error, goes through the line parser, which
+reports the first bad line.
 """
 
 from __future__ import annotations
@@ -145,60 +147,75 @@ def build(n: int, r: int, edge_list: Iterable[Iterable[int]]) -> Hypergraph:
 _BULK_DIGITS = 18
 
 
-def _parse_bulk(text: str) -> Hypergraph | None:
-    """Parse .hg text of ASCII digit fields in bulk; None where the line
+def _parse_bulk(data: bytes) -> Hypergraph | None:
+    """Parse .hg bytes of ASCII digit fields in bulk; None where the line
     parser must decide, for any other text and for every error.
 
     Holds only arrays of the text's size, whatever n the header names.
     """
+    if not data.endswith(b"\n"):  # so that a newline follows every field
+        data += b"\n"
     # the header: the first line that is neither blank nor a comment
     start = 0
     while True:
-        end = text.find("\n", start)
-        header = text[start:end if end >= 0 else len(text)].strip()
-        if header and not header.startswith("#"):
-            break
+        end = data.find(b"\n", start)
         if end < 0:
             return None
+        header = data[start:end].strip()
+        if header and not header.startswith(b"#"):
+            break
         start = end + 1
     fields = header.split()
-    if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+    if len(fields) != 2 or not (fields[0].isdigit() and fields[1].isdigit()):
         return None
-    r, n = int(fields[0]), int(fields[1])
-    body = text[end + 1:] if end >= 0 else ""
-    if not 1 <= r <= _MAX_ARITY or not body.isascii():
+    try:
+        r, n = int(fields[0]), int(fields[1])
+    except ValueError:  # past int()'s digit limit
         return None
-    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    digits = chars - np.uint8(48)  # below 10 exactly at the digits
-    is_digit, newline = digits < 10, chars == 10
-    # ASCII digits, and whitespace that splits fields (space, tab, CR) or lines
-    if not (is_digit | newline | (chars == 32) | (chars == 9) | (chars == 13)).all():
+    if not 1 <= r <= _MAX_ARITY:
         return None
-    bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-    starts, lengths = bounds[::2], bounds[1::2] - bounds[::2]
-    # the fields of each line number 0 (a blank line) or r
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), prepend=0, append=len(starts))
-    if not ((per_line == 0) | (per_line == r)).all():
+    chars = np.frombuffer(data, dtype=np.uint8, offset=end)  # from the header's newline
+    # byte p less 48, below 10 exactly at the digits, is digits[p + _BULK_DIGITS]:
+    # the zeros before it let the decode below index back past the first field
+    digits = np.zeros(_BULK_DIGITS + len(chars), dtype=np.uint8)
+    gaps = np.flatnonzero(np.subtract(chars, 48, out=digits[_BULK_DIGITS:]) >= 10)  # non-digits
+    space = chars[gaps]
+    newline = space == 10
+    if not (newline | (space == 32) | (space == 9) | (space == 13)).all():
         return None
-    longest = int(lengths.max()) if len(lengths) else 0
+    steps = np.diff(gaps)  # one more than the digits between two gaps
+    ends, breaks = gaps[1:], newline[1:]
+    if not (steps > 1).all():  # runs of gaps: a field ends at the first of each run
+        at = np.flatnonzero(steps > 1) + 1
+        ends, steps, breaks = gaps[at], steps[at - 1], np.logical_or.reduceat(newline, at)
+    # a newline after every r-th field, and only there
+    if len(ends) % r or np.count_nonzero(breaks) * r != len(ends) or not breaks[r - 1::r].all():
+        return None
+    if not len(ends):  # no edges: nothing to sort, however many columns
+        return Hypergraph.from_rows(n, r, np.zeros((0, r), np.min_scalar_type(n)))
+    longest = int(steps.max()) - 1
     if longest > _BULK_DIGITS:
         return None
-    values = np.zeros(len(starts), dtype=np.int64)
-    for i in range(longest):
-        digit = digits.take(starts + i, mode="clip")
-        values = np.where(lengths > i, values * 10 + digit, values)
-    cols = values.reshape(-1, r).T
-    if cols.size and int(cols.max()) >= n:
+    # each field from its end, a place a step, in a dtype that holds 10^longest
+    values = np.zeros(len(ends), dtype=np.min_scalar_type(10**longest))
+    for i in reversed(range(longest)):  # the digit of 10^i lies i + 1 bytes before the end
+        digit = digits[_BULK_DIGITS - 1 - i:].take(ends)
+        values = values * 10 + (np.where(steps > i + 1, digit, 0) if i else digit)
+    if int(values.max()) >= n:
         return None
-    cols = cols.astype(np.min_scalar_type(n), order="C")
-    if not len(starts):  # no edges: nothing to sort, however many columns
-        return Hypergraph.from_rows(n, r, cols.T)
+    cols = values.reshape(-1, r).T.astype(np.min_scalar_type(n), order="C")
     if (cols[1:] <= cols[:-1]).any():  # an edge out of order, or repeating a vertex
         cols.sort(axis=0)
         if (cols[1:] == cols[:-1]).any():
             return None
-    order, first = colex_order(cols)
-    return Hypergraph.from_rows(n, r, np.take(cols, order[first], axis=1).T)
+    # the edges rise strictly in colex order where the last column that differs rises
+    rising = cols[0, :-1] < cols[0, 1:]
+    for col in cols[1:]:
+        rising = (col[:-1] < col[1:]) | (col[:-1] == col[1:]) & rising
+    if not rising.all():
+        order, first = colex_order(cols)
+        cols = np.take(cols, order[first], axis=1)
+    return Hypergraph.from_rows(n, r, cols.T)
 
 
 def _parse_lines(text: str) -> Hypergraph:
@@ -241,7 +258,7 @@ def _parse_lines(text: str) -> Hypergraph:
 
 def parse(text: str) -> Hypergraph:
     """Parse .hg text. Raises FormatError with a line number on bad input."""
-    G = _parse_bulk(text)
+    G = _parse_bulk(text.encode("ascii")) if text.isascii() else None
     return G if G is not None else _parse_lines(text)
 
 
@@ -255,7 +272,12 @@ def load(path) -> Hypergraph:
     """Read a .hg file.  Lines may end in LF, CRLF or CR; text that is not
     UTF-8 raises FormatError with the line of the first bad byte."""
     with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    G = _parse_bulk(data) if data.isascii() else None
+    if G is not None:
+        return G
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -263,7 +285,7 @@ def load(path) -> Hypergraph:
             f"text is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded",
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
-    return parse(text)
+    return _parse_lines(text)
 
 
 def dump(G: Hypergraph, path, header_comment: str | None = None) -> None:

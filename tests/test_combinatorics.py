@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from degex.combinatorics import (
     Links,
     binom,
+    colex_blocks,
     colex_order,
     colex_rank,
     colex_unrank,
@@ -132,6 +133,19 @@ class TestColex:
                 for rank, S in enumerate(listed):
                     assert colex_rank(S).rank == rank
                     assert S == colex_unrank(rank, k, n)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 13, 64])
+    def test_blocks_hold_at_most_rows_and_run_on(self, rows):
+        for n in range(10):
+            for m in range(n + 2):
+                offset, listed = 0, []
+                for start, cols in colex_blocks(n, m, rows):
+                    assert start == offset and 0 < cols.shape[1] <= rows
+                    assert cols.dtype == np.min_scalar_type(n) and len(cols) == m
+                    offset += cols.shape[1]
+                    listed += map(tuple, cols.T.tolist())
+                expected = sorted(itertools.combinations(range(n), m), key=lambda S: S[::-1])
+                assert listed == expected == list(ksubsets(n, m))
 
 
 class TestTupleRanks:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degex.combinatorics import colex_rank
 from degex.errors import FormatError, ValidationError
 from degex.generators import complete, erdos_renyi
-from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, load, parse, serialize
+from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, dump, load, parse, serialize
 
 
 def brute_induced_edge_count(G, X):
@@ -204,6 +204,7 @@ FIELDS = st.one_of(
 )
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t"])
 ENDINGS = st.sampled_from(["\n", "\r\n"])
+MARGINS = st.sampled_from(["", "", "", " ", "\t", "  "])
 
 
 @st.composite
@@ -216,7 +217,7 @@ def hg_texts(draw):
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.integers(0, 19))
         if kind == 0:
-            lines.append(draw(st.sampled_from(["", "# c", " \t"])))
+            lines.append(draw(st.sampled_from(["", "# c", " \t", "  ", "\t"])))
             continue
         if kind < 16 and n >= r:  # an edge, its vertices in any order
             edge = draw(st.sets(st.integers(0, n - 1), min_size=r, max_size=r))
@@ -225,7 +226,8 @@ def hg_texts(draw):
             fields = draw(st.lists(st.integers(0, n), min_size=r, max_size=r))
         else:
             fields = draw(st.lists(FIELDS, min_size=max(r - 1, 0), max_size=r + 1))
-        lines.append(draw(SEPARATORS).join(map(str, fields)))
+        lead, trail = draw(MARGINS), draw(MARGINS)
+        lines.append(lead + draw(SEPARATORS).join(map(str, fields)) + trail)
     ending = draw(ENDINGS)
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
@@ -244,7 +246,7 @@ class TestBulkParse:
     def test_bulk_and_line_parsers_agree(self, text):
         expected = outcome(_parse_lines, text)
         assert outcome(parse, text) == expected
-        bulk = _parse_bulk(text)
+        bulk = _parse_bulk(text.encode())
         if bulk is not None:
             assert outcome(lambda _: bulk, text) == expected
 
@@ -256,13 +258,14 @@ class TestBulkParse:
         "3 5",
     ])
     def test_bulk_path_reads_plain_text(self, text):
-        assert _parse_bulk(text) is not None
+        assert _parse_bulk(text.encode()) is not None
         assert outcome(parse, text) == outcome(_parse_lines, text)
 
     @pytest.mark.parametrize("text", [
         "3 5\n0 1\n2 3 4 1\n",  # field counts that cancel out across lines
         "3 5\n0 1 2 3\n4 0\n",
         "3 5\n0 1 2 3 4 0\n",  # two edges on one line
+        "3 5\n0 1\n2\n",  # a line end after every r-th field, and one more
         "3 5\n0 1 1\n",
         "3 5\n0 1 5\n",
         "3 5\n0 1 2\n# c\n+3 1 2\n",
@@ -272,8 +275,28 @@ class TestBulkParse:
         "\n\n",
     ])
     def test_line_parser_decides_the_rest(self, text):
-        assert _parse_bulk(text) is None
+        assert _parse_bulk(text.encode()) is None
         assert outcome(parse, text) == outcome(_parse_lines, text)
+
+    def test_loose_whitespace_stays_on_the_bulk_path(self):
+        # doubled spaces, tabs, margins and blank lines: gaps of more than one byte
+        G = erdos_renyi(60, 3, "3/10", seed=5)
+        assert G.edge_count > 10**4
+        loose = ["  ", "\t", " \t "]
+        lines = [
+            loose[i % 3] * (i % 2) + loose[i % 3].join(map(str, e)) + " " * (i % 4) + "\n" * (1 + i % 5 // 4)
+            for i, e in enumerate(G.edges)
+        ]
+        text = f"{G.r} {G.n}\n\n" + "".join(lines)
+        bulk = _parse_bulk(text.encode())
+        assert bulk is not None
+        assert outcome(lambda _: bulk, text) == outcome(parse, serialize(G)) == outcome(_parse_lines, text)
+
+    def test_header_past_the_int_digit_limit_is_a_format_error(self):
+        text = "3 " + "1" * 5000 + "\n"
+        assert _parse_bulk(text.encode()) is None
+        with pytest.raises(FormatError, match="two integers"):
+            parse(text)
 
 
 class TestLoad:
@@ -294,6 +317,7 @@ class TestLoad:
         (b"3 5\n0 1 \xff\n", 2),
         (b"\xfe3 5\n", 1),
         (b"3 5\r\n0 1 2\r\n# caf\xe9\r\n", 3),
+        (b"# caf\xe9\n3 5\n0 1 2\n", 1),  # before a header and edges the bulk reader takes
     ])
     def test_non_utf8_is_format_error_at_its_line(self, tmp_path, data, line):
         path = tmp_path / "bad.hg"
@@ -301,3 +325,18 @@ class TestLoad:
         with pytest.raises(FormatError, match="not UTF-8") as exc:
             load(path)
         assert exc.value.line == line
+        bad = next(b for b in data if b >= 0x80)
+        assert str(exc.value) == f"line {line}: text is not UTF-8: byte 0x{bad:02x} cannot be decoded"
+
+    def test_peak_memory_is_a_few_bytes_per_input_byte(self, tmp_path):
+        path = tmp_path / "g.hg"
+        dump(erdos_renyi(60, 3, "3/10", seed=1), path)
+        size = path.stat().st_size
+        assert size > 80_000
+        tracemalloc.start()
+        try:
+            load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * size
