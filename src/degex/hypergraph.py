@@ -4,10 +4,10 @@ A Hypergraph keeps its edges in one read-only (E x r) integer array,
 `edge_array`: each row is an edge, its vertices strictly increasing, and the
 rows run in strictly increasing colex order.  Its dtype is the smallest
 unsigned type that holds n (object past 64 bits), so the array is sized by the
-edges alone.  `edges`, the same rows as tuples, and the frozenset behind
-has_edge, == and hash are built from the array on first use.  The public
-constructor validates every edge; producers that already emit canonical
-rows (the generators, induced and parse) use the trusted from_rows.
+edges alone, and == compares it.  `edges` and the frozenset behind has_edge
+are built from it on first use.  The constructor and both parsers check each
+edge with _canonical_edge and order the rows with _canonical_rows; producers
+of canonical rows (the generators and induced) use the trusted from_rows.
 
 .hg text format:
     line 1:             "<r> <n>"
@@ -26,7 +26,7 @@ reports the first bad line.
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,14 +37,35 @@ from .errors import FormatError, ValidationError
 
 
 def _canonical_edge(edge: Iterable[int], n: int, r: int) -> tuple[int, ...]:
-    e = tuple(sorted(edge))
+    try:
+        e = tuple(sorted(map(operator.index, edge)))
+    except TypeError:
+        raise ValidationError(f"edge {tuple(edge)} has a vertex that is not an integer") from None
     if len(e) != r:
         raise ValidationError(f"edge {tuple(edge)} has arity {len(e)}, expected {r}")
     if len(set(e)) != r:
         raise ValidationError(f"edge {tuple(edge)} has a repeated vertex")
-    if e and (e[0] < 0 or e[-1] >= n):
+    if e[0] < 0 or e[-1] >= n:
         raise ValidationError(f"edge {e} has a vertex outside [0, {n})")
     return e
+
+
+def _canonical_rows(cols: np.ndarray) -> np.ndarray | None:
+    """The (E x r) edge array of the edges in cols (cols[i] the i-th vertex of
+    each, in any order), or None if one repeats a vertex.  May sort cols."""
+    if (cols[1:] <= cols[:-1]).any():  # an edge out of order, or repeating a vertex
+        cols.sort(axis=0)
+        if (cols[1:] == cols[:-1]).any():
+            return None
+    if cols.shape[1] > 1:  # fewer edges are in order, and the loop below runs once a column
+        # the edges rise strictly in colex order where the last column that differs rises
+        rising = cols[0, :-1] < cols[0, 1:]
+        for col in cols[1:]:
+            rising = (col[:-1] < col[1:]) | (col[:-1] == col[1:]) & rising
+        if not rising.all():
+            order, first = colex_order(cols)
+            cols = np.take(cols, order[first], axis=1)
+    return cols.T
 
 
 class Hypergraph:
@@ -52,12 +73,8 @@ class Hypergraph:
 
     def __init__(self, n: int, r: int, edge_list: Iterable[Iterable[int]] = ()):
         _check_shape(n, r)
-        seen = {_canonical_edge(e, n, r) for e in edge_list}
-        # canonical order = colex order = lexicographic on reversed tuples
-        ordered = sorted(seen, key=lambda e: e[::-1])
-        flat = itertools.chain.from_iterable(ordered)
-        rows = np.fromiter(flat, np.min_scalar_type(n), len(ordered) * r)
-        self._set_rows(n, r, rows.reshape(len(ordered), r))
+        rows = np.array([_canonical_edge(e, n, r) for e in edge_list], np.min_scalar_type(n))
+        self._set_rows(n, r, _canonical_rows(rows.reshape(-1, r).T))
 
     @classmethod
     def from_rows(cls, n: int, r: int, rows: np.ndarray) -> "Hypergraph":
@@ -86,10 +103,10 @@ class Hypergraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.n, self.r, self._edge_set) == (other.n, other.r, other._edge_set)
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)  # r: its width
 
     def __hash__(self) -> int:
-        return hash((self.n, self.r, self._edge_set))
+        return hash((self.n, self.r, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
@@ -191,8 +208,8 @@ def _parse_bulk(data: bytes) -> Hypergraph | None:
     # a newline after every r-th field, and only there
     if len(ends) % r or np.count_nonzero(breaks) * r != len(ends) or not breaks[r - 1::r].all():
         return None
-    if not len(ends):  # no edges: nothing to sort, however many columns
-        return Hypergraph.from_rows(n, r, np.zeros((0, r), np.min_scalar_type(n)))
+    if not len(ends):  # no field to decode
+        return Hypergraph(n, r)
     longest = int(steps.max()) - 1
     if longest > _BULK_DIGITS:
         return None
@@ -203,33 +220,21 @@ def _parse_bulk(data: bytes) -> Hypergraph | None:
         values = values * 10 + (np.where(steps > i + 1, digit, 0) if i else digit)
     if int(values.max()) >= n:
         return None
-    cols = values.reshape(-1, r).T.astype(np.min_scalar_type(n), order="C")
-    if (cols[1:] <= cols[:-1]).any():  # an edge out of order, or repeating a vertex
-        cols.sort(axis=0)
-        if (cols[1:] == cols[:-1]).any():
-            return None
-    # the edges rise strictly in colex order where the last column that differs rises
-    rising = cols[0, :-1] < cols[0, 1:]
-    for col in cols[1:]:
-        rising = (col[:-1] < col[1:]) | (col[:-1] == col[1:]) & rising
-    if not rising.all():
-        order, first = colex_order(cols)
-        cols = np.take(cols, order[first], axis=1)
-    return Hypergraph.from_rows(n, r, cols.T)
+    rows = _canonical_rows(values.reshape(-1, r).T.astype(np.min_scalar_type(n), order="C"))
+    return None if rows is None else Hypergraph.from_rows(n, r, rows)
 
 
 def _parse_lines(text: str) -> Hypergraph:
     """Parse .hg text line by line, raising FormatError at the first bad line."""
-    header = None
     edges = []
-    n = r = 0
+    n = r = None
     lines = text.split("\n")
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
+        if r is None:
             if len(fields) != 2:
                 raise FormatError(f"header must be '<r> <n>', got {line!r}", line=idx)
             try:
@@ -238,20 +243,14 @@ def _parse_lines(text: str) -> Hypergraph:
                 raise FormatError(f"header must be two integers, got {line!r}", line=idx)
             if r < 1 or n < 0:
                 raise FormatError(f"header requires r >= 1 and n >= 0, got r={r}, n={n}", line=idx)
-            header = (r, n)
             continue
         try:
-            verts = [int(f) for f in fields]
-        except ValueError:
+            edges.append(_canonical_edge([int(f) for f in fields], n, r))
+        except ValidationError as exc:
+            raise FormatError(str(exc), line=idx) from None
+        except ValueError:  # from int()
             raise FormatError(f"edge line must be integers, got {line!r}", line=idx)
-        if len(verts) != r:
-            raise FormatError(f"edge has {len(verts)} vertices, expected r={r}", line=idx)
-        if len(set(verts)) != r:
-            raise FormatError(f"edge {verts} repeats a vertex", line=idx)
-        if min(verts) < 0 or max(verts) >= n:
-            raise FormatError(f"edge {verts} has a vertex outside [0, {n})", line=idx)
-        edges.append(verts)
-    if header is None:
+    if r is None:
         raise FormatError("missing '<r> <n>' header", line=max(len(lines), 1))
     return Hypergraph(n, r, edges)
 

@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from degex.combinatorics import colex_rank
 from degex.errors import FormatError, ValidationError
 from degex.generators import complete, erdos_renyi
 from degex.hypergraph import Hypergraph, _parse_bulk, _parse_lines, build, dump, load, parse, serialize
+from degex.jsonio import dumps
 
 
 def brute_induced_edge_count(G, X):
@@ -65,6 +68,36 @@ class TestBuild:
         G = build(5, 3, [(2, 3, 4), (0, 1, 2), (0, 1, 4)])
         ranks = [colex_rank(e).rank for e in G.edges]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("bad", [2.5, "2", None, np.float64(2)])
+    def test_non_integer_vertex_named(self, bad):
+        message = f"edge {(0, 1, bad)} has a vertex that is not an integer"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(5, 3, [(0, 1, bad)])
+
+    def test_integer_types_read_as_ints(self):
+        G = build(5, 3, [(np.uint8(4), np.int64(0), True)])
+        assert G.edges == ((0, 1, 4),)
+        assert all(type(v) is int for v in G.edges[0])
+
+    def test_numpy_vertices_past_64_bits_read_as_ints(self):
+        n = 2**64 + 5
+        G = build(n, 3, [np.array([3, 0, 1]), (np.uint64(2**64 - 1), 7, n - 1)])
+        assert G.edge_array.dtype == object
+        assert all(type(v) is int for e in G.edges for v in e)
+        assert dumps(G.edges) == dumps([[0, 1, 3], [7, 2**64 - 1, n - 1]])
+
+    @pytest.mark.parametrize("make", [
+        lambda r: Hypergraph(5, r), lambda r: build(5, r, []),
+        lambda r: parse(f"{r} 5\n"), lambda r: _parse_lines(f"{r} 5\n"),
+    ])
+    def test_edgeless_graph_with_huge_arity_is_quick(self, make):
+        # canonical order is never looked for in fewer than two edges, so no
+        # pass runs once per column
+        start = time.perf_counter()
+        G = make(10**7)
+        assert time.perf_counter() - start < 1.0
+        assert (G.n, G.r, G.edge_count) == (5, 10**7, 0)
 
     def test_backends_agree(self):
         G = erdos_renyi(7, 3, "1/2", seed=5)
@@ -340,3 +373,107 @@ class TestLoad:
         finally:
             tracemalloc.stop()
         assert peak < 20 * size
+
+
+class TestEquality:
+    @pytest.mark.parametrize("n", [7, 2**64 + 5])
+    def test_every_producer_gives_equal_graphs(self, tmp_path, n):
+        edges = [(n - 1, 2, 0), (0, 1, 2), (3, 1, 0), (2, 1, 0)]
+        G = build(n, 3, edges)
+        path = tmp_path / "g.hg"
+        dump(G, path)
+        rows = np.array([[0, 1, 2], [0, 1, 3], [0, 2, n - 1]], dtype=np.int64 if n < 2**63 else object)
+        same = [parse(serialize(G)), _parse_lines(serialize(G)), load(path), Hypergraph.from_rows(n, 3, rows)]
+        if n < 100:  # past 64 bits, no vertex set of all n vertices can be listed
+            same.append(G.induced(range(n))[0])
+        for H in same:
+            assert H == G and G == H
+            assert hash(H) == hash(G)
+            assert H.edge_array.dtype == G.edge_array.dtype
+
+    def test_vertex_count_or_arity_tells_graphs_apart(self):
+        G = build(5, 3, [(0, 1, 2)])
+        H = build(6, 3, [(0, 1, 2)])
+        assert np.array_equal(G.edge_array, H.edge_array) and G != H
+        assert Hypergraph(5, 2) != Hypergraph(5, 3)
+        assert build(5, 3, [(0, 1, 2)]) != build(5, 3, [(0, 1, 3)])
+
+    def test_other_types_are_unequal(self):
+        G = build(5, 3, [(0, 1, 2)])
+        assert (G == object()) is False
+        assert G != G.edges
+
+
+def reference_build(n, r, edge_list):
+    """The constructor as it was before one numpy path canonicalized every
+    edge list: a set of sorted tuples, sorted by their reversed tuples (colex
+    order), read into the array with fromiter."""
+    seen = set()
+    for edge in edge_list:
+        e = tuple(sorted(edge))
+        if len(e) != r:
+            raise ValidationError(f"edge {tuple(edge)} has arity {len(e)}, expected {r}")
+        if len(set(e)) != r:
+            raise ValidationError(f"edge {tuple(edge)} has a repeated vertex")
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise ValidationError(f"edge {e} has a vertex outside [0, {n})")
+        seen.add(e)
+    ordered = sorted(seen, key=lambda e: e[::-1])
+    flat = itertools.chain.from_iterable(ordered)
+    rows = np.fromiter(flat, np.min_scalar_type(n), len(ordered) * r).reshape(len(ordered), r)
+    return n, r, tuple(map(tuple, rows.tolist())), rows.dtype
+
+
+@st.composite
+def edge_lists(draw):
+    """n, r and an edge list with duplicates, permuted copies, wrong arities,
+    repeated vertices and vertices outside [0, n), as tuples, lists and numpy rows."""
+    n = draw(st.sampled_from([0, 1, 3, 5, 8, 8, 8, 2**64 + 5, 2**64 + 5]))
+    r = draw(st.integers(1, 4))
+    inside = list(range(min(n, 8))) + ([2**63, 2**64 - 1, n - 2, n - 1] if n > 8 else [])
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if edges and kind < 5:  # an earlier edge again, permuted
+            edge = draw(st.permutations(draw(st.sampled_from(edges))))
+        elif kind < 17 and len(inside) >= r:
+            edge = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(inside), min_size=r, max_size=r)))))
+        else:  # maybe the wrong arity, a repeated vertex or a vertex outside [0, n)
+            arity = draw(st.sampled_from([r, r - 1, r + 1]))
+            edge = draw(st.lists(st.sampled_from(inside + [-1, n, n + 1]), min_size=arity, max_size=arity))
+        form = draw(st.sampled_from(["tuple", "list", "array"]))
+        if form == "array":
+            fits = all(-(2**63) <= v < 2**63 for v in edge)
+            edge = np.array(edge, dtype=np.int64 if fits else object)
+        edges.append(tuple(edge) if form == "tuple" else edge)
+    return n, r, edges
+
+
+def build_outcome(make, n, r, edges):
+    try:
+        G = make(n, r, edges)
+    except ValidationError as exc:
+        # the old range message printed numpy vertices as np.int64(7); now they are ints
+        return type(exc), re.sub(r"np\.\w+\((-?\d+)\)", r"\1", str(exc))
+    return G if isinstance(G, tuple) else (G.n, G.r, G.edges, G.edge_array.dtype)
+
+
+class TestCanonicalRows:
+    @given(edge_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_matches_the_reference(self, case):
+        n, r, edges = case
+        assert build_outcome(build, n, r, edges) == build_outcome(reference_build, n, r, edges)
+
+    @pytest.mark.parametrize("text, line, edge", [
+        ("3 5\n0 1 2\n0 1\n", 3, (0, 1)),
+        ("3 5\n2 0 2\n", 2, (2, 0, 2)),
+        ("3 5\n# c\n7 0 1\n", 3, (7, 0, 1)),
+    ])
+    def test_line_parser_reports_the_constructors_message(self, text, line, edge):
+        with pytest.raises(ValidationError) as direct:
+            build(5, 3, [edge])
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {direct.value}"
