@@ -20,7 +20,7 @@ import numpy as np
 
 from .combinatorics import binom, colex_blocks, tuple_ranks
 from .errors import ValidationError, refuse_above
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, vertex_indices
 from .rational import to_fraction, to_probability
 
 
@@ -105,7 +105,7 @@ def edges_through(G: Hypergraph, S: Sequence[int]) -> np.ndarray:
 
 def degree_of(G: Hypergraph, S: Sequence[int]) -> int:
     """Number of edges of G containing the l-subset S (l < r)."""
-    s = tuple(sorted(S))
+    s = tuple(sorted(vertex_indices(S, "subset")))
     if len(set(s)) != len(s):
         raise ValidationError(f"subset {tuple(S)} repeats a vertex")
     if len(s) >= G.r:

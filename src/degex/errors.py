@@ -34,7 +34,9 @@ class LimitExceeded(DegexError):
 
 
 def refuse_above(count: int, what: str, limit: int = MAX_ENTRIES, advice: str = "") -> None:
-    """Raise LimitExceeded when count, the size of what, is above limit."""
+    """Raise LimitExceeded when count, the size of what, is above limit (>= 0)."""
+    if limit < 0:
+        raise ValidationError(f"the limit on {what} must be at least 0, got {limit}")
     if count > limit:
         tail = f"; {advice}" if advice else ""
         raise LimitExceeded(f"{what} = {count} exceeds the limit of {limit}{tail}")

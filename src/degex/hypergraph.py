@@ -36,11 +36,17 @@ from .combinatorics import colex_order
 from .errors import FormatError, ValidationError
 
 
-def _canonical_edge(edge: Iterable[int], n: int, r: int) -> tuple[int, ...]:
+def vertex_indices(vertices: Iterable[int], what: str) -> list[int]:
+    """The vertices read with operator.index: 2.5 or "2" is a ValidationError."""
+    vertices = tuple(vertices)
     try:
-        e = tuple(sorted(map(operator.index, edge)))
+        return list(map(operator.index, vertices))
     except TypeError:
-        raise ValidationError(f"edge {tuple(edge)} has a vertex that is not an integer") from None
+        raise ValidationError(f"{what} {vertices} has a vertex that is not an integer") from None
+
+
+def _canonical_edge(edge: Iterable[int], n: int, r: int) -> tuple[int, ...]:
+    e = tuple(sorted(vertex_indices(edge, "edge")))
     if len(e) != r:
         raise ValidationError(f"edge {tuple(edge)} has arity {len(e)}, expected {r}")
     if len(set(e)) != r:
@@ -120,7 +126,7 @@ class Hypergraph:
 
     def induced(self, X: Iterable[int]) -> tuple["Hypergraph", "InducedMap"]:
         """Induced subgraph on X, relabeled order-preservingly to [0, |X|)."""
-        xs = sorted(set(X))
+        xs = sorted(set(vertex_indices(X, "induced set")))
         if xs and (xs[0] < 0 or xs[-1] >= self.n):
             raise ValidationError(f"induced set {xs} has a vertex outside [0, {self.n})")
         rows = self.edge_array

@@ -24,10 +24,10 @@ Links).  A trial's score needs only three sums over the pairs, so no
 n x C(n, 2) rows are built and memory stays O(|E| + trials) at any n.
 
 Everything is exact: p is a Fraction num/den, every score is an integer, den
-times a deviation, and results are returned as Fractions.  The sweep holds
-counts and int64 limbs of its scores for every p.  The witnesses and the
-sampled scorer decide each weight's sign from its count in the same way, and
-form only their few sums of weights, as Python ints.
+times a deviation, and results are returned as Fractions.  Both scorers hold
+counts, and one _Score forms their scores in int64 limbs for every p.  The
+witnesses, apart from it so as to recheck it, decide each weight's sign from
+its count in the same way and form their few sums of weights as Python ints.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .rational import floor_sqrt_scaled, to_probability
 DEFAULT_EXACT_LIMIT_12 = 22
 DEFAULT_EXACT_LIMIT_111 = 13
 
-INT64_SAFE = 1 << 62
 # a sweep state's share of the int64 score arrays, in each group
 SCORE_BYTES = 32
 
@@ -108,24 +107,50 @@ def e111(G: Hypergraph, X: Iterable[int], Y: Iterable[int], Z: Iterable[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# integer bounds
+# integer scores
 
 
-def _count_bounds(n: int, width: int, top: int, num: int, den: int) -> tuple:
-    # The sweep's dtypes and limbs, for n rows of `width` columns whose entries
-    # in group g are at most sizes[g], and top = n * max(sizes).
-    #   A count d sums n entries or fewer, so d <= top: n for (1,2), whose rows
-    #   are 0/1, and at most n^2 for (1,1,1), whose entries count y in Y.  A
-    #   threshold ceil(num*m / den), m <= top, is at most m as num <= den.  So
-    #   counts, table entries and thresholds fit the smallest unsigned dtype
-    #   holding top, and lo <= width and d_lo <= top * width the ones holding
-    #   those.  In a score den*P + c*R, |P| <= top * width and |R| <= width; in
-    #   limbs of `bits` bits, den_i*P + c_i*R is below 2^bits * width * (top + 1)
-    #   and a carry adds at most width * (top + 1) + 1, so with
-    #   2^bits * (width * (top + 1) + 1) < 2^62 every limb stays below 2^63.
-    bits = INT64_SAFE.bit_length() - 1 - (width * (top + 1) + 1).bit_length()
-    limbs = -(-max(den, num * top).bit_length() // bits)
-    return (*map(np.min_scalar_type, (top, width, top * width)), bits, limbs)
+class _Score:
+    """Scores den*P + c*R (see _sweep) of states of `width` columns of counts,
+    with c = num * m and m <= top: their dtypes, tables over m and int64 limbs.
+
+    A count d sums n entries or fewer, so d <= top: n for (1,2), whose rows are
+    0/1, and at most n^2 for (1,1,1), whose entries count y in Y.  A threshold
+    ceil(num*m / den), m <= top, is at most m as num <= den.  So counts, table
+    entries and thresholds fit `count`, the smallest unsigned dtype holding
+    top, and lo <= width and d_lo <= top * width the ones holding those.  In a
+    score den*P + c*R, |P| <= top * width and |R| <= width; in limbs of `bits`
+    bits, den_i*P + c_i*R is below 2^bits * width * (top + 1) and a carry adds
+    at most width * (top + 1) + 1, so with 2^bits * (width * (top + 1) + 1) <
+    2^62 every limb stays below 2^63.
+    """
+
+    def __init__(self, width: int, top: int, num: int, den: int):
+        self.width = width
+        dtypes = map(np.min_scalar_type, (top, width, top * width))
+        self.count, self.lo_dtype, self.d_lo_dtype = dtypes
+        self.bits = bits = 62 - (width * (top + 1) + 1).bit_length()
+        limbs = range(-(-max(den, num * top).bit_length() // bits))
+        c = [num * m for m in range(top + 1)]
+        self.thr = np.array([-(-cm // den) for cm in c], dtype=self.count)
+        self.thr_width = np.array([-(-cm * width // den) for cm in c], dtype=np.int64)
+        self.c_limbs = np.array([[cm >> bits * i & (1 << bits) - 1 for cm in c] for i in limbs])
+        self.den_limbs = [den >> bits * i & (1 << bits) - 1 for i in limbs]
+
+    def best(self, D: np.ndarray, lo: np.ndarray, d_lo: np.ndarray, m: np.ndarray) -> tuple:
+        """(the largest score, hit) over states of count sum D, lo columns below
+        thr[m] and d_lo their sum; hit marks the states that reach it."""
+        s = D >= self.thr_width[m]
+        P, R = D * s - d_lo, lo - self.width * s
+        t = [den_i * P + c_i[m] * R for den_i, c_i in zip(self.den_limbs, self.c_limbs)]
+        for i in range(len(t) - 1):
+            t[i + 1] += t[i] >> self.bits
+            t[i] &= (1 << self.bits) - 1
+        score, hit = 0, True
+        for part in reversed(t):
+            high = int(part[hit].max())
+            score, hit = (score << self.bits) + high, hit & (part == high)
+        return score, hit
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +185,26 @@ def _sweep(rows: np.ndarray, sizes, num: int, den: int, mask: int, low_bits: int
     sum over the width adds whole rows.  A Gray walk over the outer bits keeps
     vec, the counts of mask's outer bits; at each outer state one add, one
     compare and two sums over the width give lo and d_lo of the whole block,
-    and den*P + c*R is held in carried int64 limbs (_count_bounds) whose
-    lexicographic maximum, first met at the smallest (inner mask, group), is
-    the block's best.  A mask is met at one outer state only, so ties between
+    and _Score.best takes den*P + c*R in carried int64 limbs to its
+    lexicographic maximum, first met at the smallest (inner mask, group): the
+    block's best.  A mask is met at one outer state only, so ties between
     outer states compare masks alone.
     """
     n, groups, width = rows.shape
     sizes = np.asarray(sizes, dtype=np.intp)
-    top = n * int(sizes.max())
-    count, lo_dtype, d_lo_dtype, bits, limbs = _count_bounds(n, width, top, num, den)
-    c = [num * m for m in range(top + 1)]
-    thr = np.array([-(-cm // den) for cm in c], dtype=count)
-    thr_width = np.array([-(-cm * width // den) for cm in c], dtype=np.int64)
-    c_limbs = np.array([[cm >> bits * i & (1 << bits) - 1 for cm in c] for i in range(limbs)])
-    den_limbs = [den >> bits * i & (1 << bits) - 1 for i in range(limbs)]
-
-    cols = rows.astype(count, copy=False).transpose(0, 2, 1)[:, :, None]  # (width, 1, groups)
-    inner = _block_bits(groups, width, count, low_bits)
-    table = np.zeros((width, 1 << inner, groups), dtype=count)
+    score = _Score(width, n * int(sizes.max()), num, den)
+    cols = rows.astype(score.count, copy=False).transpose(0, 2, 1)[:, :, None]  # (width, 1, groups)
+    inner = _block_bits(groups, width, score.count, low_bits)
+    table = np.zeros((width, 1 << inner, groups), dtype=score.count)
     sums = np.zeros((2, 1 << inner, groups), dtype=np.int64)  # D and m of each inner mask
     steps = np.stack([rows.sum(axis=2, dtype=np.int64), np.broadcast_to(sizes, (n, groups))], 1)
     for v in range(inner):
         np.add(table[:, : 1 << v], cols[v], out=table[:, 1 << v : 2 << v])
         np.add(sums[:, : 1 << v], steps[v, :, None], out=sums[:, 1 << v : 2 << v])
     table_sums, m_inner = sums
-    vec = cols[list(mask_vertices(mask))].sum(axis=0, dtype=count)
+    vec = cols[list(mask_vertices(mask))].sum(axis=0, dtype=score.count)
     buf, low = np.empty_like(table), np.empty(table.shape, dtype=bool)
-    lo, d_lo = np.empty(m_inner.shape, lo_dtype), np.empty(m_inner.shape, d_lo_dtype)
+    lo, d_lo = np.empty(m_inner.shape, score.lo_dtype), np.empty(m_inner.shape, score.d_lo_dtype)
     best, best_mask, best_group = -1, mask, 0
     for i in range(1 << (low_bits - inner)):
         if i:
@@ -195,24 +213,14 @@ def _sweep(rows: np.ndarray, sizes, num: int, den: int, mask: int, low_bits: int
             (np.add if mask >> x & 1 else np.subtract)(vec, cols[x], out=vec)
         m = m_inner + mask.bit_count() * sizes
         np.add(table, vec, out=buf)
-        np.less(buf, thr[m], out=low)
-        np.add.reduce(low.view(np.uint8), axis=0, dtype=lo_dtype, out=lo)
+        np.less(buf, score.thr[m], out=low)
+        np.add.reduce(low.view(np.uint8), axis=0, dtype=lo.dtype, out=lo)
         np.multiply(buf, low, out=buf)
-        np.add.reduce(buf, axis=0, dtype=d_lo_dtype, out=d_lo)
-        D = table_sums + vec.sum(axis=0, dtype=np.int64)
-        s = D >= thr_width[m]
-        P, R = D * s - d_lo, lo - width * s
-        t = [den_limbs[i] * P + c_limbs[i][m] * R for i in range(limbs)]
-        for i in range(limbs - 1):
-            t[i + 1] += t[i] >> bits
-            t[i] &= (1 << bits) - 1
-        score, hit = 0, True
-        for part in reversed(t):
-            high = int(part[hit].max())
-            score, hit = (score << bits) + high, hit & (part == high)
+        np.add.reduce(buf, axis=0, dtype=d_lo.dtype, out=d_lo)
+        value, hit = score.best(table_sums + vec.sum(axis=0, dtype=np.int64), lo, d_lo, m)
         j, g = divmod(int(hit.argmax()), groups)
-        if score > best or (score == best and mask | j < best_mask):
-            best, best_mask, best_group = score, mask | j, g
+        if value > best or (value == best and mask | j < best_mask):
+            best, best_mask, best_group = value, mask | j, g
     return best, best_mask, best_group
 
 
@@ -330,35 +338,29 @@ def deviation_12_exact(G: Hypergraph, p, exact_limit: int | None = None,
     return _report("12", p, n, -best, scaled, (X, P), "exact")
 
 
-def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> list[int]:
-    """The scaled (1,2) score of each mask as X: max over P, times den.
+def _sampled_best(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> tuple:
+    """(best, hit): the largest scaled (1,2) score of the masks as X, max over
+    P times den, and which masks reach it.
 
-    With w(uv) = den*d_X(uv) - num*k and k = |X|, the score is
-    max(sum w, 0) + (num*k*lo - den*d_lo), where lo counts the pairs with
-    w < 0, that is d_X(uv) < ceil(num*k / den), and d_lo sums their d_X:
-    the negative support weighs num*k*lo - den*d_lo, and the positive one
-    that plus sum w.  So a trial needs three sums over the pairs: of d_X, of
-    the d_X below its threshold, and their count.
+    Each trial is a _Score state with one column per pair, so it needs three
+    sums over the pairs: of d_X, of the d_X below ceil(num*|X| / den), where
+    the weight den*d_X - num*|X| is negative, and their count.
 
     Only the pairs in some edge are counted, a block of their link words at
     a time (Links.blocks): d_X(uv) = popcount(link(uv) & X) for a whole
     (trials x pairs) block in a few numpy passes, every array of a block
-    within BLOCK_BYTES.  A pair in no edge has d_X = 0, so it adds to lo
-    exactly when num*k > 0.  The last step runs on Python ints, a trial at a
-    time.
+    within BLOCK_BYTES.  A pair in no edge has d_X = 0, so it lies below the
+    threshold exactly when num*|X| > 0.
     """
     n = G.n
     pairs = binom(n, 2)
     links = Links(n, G.edge_array.T)
     trials = len(masks)
     xwords = mask_words(masks, n)
-    c = [num * m.bit_count() for m in masks]
-    # ceil(num*k / den) <= k, in Python ints: w < 0 exactly when d_X < thr
-    count_dtype = np.min_scalar_type(n)
-    thr = np.fromiter((-(-ct // den) for ct in c), count_dtype, trials)
-    total = np.zeros(trials, dtype=np.int64)
-    below = np.zeros(trials, dtype=np.int64)
-    below_sum = np.zeros(trials, dtype=np.int64)
+    m = np.bitwise_count(xwords).sum(axis=1, dtype=np.intp)
+    score = _Score(pairs, n, num, den)
+    thr = score.thr[m]  # a pair's weight is negative exactly when d_X < thr
+    total, below, below_sum = np.zeros((3, trials), dtype=np.int64)
 
     linked = 0
     for _, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
@@ -368,7 +370,7 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
         for t0 in range(0, trials, trial_block):
             t1 = min(t0 + trial_block, trials)
             buf = np.empty((t1 - t0, block), dtype=np.uint64)
-            d = np.empty(buf.shape, dtype=count_dtype)
+            d = np.empty(buf.shape, dtype=score.count)
             for w, word in enumerate(words):
                 np.bitwise_and(xwords[t0:t1, w, None], word, out=buf)
                 if w:
@@ -381,9 +383,7 @@ def _sampled_scores(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> 
             below[t0:t1] += low.sum(axis=1, dtype=np.uint32)
             below_sum[t0:t1] += (d * low).sum(axis=1, dtype=np.uint32)
     below += (pairs - linked) * (thr > 0)
-
-    sums = zip(c, total.tolist(), below.tolist(), below_sum.tolist())
-    return [max(den * t - ct * pairs, 0) + ct * lo - den * d_lo for ct, t, lo, d_lo in sums]
+    return score.best(total, below, below_sum, m)
 
 
 def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> DiscrepancyReport:
@@ -407,9 +407,8 @@ def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> Discrepanc
     refuse_above(trials * width, f"sampled (1,2) scoring over {trials} trials * {width} words")
     rng = random.Random(seed)
     masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
-    scores = _sampled_scores(G, masks, num, den)
-    best = max(scores)
-    best_mask = min(m for m, s in zip(masks, scores) if s == best)
+    best, hit = _sampled_best(G, masks, num, den)
+    best_mask = min(itertools.compress(masks, hit.tolist()))
     scaled, X, P = _witness_12(G, best_mask, num, den)
     return _report("12", p, n, best, scaled, (X, P), "sampled", trials=trials, seed=seed)
 

@@ -15,6 +15,7 @@ import degex.cli
 from degex.cli import build_parser, main
 from degex.combinatorics import BLOCK_BYTES
 from degex.degree import degree_of
+from degex.errors import LimitExceeded, ValidationError, refuse_above
 from degex.hypergraph import load, parse
 
 
@@ -694,6 +695,30 @@ class TestRefusals:
             code, out, err = run(capsys, *argv, *reads, flag, str(count))
             assert (code, err) == (0, "")
             assert json.loads(out)
+
+    @pytest.mark.parametrize("text, argv, count, flag",
+                             [args for args in REFUSALS.values() if args[3]],
+                             ids=[key for key, args in REFUSALS.items() if args[3]])
+    def test_a_negative_limit_is_exit_2(self, capsys, tmp_path, text, argv, count, flag):
+        # a bad flag, not a refusal: it used to exit 3, "exceeds the limit of -1"
+        path = tmp_path / "g.hg"
+        run(capsys, "gen", "er", "--n", "10", "--r", "3", "--p", "1/2", "--seed", "1",
+            "--out", str(path))
+        code, out, err = run(capsys, *argv, "--in", str(path), flag, "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the limit on ") and err.count("\n") == 1
+        assert err.endswith(" must be at least 0, got -1\n")
+        code, out, err = run(capsys, *argv, "--in", str(path), flag, str(count))
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    def test_refuse_above_checks_the_limit_first(self):
+        for count in (0, 5):
+            with pytest.raises(ValidationError, match="the limit on things must be at least 0"):
+                refuse_above(count, "things", -1)
+        refuse_above(0, "things", 0)
+        with pytest.raises(LimitExceeded, match="things = 1 exceeds the limit of 0"):
+            refuse_above(1, "things", 0)
 
     @pytest.mark.parametrize("n", [2**40, 2**64 + 5])
     @pytest.mark.parametrize("argv, what, count", [

@@ -66,6 +66,15 @@ class TestDegreeOf:
         with pytest.raises(ValidationError):
             degree_of(EXAMPLE, (0, 1, 2))
 
+    @pytest.mark.parametrize("bad", [1.9, "1", None, np.float64(1)])
+    def test_non_integer_vertex_rejected(self, bad):
+        # 1.9 used to match no edge column and count 0
+        with pytest.raises(ValidationError, match="has a vertex that is not an integer"):
+            degree_of(complete(5, 3), [bad, 2])
+
+    def test_integer_types_read_as_ints(self):
+        assert degree_of(complete(5, 3), [np.int64(1), np.uint8(2)]) == 3
+
     def test_counts_extensions(self):
         # deg(S) equals the number of (r-l)-sets T with S union T an edge
         G = erdos_renyi(8, 3, "1/2", seed=4)

@@ -137,6 +137,20 @@ class TestInduced:
         with pytest.raises(ValidationError):
             build(4, 3, []).induced({0, 9})
 
+    @pytest.mark.parametrize("bad", [2.7, "2", None, np.float64(2)])
+    def test_non_integer_vertex_named(self, bad):
+        # 2.7 used to be compared as a number: one edge, and 2.7 in parent_vertices;
+        # the message names every vertex of an iterator too
+        message = f"induced set {(0, 1, bad)} has a vertex that is not an integer"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            complete(5, 3).induced(iter([0, 1, bad]))
+
+    def test_integer_types_read_as_ints(self):
+        H, m = complete(5, 3).induced([np.uint8(4), np.int64(0), True])
+        assert H == complete(3, 3)
+        assert m.parent_vertices == (0, 1, 4)
+        assert all(type(v) is int for v in m.parent_vertices)
+
     def test_vertex_count(self):
         G = erdos_renyi(8, 3, "1/2", seed=1)
         H, _ = G.induced({0, 2, 4, 6})

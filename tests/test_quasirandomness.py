@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import degex.quasirandomness as qr
 from degex.combinatorics import binom, ksubsets, mask_vertices
-from degex.errors import DegexError, LimitExceeded, ValidationError
+from degex.errors import MAX_ENTRIES, DegexError, LimitExceeded, ValidationError
 from degex.generators import complete, erdos_renyi, partition_deletion
 from degex.cli import main as cli_main
 from degex.hypergraph import build, dump
@@ -155,7 +155,7 @@ def gray_tie_sweep():
 
 
 def reference_sampled_scores(G, masks, num, den):
-    """The per-trial path that qr._sampled_scores replaces: each trial counts
+    """The per-trial path that qr._sampled_best replaces: each trial counts
     den * d_X over every pair from the link incidences (x, uv) and scores it
     with a reference sweep of zero bits."""
     # each edge a < b < c gives x the pair uv, u < v, of colex rank C(v, 2) + u
@@ -168,6 +168,17 @@ def reference_sampled_scores(G, masks, num, den):
         d = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(object)
         scores.append(reference_sweep(None, num, d * den, mask, 0)[0])
     return scores
+
+
+def reference_sampled_best(G, masks, num, den):
+    """(best, hit) of qr._sampled_best, from the per-trial scores."""
+    scores = reference_sampled_scores(G, masks, num, den)
+    return max(scores), [score == max(scores) for score in scores]
+
+
+def sampled_best(G, masks, num, den):
+    best, hit = qr._sampled_best(G, masks, num, den)
+    return best, hit.tolist()
 
 
 def reference_witness_12(G, mask, num, den):
@@ -303,7 +314,7 @@ class TestDeviation12Exact:
         # no other path: den past int64 splits the sweep's scores into limbs
         G = erdos_renyi(5, 3, Fraction(1, 2), seed=3)
         p = Fraction(10**20 + 1, 3 * 10**20)
-        assert qr._count_bounds(5, 10, 5, p.numerator, p.denominator)[4] == 2
+        assert len(qr._Score(10, 5, p.numerator, p.denominator).den_limbs) == 2
         assert deviation_12_exact(G, p).D == brute_dev12(G, p)
         H = erdos_renyi(4, 3, Fraction(1, 2), seed=3)
         assert deviation_111_exact(H, p).D == brute_dev111(H, p)
@@ -459,13 +470,22 @@ class TestDeviation12Sampled:
         assert abs(e12(G, X, P) - Fraction(1, 2) * len(X) * len(P)) == report.D
 
 
+def assert_agrees_with_the_reference_on_a_prefix(G, masks, best, hit, k):
+    """(best, hit) of qr._sampled_best over masks: the reference scores of the
+    first k masks, which take tens of ms each at n = 1000, fix its prefix."""
+    prefix_best, prefix_hit = reference_sampled_best(G, masks[:k], 1, 1000)
+    assert sampled_best(G, masks[:k], 1, 1000) == (prefix_best, prefix_hit)
+    assert best >= prefix_best
+    assert hit[:k].tolist() == (prefix_hit if best == prefix_best else [False] * k)
+
+
 def sparse_graph(n, size, seed):
     rng = random.Random(seed)
     return build(n, 3, [rng.sample(range(n), 3) for _ in range(size)])
 
 
 class TestSampledScorer:
-    """qr._sampled_scores against the per-trial path it replaces."""
+    """qr._sampled_best against the per-trial path it replaces."""
 
     @staticmethod
     @st.composite
@@ -503,13 +523,13 @@ class TestSampledScorer:
         num, den = p.numerator, p.denominator
         rng = random.Random(seed)
         masks = [rng.getrandbits(G.n) if G.n else 0 for _ in range(trials)]
-        expected = reference_sampled_scores(G, masks, num, den)
+        expected = reference_sampled_best(G, masks, num, den)
         with mock.patch.object(qr, "BLOCK_BYTES", block_bytes):
-            assert qr._sampled_scores(G, masks, num, den) == expected
+            assert sampled_best(G, masks, num, den) == expected
             report = deviation_12_sampled(G, p, trials=trials, seed=seed)
-        best = max(expected)
+        best, hit = expected
         assert report.D == Fraction(best, den)
-        smallest = min(m for m, score in zip(masks, expected) if score == best)
+        smallest = min(m for m, tied in zip(masks, hit) if tied)
         assert report.witness[0] == mask_vertices(smallest)
 
     def test_smallest_mask_wins_ties(self):
@@ -557,11 +577,11 @@ class TestSampledScorer:
         masks = [rng.getrandbits(1000) for _ in range(200)]
         tracemalloc.start()
         try:
-            scores = qr._sampled_scores(G, masks, 1, 1000)
+            best, hit = qr._sampled_best(G, masks, 1, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scores[:5] == reference_sampled_scores(G, masks[:5], 1, 1000)
+        assert_agrees_with_the_reference_on_a_prefix(G, masks, best, hit, 5)
         # a few block arrays; one bincount of the per-trial path took 4 MB
         assert peak < 2 * 2**20
 
@@ -575,11 +595,11 @@ class TestSampledScorer:
         masks = [rng.getrandbits(1000) for _ in range(200)]
         tracemalloc.start()
         try:
-            scores = qr._sampled_scores(G, masks, 1, 1000)
+            best, hit = qr._sampled_best(G, masks, 1, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scores[:3] == reference_sampled_scores(G, masks[:3], 1, 1000)
+        assert_agrees_with_the_reference_on_a_prefix(G, masks, best, hit, 3)
         assert peak < 4 * qr.BLOCK_BYTES + 160 * len(edges) < 56000 * 16 * 8
 
     def test_a_denominator_past_int64_costs_no_memory(self):
@@ -633,6 +653,102 @@ class TestBestSupport:
         expected, indexes = reference_best_support(d.astype(object) * den - c)
         assert scaled == expected
         assert support.tolist() == indexes.tolist()
+
+
+def python_int_score(num, den, width, D, lo, d_lo, m):
+    """The score of a state on Python ints, with c = num * m."""
+    c = num * m
+    return max(den * D - c * width, 0) + c * lo - den * d_lo
+
+
+# one int64 limb for small fractions, two near 2^55 and 2^61, three or more past
+# 2^100; from 2^47 c = num * m can need a limb more than den
+SCORE_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(2**47, 2**50),
+                               st.integers(2**55, 2**55 + 2**20),
+                               st.integers(2**61 - 2**20, 2**61), st.integers(2**100, 2**130))
+
+
+class TestScore:
+    """qr._Score.best against the Python-int score of each state."""
+
+    @staticmethod
+    @st.composite
+    def scored_states(draw, width=st.integers(0, 5000), top=st.integers(0, 5000),
+                      dens=SCORE_DENOMINATORS):
+        """A _Score's arguments and states (D, lo, d_lo, m) in `groups` columns,
+        as a sweep has them: lo of `width` columns of counts at most `top` lie
+        below ceil(num*m / den) and sum to d_lo, the rest reach it, and D sums
+        all, often next to ceil(num*m*width / den), where the larger support
+        changes sides.  Copies of the best state tie with it."""
+        width, top, den = draw(width), draw(top), draw(dens)
+        num, groups = draw(st.integers(0, den)), draw(st.integers(1, 3))
+        states = []
+        for _ in range(draw(st.integers(1, 4)) * groups):
+            m = draw(st.integers(0, top))
+            thr = -(-num * m // den)
+            lo = draw(st.integers(0, width if thr else 0))
+            d_lo = draw(st.integers(0, lo * max(thr - 1, 0)))
+            least, most = d_lo + (width - lo) * thr, d_lo + (width - lo) * top
+            side = -(-num * m * width // den)
+            near = [min(max(side + e, least), most) for e in (-1, 0)]
+            D = draw(st.one_of(st.integers(least, most), st.sampled_from(near)))
+            states.append((D, lo, d_lo, m))
+        scores = [python_int_score(num, den, width, *state) for state in states]
+        for i in draw(st.lists(st.integers(0, len(states) - 1), max_size=3)):
+            states[i] = states[scores.index(max(scores))]
+        return width, top, num, den, groups, states
+
+    @staticmethod
+    def check_best(width, top, num, den, groups, states, narrow=False):
+        """Score states as (rows, groups) arrays: int64, as the sampled scorer
+        passes them, or with lo and d_lo in the _Score dtypes, as _sweep does."""
+        score = qr._Score(width, top, num, den)
+        D, lo, d_lo, m = (np.array(column, dtype=np.int64).reshape(-1, groups)
+                          for column in zip(*states))
+        if narrow:
+            lo, d_lo = lo.astype(score.lo_dtype), d_lo.astype(score.d_lo_dtype)
+        m = m.astype(np.intp)
+        best, hit = score.best(D, lo, d_lo, m)
+        expected = [python_int_score(num, den, width, *state) for state in states]
+        assert best == max(expected)
+        assert hit.ravel().tolist() == [value == best for value in expected]
+        # each state alone, so that a state below the best is scored too
+        for index, value in zip(np.ndindex(D.shape), expected):
+            assert score.best(D[index], lo[index], d_lo[index], m[index]) == (value, True)
+        return score
+
+    @given(scored_states(), st.booleans())
+    @example((0, 7, 1, 3, 1, [(0, 0, 0, 0), (0, 0, 0, 7)]), True)  # no columns
+    @example((5, 4, 0, 1, 2, [(0, 0, 0, 0)] * 4), True)  # every state ties at 0
+    @example((3, 2, 1, 1, 1, [(0, 3, 0, 2), (6, 0, 0, 2), (0, 3, 0, 2)]), False)
+    # den takes one 49-bit limb, c = num * 5000 two
+    @example((1, 5000, 2**49 - 2, 2**49 - 1, 1, [(0, 1, 0, 5000), (4999, 1, 4999, 5000)]), False)
+    @settings(max_examples=300, deadline=None)
+    def test_best_matches_the_python_int_score(self, args, narrow):
+        self.check_best(*args, narrow=narrow)
+
+    @pytest.mark.parametrize("den, limbs", [(7, 1), (2**55 + 3, 2), (2**100 + 1, 3)])
+    def test_limbs_grow_with_the_denominator(self, den, limbs):
+        # 300 columns of counts at most 22 leave 49-bit limbs
+        score = qr._Score(300, 22, den - 2, den)
+        assert (score.bits, len(score.den_limbs)) == (49, limbs)
+        # every column at 22, every column below the threshold, and an empty X
+        thr = -(-(den - 2) * 22 // den)
+        states = [(22 * 300, 0, 0, 22), ((thr - 1) * 300, 300, (thr - 1) * 300, 22), (0, 0, 0, 0)]
+        self.check_best(300, 22, den - 2, den, 1, states)
+
+    @given(scored_states(width=st.just(binom(4472, 2)), top=st.just(4472),
+                         dens=st.integers(2**55, 2**56 - 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_the_sampled_bound_at_the_pair_cap(self, args):
+        # the most pairs a sampled (1,2) run scores: C(4472, 2) of counts at most 4472
+        assert binom(4472, 2) <= MAX_ENTRIES < binom(4473, 2)
+        score = self.check_best(*args)
+        assert (score.bits, len(score.den_limbs)) == (26, 3)
+        width, top, num, den = args[:4]
+        thr = -(-num * top // den)
+        extremes = [(top * width, 0, 0, top), ((thr - 1) * width, width, (thr - 1) * width, top)]
+        self.check_best(width, top, num, den, 1, extremes if thr else extremes[:1])
 
 
 class TestDeviation111Exact:
@@ -782,14 +898,15 @@ class TestSweepKernel:
         big = Fraction(2**55 + 1, 3 * 2**55 + 7)
         # every column sums to n * size, 255 in uint8 and 256 in uint16
         for n, size, dtype in ((5, 51, np.uint8), (4, 64, np.uint16)):
-            assert qr._count_bounds(n, 3, n * size, 1, 2)[0] == dtype
+            assert qr._Score(3, n * size, 1, 2).count == dtype
             rows = np.full((n, 1, 3), size, dtype=np.uint8)
             for p in (Fraction(0), Fraction(1, 2), Fraction(1), big):
                 self.check_sweep(rows, [size], p, 0, n, qr.BLOCK_BYTES)
         # 300 columns of counts 124 below thresholds 125 k at p = 1: lo reaches
         # 300 and d_lo 148800, past uint8 and 2^16
         rows = np.full((4, 1, 300), 124, dtype=np.uint8)
-        assert qr._count_bounds(4, 300, 500, 1, 1)[:3] == (np.uint16, np.uint16, np.uint32)
+        score = qr._Score(300, 500, 1, 1)
+        assert (score.count, score.lo_dtype, score.d_lo_dtype) == (np.uint16, np.uint16, np.uint32)
         for p in (Fraction(1), Fraction(2**64 - 1, 2**64)):
             assert self.check_sweep(rows, [125], p, 0, 4, qr.BLOCK_BYTES)[1] == 0b1111
 
@@ -819,7 +936,7 @@ class TestSweepKernel:
                 assert qr._block_bits(groups, width, dtype, 3) == min(b, 3)
         # (1,2) at n = 16 and (1,1,1) at n = 16 (uint16 counts) have outer Gray bits
         assert qr._block_bits(1, 120, np.uint8, 16) < 16
-        assert qr._count_bounds(16, 16, 16 * 16, 1, 2)[0] == np.uint16
+        assert qr._Score(16, 16 * 16, 1, 2).count == np.uint16
         assert qr._block_bits(1, 10**6, np.uint8, 0) == 0
 
     def test_111_witness_is_smallest_mask_pair(self):
@@ -868,7 +985,7 @@ class TestSweepKernel:
         num, den = p.numerator, p.denominator
         mask = random.Random(8).getrandbits(60)
         scaled, X, P = _witness_12(G, mask, num, den)
-        assert qr._sampled_scores(G, [mask], num, den) == [scaled]
+        assert sampled_best(G, [mask], num, den) == (scaled, [True])
         assert (scaled, X, P) == reference_witness_12(G, mask, num, den)
         assert X == mask_vertices(mask)
         assert abs(e12(G, X, P) - p * len(X) * len(P)) == Fraction(scaled, den)
