@@ -11,13 +11,17 @@ takes the ranks of many sets at once, held as vertex columns; colex_blocks
 lists every k-subset of [0, n) as such columns, a block at a time, and
 colex_order sorts many sets, held the same way, into colex order.  Links
 builds a hypergraph's links as 64-bit words, in the one layout that
-vertex_words and mask_words also give vertex sets.
+vertex_words and mask_words also give vertex sets.  It groups the link
+incidences by one sort of integer keys that pack each incidence in a word,
+which is colex order, and by colex_order only where a key would not fit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -202,6 +206,9 @@ class Links:
     vertex v of e give one incidence: sets[:, i] holds the (r-1)-set T = e - v
     as a vertex column, and verts[i] holds v, one vertex of link(T).  A vertex
     set of [0, n) is ceil(n / 64) uint64 words, v being bit v & 63 of word v >> 6.
+    table() places the links by the rank of T; masks() and blocks() read one
+    grouping of the incidences by T, built on first use, and fill only the
+    words that hold a vertex.
     """
 
     def __init__(self, n: int, ends: np.ndarray):
@@ -211,7 +218,6 @@ class Links:
         # each edge once for each of its vertices v: the (r-1)-set T it leaves, and v
         self.sets = np.concatenate([ends[np.arange(r) != j] for j in range(r)], axis=1)
         self.verts = ends.ravel()
-        self.bits = np.left_shift(np.uint64(1), self.verts & 63, dtype=np.uint64)
 
     def ranks(self) -> np.ndarray:
         """The colex rank of each incidence's T, exact while C(n, t) <= 2^32."""
@@ -220,42 +226,70 @@ class Links:
     def table(self) -> np.ndarray:
         """words[w, rank of T]: word w of link(T), for every t-subset T of [0, n)."""
         words = np.zeros((self.width, binom(self.n, self.t)), dtype=np.uint64)
-        np.bitwise_or.at(words, (self.verts >> 6, self.ranks()), self.bits)
+        bits = np.left_shift(np.uint64(1), self.verts & 63, dtype=np.uint64)
+        np.bitwise_or.at(words, (self.verts >> 6, self.ranks()), bits)
         return words
 
-    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    @functools.cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The incidences grouped by T in colex order, as (keys, starts, held,
+        verts): run g holds the vertices verts[starts[g]:starts[g + 1]] of
+        link(T) for the T in keys[:, g], and every vertex lies in a word of held.
+
+        With b the bit length of n - 1, r fields of b bits hold an incidence
+        in one integer: T's largest vertex in the top field, v in the lowest.
+        Sorted, these run in colex order of T, and the fields of a run's head
+        give its T.  Past 64 bits, colex_order sorts the sets instead.
+        """
+        t, b = self.t, max(self.n - 1, 0).bit_length()
+        if (t + 1) * b <= 64:
+            dtype = np.min_scalar_type((1 << (t + 1) * b) - 1)
+            verts = self.verts.astype(dtype)
+            for i, col in enumerate(self.sets, 1):
+                verts |= np.left_shift(col, i * b, dtype=dtype)
+            verts.sort()
+            tees, field = verts >> b, (1 << b) - 1
+            verts &= field
+            new = np.ones(len(verts), dtype=bool)
+            np.not_equal(tees[1:], tees[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            heads = tees[starts]
+            keys = np.array([heads >> i * b & field for i in range(t)], dtype).reshape(t, len(heads))
+        else:
+            order, new = colex_order(self.sets)
+            starts = np.flatnonzero(new)
+            keys, verts = np.take(self.sets, order[starts], axis=1), self.verts[order]
+        # the words that hold a vertex: word 0 alone, if any, below 65 vertices
+        held = np.unique(verts >> 6) if self.width > 1 else np.arange(min(len(verts), 1))
+        return keys, np.append(starts, len(verts)), held, verts
+
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The T with a nonempty link in colex order, `rows` at a time, as (keys,
-        words): keys holds the T as vertex columns and words[w] word w of each
-        link(T).  No rank is taken, so any n is exact."""
-        order, first = colex_order(self.sets)
-        verts, bits = self.verts[order], self.bits[order]
-        starts = np.append(np.flatnonzero(first), len(verts))
-        keys = np.take(self.sets, order[first], axis=1)
-        held, left = [], verts >> 6  # the words that hold an incidence
-        while len(left):
-            held.append(left.min())
-            left = left[left != held[-1]]
+        held, words): keys holds the T as vertex columns and words[i] word
+        held[i] of each link(T); no link has a vertex in another word.  No
+        rank is taken, so any n is exact."""
+        keys, starts, held, verts = self._runs
         for lo in range(0, keys.shape[1], rows):
             hi = min(lo + rows, keys.shape[1])
-            run = slice(starts[lo], starts[hi])
-            words = np.zeros((self.width, hi - lo), dtype=np.uint64)
-            for w in held:
+            run = verts[starts[lo]:starts[hi]]
+            bits = np.left_shift(np.uint64(1), run & 63, dtype=np.uint64)
+            words = np.empty((len(held), hi - lo), dtype=np.uint64)
+            for i, w in enumerate(held):
                 # word w of link(T): the OR of the bits of T's run of vertices in that word
-                part = np.where(verts[run] >> 6 == w, bits[run], 0)
-                np.bitwise_or.reduceat(part, starts[lo:hi] - starts[lo], out=words[w])
-            yield keys[:, lo:hi], words
+                part = bits if len(held) == 1 else np.where(run >> 6 == w, bits, 0)
+                np.bitwise_or.reduceat(part, starts[lo:hi] - starts[lo], out=words[i])
+            yield keys[:, lo:hi], held, words
 
     def masks(self) -> dict[tuple[int, ...], int]:
         """Each nonempty link(T) as an int, bit v for vertex v, keyed by tuple T."""
         out = {}
-        for keys, words in self.blocks(max(len(self.verts), 1)):
-            ints = [0] * words.shape[1]
-            # only the words that hold an incidence
-            for w in np.flatnonzero(words.any(axis=1)).tolist():
-                held = np.flatnonzero(words[w])
-                for g, x in zip(held.tolist(), words[w, held].tolist()):
-                    ints[g] |= x << 64 * w
-            out.update(zip(map(tuple, keys.T.tolist()), ints))
+        for keys, held, words in self.blocks(max(len(self.verts), 1)):  # at most one block
+            ints = None
+            for w, word in zip(held.tolist(), words):
+                part = [x << 64 * w for x in word.tolist()] if w else word.tolist()
+                ints = part if ints is None else list(map(operator.or_, ints, part))
+            # each T as a tuple; for r = 1, the one T is the empty set
+            out.update(zip(zip(*keys.tolist()) if self.t else itertools.repeat(()), ints))
         return out
 
 

@@ -26,11 +26,14 @@ link words by rank (_LinkWords.bad_counts); eq3 scores the poor l-sets as an
 l-graph, the sum of phi_S over rich S is one pass counting the rich S <= X
 bad in X, and for l = r-1 phi_S is a closed form in |link(S)|.  Each attempt
 of extract_random is scored from a dict of link bitmasks keyed by the tuple
-T (_induced_min_degree), which takes no rank and so is exact at any n.
+T (_induced_min_degree), which takes no rank and so is exact at any n; when
+the vertices outnumber the link incidences, the masks are over only the
+vertices on some edge (_live_labels).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -169,10 +172,11 @@ def good_threshold(p: Fraction, delta: Fraction, m: int, ell: int, r: int) -> tu
     return boundary, math.floor(boundary) + 1
 
 
-def _induced_min_degree(links: dict, r: int, X: Sequence[int], ell: int) -> int:
-    """Minimum l-degree of G[X], for sorted X, from G's Links.masks(): the
-    least link sum of an l-subset of X, over r - l."""
-    xmask = subset_mask(X)
+def _induced_min_degree(links: dict, r: int, X: Sequence[int], ell: int, xmask: int) -> int:
+    """Minimum l-degree of G[X] from G's Links.masks(): the least link sum of
+    an l-subset of X, over r - l.  X holds the labels of its vertices in the
+    links, in order, and xmask their bits; a vertex on no edge may take any
+    label that no link holds, and no bit (_live_labels)."""
     k = r - ell
     if k == 1:
         best = len(X)  # above any codegree inside X
@@ -190,6 +194,21 @@ def _induced_min_degree(links: dict, r: int, X: Sequence[int], ell: int) -> int:
             for S in itertools.combinations(T, ell):
                 totals[S] += c
     return min(totals.values()) // k
+
+
+def _live_labels(live: list[int], X: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The labels of sorted X in links over live, the sorted vertices on some
+    edge, and their mask: a live vertex is labeled by its place in live, and
+    a vertex on no edge by len(live) + its place in X, which adds no bit."""
+    labels, xmask = [], 0
+    for i, v in enumerate(X):
+        j = bisect.bisect_left(live, v)
+        if j < len(live) and live[j] == v:
+            xmask |= 1 << j
+        else:
+            j = len(live) + i
+        labels.append(j)
+    return tuple(labels), xmask
 
 
 def _check_extract_args(G: Hypergraph, ell: int, m: int, p, delta=None):
@@ -242,9 +261,11 @@ def extract_random(
     failure the report carries the best subset seen (maximum achieved
     minimum l-degree, ties to the earliest attempt).  The reported degree is
     recomputed on the induced subgraph, never trusted from the search loop.
-    Attempts walking more than enum_budget (r-1)-subsets in all are refused,
-    as are link masks of more than MAX_ENTRIES words, ceil(n / 64) for each
-    of the r |E| link incidences.
+    The links are masks over labels: the vertices themselves, or, when they
+    outnumber the r |E| link incidences, the L vertices on some edge, in
+    order (_live_labels).  Attempts walking more than enum_budget
+    (r-1)-subsets in all are refused, as are link masks of more than
+    MAX_ENTRIES words, ceil(L / 64) for each incidence (L = n unlabeled).
     """
     p, delta = _check_extract_args(G, ell, m, p, delta)
     if budget < 1:
@@ -253,12 +274,17 @@ def extract_random(
     refuse_above(binom(m, ell), f"the degree table over C({m}, {ell})")
     what = f"extract_random with {budget} attempts of C({m}, {G.r - 1})"
     refuse_above(budget * binom(m, G.r - 1), what, enum_budget, _RAISE_BUDGET)
-    width = -(-G.n // 64)
+    rows, live = G.edge_array, None
+    if G.n > G.r * G.edge_count:  # label the vertices on some edge, in order
+        live = np.unique(rows)
+        rows, live = np.searchsorted(live, rows), live.tolist()
+    count = G.n if live is None else len(live)
+    width = -(-count // 64)
     what = f"the link masks of {G.r} * {G.edge_count} incidences * {width} words"
     refuse_above(G.r * G.edge_count * width, what)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    links = Links(G.n, G.edge_array.T).masks()
+    links = Links(count, rows.T).masks()
     best_deg = -1
     best_subset: tuple[int, ...] = ()
     success = False
@@ -267,7 +293,8 @@ def extract_random(
         attempts = attempt
         rng = random.Random(_attempt_seed(seed, attempt))
         X = random_ksubset(G.n, m, rng)
-        achieved = _induced_min_degree(links, G.r, X, ell)
+        labels, xmask = (X, subset_mask(X)) if live is None else _live_labels(live, X)
+        achieved = _induced_min_degree(links, G.r, labels, ell, xmask)
         if achieved > best_deg:
             best_deg = achieved
             best_subset = X
@@ -527,9 +554,10 @@ def audit_eq2_phi(
         raise ValidationError(
             f"S={S} is poor (deg {deg} < {p * max_possible}); the bound only covers rich subsets"
         )
-    if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
-        what = f"audit_eq2_phi with C({G.n - ell}, {m - ell})"
-        refuse_above(binom(G.n - ell, m - ell), what, enum_budget, _RAISE_BUDGET)
+    # for l = r-1, phi_S is a closed form and enumerates nothing
+    count = binom(G.n - ell, m - ell) if ell < G.r - 1 else 0
+    what = f"audit_eq2_phi with C({G.n - ell}, {m - ell})"
+    refuse_above(count, what, enum_budget, _RAISE_BUDGET)
     boundary, _ = good_threshold(p, delta, m, ell, G.r)
     lhs = _phi_count(G, S, m, boundary)
     total = binom(G.n - ell, m - ell)
@@ -563,10 +591,11 @@ def audit_bad_total(
 ) -> AuditReport:
     """Sum of phi_S over rich S against C(n, m)/2 (diagnostic, not asserted)."""
     p, delta = _check_extract_args(G, ell, m, p, delta)
-    if ell < G.r - 1:  # for l = r-1, phi_S is a closed form
-        # the pass over the C(n, m) m-subsets X visits C(n, l) C(n - l, m - l) pairs S <= X
-        what = f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})"
-        refuse_above(binom(G.n, ell) * binom(G.n - ell, m - ell), what, enum_budget, _RAISE_BUDGET)
+    # the pass over the C(n, m) m-subsets X visits C(n, l) C(n - l, m - l)
+    # pairs S <= X; for l = r-1, phi_S is a closed form and enumerates nothing
+    count = binom(G.n, ell) * binom(G.n - ell, m - ell) if ell < G.r - 1 else 0
+    what = f"audit_bad_total with C({G.n}, {ell}) * C({G.n - ell}, {m - ell})"
+    refuse_above(count, what, enum_budget, _RAISE_BUDGET)
     # looked up at call time, so a wrapper records the build
     table = degree.degree_table(G, ell)
     rich = ~table.poor(p)

@@ -133,7 +133,7 @@ class Hypergraph:
         verts = np.array(xs, dtype=rows.dtype)
         # a vertex of X is relabeled by its position in xs, which keeps the
         # order inside rows and the colex order between them
-        inside = np.isin(rows, verts).all(axis=1)
+        inside = functools.reduce(operator.and_, np.isin(rows, verts, kind="sort").T)
         sub = np.searchsorted(verts, rows[inside])
         return Hypergraph.from_rows(len(xs), self.r, sub), InducedMap(tuple(xs))
 

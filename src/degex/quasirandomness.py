@@ -363,7 +363,7 @@ def _sampled_best(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> tu
     total, below, below_sum = np.zeros((3, trials), dtype=np.int64)
 
     linked = 0
-    for _, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
+    for _, held, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
         block = words.shape[1]
         linked += block
         trial_block = max(BLOCK_BYTES // (8 * block), 1)
@@ -371,9 +371,9 @@ def _sampled_best(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> tu
             t1 = min(t0 + trial_block, trials)
             buf = np.empty((t1 - t0, block), dtype=np.uint64)
             d = np.empty(buf.shape, dtype=score.count)
-            for w, word in enumerate(words):
+            for i, (w, word) in enumerate(zip(held, words)):
                 np.bitwise_and(xwords[t0:t1, w, None], word, out=buf)
-                if w:
+                if i:
                     d += np.bitwise_count(buf)
                 else:
                     np.bitwise_count(buf, out=d)

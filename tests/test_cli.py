@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import time
 import tracemalloc
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 import degex.cli
 from degex.cli import build_parser, main
-from degex.combinatorics import BLOCK_BYTES
+from degex.combinatorics import BLOCK_BYTES, random_ksubset
 from degex.degree import degree_of
 from degex.errors import LimitExceeded, ValidationError, refuse_above
+from degex.extraction import _attempt_seed
 from degex.hypergraph import load, parse
 
 
@@ -321,7 +323,8 @@ class TestExtract:
             assert "--threads" in err
 
     def test_random_link_masks_skip_empty_words(self, capsys, tmp_path):
-        # 156250 words a link, of which 2 edges fill a handful
+        # 156250 words to a vertex set, of which 2 edges fill a handful; the
+        # masks are over the 6 vertices on an edge
         path = tmp_path / "wide.hg"
         path.write_text("3 10000000\n0 1 2\n5 9999990 9999999\n")
         start = time.perf_counter()
@@ -335,6 +338,29 @@ class TestExtract:
             "success": False, "subset": [1619619, 4325282, 5892764],
             "achieved_min_degree": 0, "threshold": 1, "attempts": 20, "seed": 0,
         }
+
+    def test_random_at_10_to_the_8_vertices_is_fast_and_small(self, capsys, tmp_path):
+        # 2 edges: the link masks and each draw's mask are over the 6 vertices
+        # on an edge, not 1562500 words of the vertex set
+        path = tmp_path / "huge.hg"
+        path.write_text("3 100000000\n0 1 2\n3 4 5\n")
+        argv = ("extract", "--in", str(path), "--ell", "1", "--m", "3", "--p", "1/2",
+                "--delta", "1/2", "--budget", "1000")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "success": false,\n  "subset": [\n    27054039,\n    33911631,\n'
+            '    58586370\n  ],\n  "achieved_min_degree": 0,\n  "threshold": 1,\n'
+            '  "attempts": 1000,\n  "seed": 0\n}\n'
+        )
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv)[1] == out
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestAudit:
@@ -434,6 +460,23 @@ class TestAudit:
             else:
                 assert err == ""
                 assert json.loads(out)["context"]["ell"] == ell
+
+    @pytest.mark.parametrize("which, flag", [("eq2", ("--subset", "0,1")),
+                                             ("bad-total", ("--ell", "2"))], ids=["eq2", "bad-total"])
+    def test_negative_enum_budget_is_exit_2_in_closed_form(self, capsys, tmp_path, which, flag):
+        # at l = r-1 phi_S is a closed form that enumerates nothing, and the
+        # budget is still a flag to check
+        g = tmp_path / "k6.hg"
+        run(capsys, "gen", "complete", "--n", "6", "--r", "3", "--out", str(g))
+        argv = ("audit", "--in", str(g), "--which", which, *flag, "--m", "4", "--p", "1/2",
+                "--delta", "1/10", "--enum-budget")
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the limit on ") and err.count("\n") == 1
+        assert err.endswith(" must be at least 0, got -1\n")
+        code, out, err = run(capsys, *argv, "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["context"]["ell"] == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -652,8 +695,11 @@ REFUSALS = {
     "degree-table": ("3 4473\n", ("stats", "--ell", "2"), math.comb(4473, 2), None),
     "link-table": ("3 1086\n", ("extract", "--mode", "exhaustive", "--ell", "2", "--m", "2",
                                 "--p", "1/2", "--delta", "1/4"), math.comb(1086, 2) * 17, None),
-    "link-masks": ("3 106666688\n0 1 2\n3 4 5\n", ("extract", "--ell", "1", "--m", "3", "--p",
-                                                   "1/2", "--delta", "1/2"), 6 * 1666667, None),
+    # 8434 disjoint edges among 10^12 vertices: masks of ceil(25302 / 64) words, over the
+    # 25302 vertices on an edge, for each of the 25302 incidences
+    "link-masks": ("3 1000000000000\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(8434)),
+                   ("extract", "--ell", "1", "--m", "3", "--p", "1/2", "--delta", "1/2"),
+                   25302 * 396, None),
     "gen-er": (None, ("gen", "er", "--n", "393", "--r", "3", "--p", "1/2", "--seed", "1"),
                math.comb(393, 3), None),
     "gen-complete": (None, ("gen", "complete", "--n", "393", "--r", "3"), math.comb(393, 3), None),
@@ -722,13 +768,10 @@ class TestRefusals:
 
     @pytest.mark.parametrize("n", [2**40, 2**64 + 5])
     @pytest.mark.parametrize("argv, what, count", [
-        # ceil(n / 64) words for each of the 6 link incidences of 2 edges
-        (("extract", "--ell", "1", "--m", "3", "--p", "1/2", "--delta", "1/2"),
-         "the link masks of 3 * 2 incidences", lambda n: 6 * -(-n // 64)),
         # phi_S for S = {0} at m = 1 scores the one empty extension on the pair links
         (("audit", "--which", "eq2", "--subset", "0", "--m", "1", "--p", "0", "--delta", "1/2"),
          "the link table over C(", lambda n: (n - 1) * -(-(n - 1) // 64)),
-    ], ids=["extract-random", "eq2"])
+    ], ids=["eq2"])
     def test_links_at_huge_n_are_exit_3(self, capsys, tmp_path, n, argv, what, count):
         path = tmp_path / "wide.hg"
         path.write_text(f"3 {n}\n0 1 2\n3 4 5\n")
@@ -738,6 +781,25 @@ class TestRefusals:
         assert err.startswith(f"error: {what}")
         assert f"= {count(n)} exceeds the limit of 10000000" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [2**40, 2**64 + 5])
+    def test_random_link_masks_at_huge_n_run(self, capsys, tmp_path, n):
+        # the masks are over the 6 vertices on an edge, so n sets no size; at
+        # 2^64 + 5 the edge array holds Python ints
+        path = tmp_path / "wide.hg"
+        path.write_text(f"3 {n}\n0 1 2\n3 4 5\n")
+        assert (load(path).edge_array.dtype == object) == (n > 2**64)
+        code, out, err = run(capsys, "extract", "--ell", "1", "--m", "3", "--p", "1/2",
+                             "--delta", "1/2", "--in", str(path))
+        assert (code, err) == (0, "")
+        # G[X] has minimum degree 1 only when the 3-set X is an edge; no draw
+        # is, so the first draw is the best
+        draws = [random_ksubset(n, 3, random.Random(_attempt_seed(0, a))) for a in range(1, 1001)]
+        assert not {(0, 1, 2), (3, 4, 5)} & set(draws)
+        assert json.loads(out) == {
+            "success": False, "subset": list(draws[0]), "achieved_min_degree": 0,
+            "threshold": 1, "attempts": 1000, "seed": 0,
+        }
 
     def test_one_raise_site(self):
         # every refusal goes through errors.refuse_above
@@ -849,7 +911,7 @@ COMMANDS = {  # argv head, whether it reads --in, and each flag's values
 def hg_texts(draw):
     """A small .hg text, valid or with one fault: its header, an edge's field
     count, a vertex out of range, a repeated vertex or a byte that is not
-    UTF-8; or a valid one whose header claims 10^5 vertices, past the limits
+    UTF-8; or a valid one whose header claims 10^8 vertices, past the limits
     of every table over pairs; or None, for a file that does not exist."""
     r = draw(st.sampled_from([3, 3, 3, 2, 4]))
     n = draw(st.sampled_from([0, 1, 2, *[3, 4, 5, 6, 7] * 2]))
@@ -861,7 +923,7 @@ def hg_texts(draw):
     if fault == "missing":
         return None
     if fault == "huge":
-        lines[0] = f"{r} 100000"
+        lines[0] = f"{r} 100000000"
     elif fault == "header":
         lines[0] = draw(st.sampled_from(["", "3", "3 x", "0 5", "3 -1", "3 5 7"]))
     elif fault == "fields":
@@ -920,9 +982,9 @@ class TestExitContract:
     @example((["stats", "--ell=1", "--p=1/2"], True, b"3 0\n"))  # a poor share of no subsets
     # one refusal of each limit kind: instance size, table size, pair count, enumeration
     @example((["gen", "er", "--n=1000000000", "--p=1/2", "--seed=1"], False, None))
-    @example((["stats", "--ell=2"], True, b"3 100000\n0 1 2\n"))
-    @example((["qr", "--mode=sampled", "--kind=12", "--p=1/2"], True, b"3 100000\n0 1 2\n"))
-    @example((["audit", "--which=eq3", "--ell=1", "--m=3", "--p=1/2"], True, b"3 100000\n0 1 2\n"))
+    @example((["stats", "--ell=2"], True, b"3 100000000\n0 1 2\n"))
+    @example((["qr", "--mode=sampled", "--kind=12", "--p=1/2"], True, b"3 100000000\n0 1 2\n"))
+    @example((["audit", "--which=eq3", "--ell=1", "--m=3", "--p=1/2"], True, b"3 100000000\n0 1 2\n"))
     @settings(max_examples=250, deadline=None)
     def test_exits_are_0_2_or_3_and_failures_write_one_line(self, tmp_path_factory, drawn):
         argv, reads, text = drawn

@@ -190,30 +190,40 @@ def python_links(edges):
     return links
 
 
-def words_int(words):
-    """The int whose 64-bit words, low word first, are `words`."""
-    return sum(x << 64 * w for w, x in enumerate(words))
+def words_int(words, held=None):
+    """The int whose 64-bit words, low word first, are `words`, or whose
+    words held[i] are words[i] and whose other words are 0."""
+    return sum(x << 64 * w for w, x in zip(range(len(words)) if held is None else held.tolist(), words))
 
 
 class TestLinks:
     @given(st.data())
     @settings(deadline=None)
     def test_dense_and_sparse_links_match_the_edges(self, data):
-        # r = 1 is the l-graph of poor vertices that eq3 scores at l = 1
-        r = data.draw(st.integers(1, 5))
-        n = data.draw(st.one_of(st.integers(r, 9), st.sampled_from([63, 64, 65, 129])))
-        edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(lambda e: tuple(sorted(e)))
-        edges = sorted(set(data.draw(st.lists(edge, max_size=60))))
+        # r = 1 is the l-graph of poor vertices that eq3 scores at l = 1.  An
+        # incidence packs into one word while r fields of the bit length of
+        # the largest label fit in 64 bits, up to n = 2^(64 // r) labels; past
+        # that, and at n = 10^8 for r >= 3, the sets are sorted as columns
+        r = data.draw(st.integers(1, 8))
+        last = [1 << 64 // r, (1 << 64 // r) + 1] if r > 1 else []
+        n = data.draw(st.one_of(st.integers(r, 9), st.sampled_from([63, 64, 65, 129, *last, 10**8])))
+        if n == 10**8:  # a sparse graph, its vertices low or anywhere
+            vertex, most = st.one_of(st.integers(0, 63), st.integers(0, n - 1)), max(2, 15 // r)
+        else:  # labels up to 2^(64 // r), vertices among the first 200
+            vertex, most = st.integers(0, min(n, 200) - 1), 60
+        edge = st.sets(vertex, min_size=r, max_size=r).map(lambda e: tuple(sorted(e)))
+        edges = sorted(set(data.draw(st.lists(edge, min_size=2 if n == 10**8 else 0, max_size=most))))
         links = Links(n, columns(edges, r, n))
         expected = python_links(edges)
         rows = data.draw(st.integers(1, 8))
         blocks = list(links.blocks(rows))
-        assert all(keys.shape[1] == rows for keys, _ in blocks[:-1])
-        keys = [tuple(T) for K, _ in blocks for T in K.T.tolist()]
+        assert all(keys.shape[1] == rows for keys, _, _ in blocks[:-1])
+        keys = [tuple(T) for K, _, _ in blocks for T in K.T.tolist()]
         assert keys == sorted(expected, key=lambda T: T[::-1])  # colex order
-        words = [words_int(w) for _, W in blocks for w in W.T.tolist()]
+        words = [words_int(w, held) for _, held, W in blocks for w in W.T.tolist()]
         assert dict(zip(keys, words)) == expected
         assert links.masks() == expected
+        assert list(links.masks()) == keys
         if binom(n, r - 1) * links.width <= 1 << 20:
             table = links.table()
             assert table.shape == (links.width, binom(n, r - 1))

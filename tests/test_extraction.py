@@ -25,6 +25,7 @@ from degex.extraction import (
     _count_poor_free,
     _induced_min_degree,
     _LinkWords,
+    _live_labels,
     _phi_count,
     _within_tail_bound,
     audit_bad_total,
@@ -319,8 +320,30 @@ class TestLinkTable:
         G = build(n, r, itertools.compress(possible, keep))
         X = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
         links = Links(G.n, G.edge_array.T).masks()
+        # the links over the vertices on some edge, as extract_random labels them
+        # when vertices outnumber incidences; X may hold vertices on no edge
+        live = np.unique(G.edge_array).tolist()
+        live_links = Links(len(live), np.searchsorted(live, G.edge_array).T).masks()
+        labels, xmask = _live_labels(live, X)
         for ell in range(1, min(r, len(X) + 1)):
-            assert _induced_min_degree(links, r, X, ell) == brute_min_induced_degree(G, X, ell)
+            expected = brute_min_induced_degree(G, X, ell)
+            assert _induced_min_degree(links, r, X, ell, subset_mask(X)) == expected
+            assert _induced_min_degree(live_links, r, labels, ell, xmask) == expected
+
+    def test_vertices_on_no_edge_have_degree_0(self):
+        # K5 on {0, ..., 4} and the edge 016; vertices 5 and 7 lie on no edge,
+        # so every l-set through them has degree 0, as has 6 without 0
+        G = build(8, 3, [*itertools.combinations(range(5), 3), (0, 1, 6)])
+        live = np.unique(G.edge_array).tolist()
+        assert live == [0, 1, 2, 3, 4, 6]
+        links = Links(len(live), np.searchsorted(live, G.edge_array).T).masks()
+        for X, least in (((0, 1, 2, 3, 4), (6, 3)), ((0, 1, 2, 3, 4, 5, 7), (0, 0)),
+                         ((5, 7), (0,)), ((1, 2, 3, 4, 6), (0, 0))):
+            labels, xmask = _live_labels(live, X)
+            assert xmask == subset_mask(live.index(v) for v in X if v in live)
+            for ell, degree in enumerate(least, 1):
+                assert min_degree(G.induced(X)[0], ell) == degree
+                assert _induced_min_degree(links, 3, labels, ell, xmask) == degree
 
     def test_links_past_32_bit_ranks(self):
         # C(3000, 3) > 2^32, past the ranks tuple_ranks keeps exact; the links
@@ -339,20 +362,22 @@ class TestLinkTable:
         assert links == expected
         X = tuple(range(2988, 3000))
         for ell in (1, 2, 3):
-            assert _induced_min_degree(links, 4, X, ell) == min_degree(G.induced(X)[0], ell) > 0
-        # every attempt of extract_random scores its own draw as G[X] does
+            expected = min_degree(G.induced(X)[0], ell)
+            assert _induced_min_degree(links, 4, X, ell, subset_mask(X)) == expected > 0
+        # every attempt of extract_random scores its own draw as G[X] does; the
+        # 3000 vertices outnumber the 1600 incidences, so it labels the live ones
         for ell in (1, 3):
             seen = []
 
-            def record(links, r, X, ell):
-                seen.append((X, _induced_min_degree(links, r, X, ell)))
-                return seen[-1][1]
+            def record(links, r, X, ell, xmask):
+                seen.append(_induced_min_degree(links, r, X, ell, xmask))
+                return seen[-1]
 
             with mock.patch.object(extraction, "_induced_min_degree", record):
                 report = extract_random(G, ell, 30, Fraction(1, 2), Fraction(1, 4), budget=8, seed=5)
             draws = [random_ksubset(3000, 30, random.Random(_attempt_seed(5, a))) for a in range(1, 9)]
-            assert report.attempts == 8 and [X for X, _ in seen] == draws
-            for X, degree in seen:
+            assert report.attempts == 8 and len(seen) == 8
+            for X, degree in zip(draws, seen):
                 assert degree == min_degree(G.induced(X)[0], ell)
 
 
@@ -385,7 +410,7 @@ def oracle_good(G, ell, m, need):
     """Whether each m-subset, in colex order, is good, one subset at a time by
     extract_random's scorer."""
     links = Links(G.n, G.edge_array.T).masks()
-    return [_induced_min_degree(links, G.r, X, ell) >= need for X in ksubsets(G.n, m)]
+    return [_induced_min_degree(links, G.r, X, ell, subset_mask(X)) >= need for X in ksubsets(G.n, m)]
 
 
 def draw_graph(data, n, r):
