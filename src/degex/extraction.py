@@ -263,7 +263,9 @@ def extract_random(
     recomputed on the induced subgraph, never trusted from the search loop.
     The links are masks over labels: the vertices themselves, or, when they
     outnumber the r |E| link incidences, the L vertices on some edge, in
-    order (_live_labels).  Attempts walking more than enum_budget
+    order (_live_labels).  That pays only where it drops mask words: with
+    every vertex live it adds about 1 ms a call at n = 44 (CHANGES.md has
+    the crossover).  Attempts walking more than enum_budget
     (r-1)-subsets in all are refused, as are link masks of more than
     MAX_ENTRIES words, ceil(L / 64) for each incidence (L = n unlabeled).
     """

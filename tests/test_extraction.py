@@ -366,19 +366,31 @@ class TestLinkTable:
             assert _induced_min_degree(links, 4, X, ell, subset_mask(X)) == expected > 0
         # every attempt of extract_random scores its own draw as G[X] does; the
         # 3000 vertices outnumber the 1600 incidences, so it labels the live ones
+        live = np.unique(G.edge_array).tolist()
+        seen = []
+
+        def record(links, r, labels, ell, xmask):
+            seen.append((labels, xmask, _induced_min_degree(links, r, labels, ell, xmask)))
+            return seen[-1][2]
+
         for ell in (1, 3):
-            seen = []
-
-            def record(links, r, X, ell, xmask):
-                seen.append(_induced_min_degree(links, r, X, ell, xmask))
-                return seen[-1]
-
+            seen.clear()
             with mock.patch.object(extraction, "_induced_min_degree", record):
                 report = extract_random(G, ell, 30, Fraction(1, 2), Fraction(1, 4), budget=8, seed=5)
             draws = [random_ksubset(3000, 30, random.Random(_attempt_seed(5, a))) for a in range(1, 9)]
-            assert report.attempts == 8 and len(seen) == 8
-            for X, degree in zip(draws, seen):
-                assert degree == min_degree(G.induced(X)[0], ell)
+            assert report.attempts == 8
+            assert [(*_live_labels(live, X), min_degree(G.induced(X)[0], ell)) for X in draws] == seen
+        # random draws of 30 meet few edges, so force every draw into the top
+        # 12, whose labels are not the vertices: each scores its nonzero degree
+        assert _live_labels(live, X)[0] != X
+        for ell in (1, 2, 3):
+            seen.clear()
+            with mock.patch.object(extraction, "_induced_min_degree", record), \
+                    mock.patch.object(extraction, "random_ksubset", lambda n, m, rng: X):
+                report = extract_random(G, ell, 12, Fraction(1, 2), Fraction(1, 4), budget=3, seed=5)
+            expected = min_degree(G.induced(X)[0], ell)
+            assert report.achieved_min_degree == expected > 0
+            assert seen == [(*_live_labels(live, X), expected)] * report.attempts
 
 
 # ---------------------------------------------------------------------------
