@@ -148,6 +148,8 @@ def kth_min_degree(table: DegreeTable, exceptions: int) -> int:
     may be an exception (exceptions >= table size) the value is capped at
     the maximum possible degree C(n - l, r - l).
     """
+    if exceptions < 0:
+        raise ValidationError(f"exceptions must be nonnegative, got {exceptions}")
     if exceptions >= len(table.degrees):
         return table.max_possible
     return int(np.partition(table.degrees, exceptions)[exceptions])

@@ -20,15 +20,18 @@ Extraction and the auditors rest on one identity: link(T) holds the v with
 T + {v} an edge, and an edge e with S <= e <= X counts once for each vertex
 of e outside S, so deg_X(S) is the sum of |link(T) & X| over the (r-1)-sets
 S <= T <= X, over r - l (one popcount for l = r-1).  combinatorics.Links
-builds the links in two forms.  Exhaustive extraction, eq3 and phi_S for
-l < r-1 score m-subsets a colex block at a time against a dense table of
-link words by rank (_LinkWords.bad_counts); eq3 scores the poor l-sets as an
-l-graph, the sum of phi_S over rich S is one pass counting the rich S <= X
-bad in X, and for l = r-1 phi_S is a closed form in |link(S)|.  Each attempt
-of extract_random is scored from a dict of link bitmasks keyed by the tuple
-T (_induced_min_degree), which takes no rank and so is exact at any n; when
-the vertices outnumber the link incidences, the masks are over only the
-vertices on some edge (_live_labels).
+builds the links in two forms.  Exhaustive extraction, eq3, phi_S for
+l < r-1 and the sum of phi_S run one scan of the m-subsets
+(_LinkWords.bad_counts): it walks its own colex blocks against a dense table
+of link words by rank and counts the l-subsets of each X whose degree falls
+below a bound the caller gives, applying the factor t + 1 - l of its
+t-graph itself.  eq3 scans the poor l-sets as an l-graph, the sum of phi_S
+over rich S counts the rich S <= X bad in X, and for l = r-1 phi_S is a
+closed form in |link(S)|.  Each attempt of extract_random is scored from a
+dict of link bitmasks keyed by the tuple T (_induced_min_degree), which
+takes no rank and so is exact at any n; when the vertices outnumber the
+link incidences, the masks are over only the vertices on some edge
+(_live_labels).
 """
 
 from __future__ import annotations
@@ -323,65 +326,67 @@ def extract_random(
 
 
 # ---------------------------------------------------------------------------
-# Block enumeration of m-subsets
-
-
-def _colex_blocks(n: int, m: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The m-subsets of [0, n) in colex order, in blocks of BLOCK_BYTES // 8
-    rows: one 64-bit word a row fits BLOCK_BYTES."""
-    return colex_blocks(n, m, max(BLOCK_BYTES // 8, 1))
+# The m-subset scan
 
 
 class _LinkWords:
     """words[w, rank of T] holds word w of link(T), for every t-subset T of
-    [0, n), t = r - 1, of the edges held as vertex columns ends (Links)."""
+    [0, n), of the (t+1)-graph whose edges are held as vertex columns ends
+    (Links): G, eq3's poor l-graph or the link of S.  bad_counts is the one
+    scan of m-subsets behind exhaustive extraction and the auditors: it walks
+    its own colex blocks and turns the caller's degree bound into a link-sum
+    threshold with the factor t + 1 - l."""
 
     def __init__(self, n: int, ends: np.ndarray):
         t, width = len(ends) - 1, -(-n // 64)
         refuse_above(binom(n, t) * width, f"the link table over C({n}, {t}) * {width} words")
         self.n, self.t, self.words = n, t, Links(n, ends).table()
 
-    def bad_counts(self, cols: np.ndarray, ell: int, thr: int, keep) -> np.ndarray:
-        """For each row X of a block: the number of l-subsets S of X, with
-        keep[rank of S] unless keep is None, whose link sum is below thr.
+    def bad_counts(self, m: int, ell: int, below: int, keep) -> Iterator[tuple[int, np.ndarray]]:
+        """Walk the m-subsets X of [0, n) in colex blocks, yielding each
+        block's first rank and, for each X of the block, the number of
+        l-subsets S of X, with keep[rank of S] unless keep is None, whose
+        degree deg_X(S) is below `below`.
 
-        The link sum of S, the sum of |link(T) & X| over the t-subsets T with
-        S <= T <= X, is (r - l) deg_X(S).  For t > l every S holds its sum
-        until the last T; row passes keep the words and sums in BLOCK_BYTES.
+        An edge e with S <= e <= X counts once for each of its t + 1 - l
+        vertices outside S, so the link sum of S, the sum of |link(T) & X|
+        over the t-subsets T with S <= T <= X, is (t + 1 - l) deg_X(S).  For
+        t > l every S holds its sum until the last T; a block's words and
+        sums fit BLOCK_BYTES.
         """
-        m, total = cols.shape
         acc = np.min_scalar_type(binom(m - ell, self.t - ell) * m)  # bounds every link sum
         per_row = 8 * len(self.words) + (binom(m, ell) * acc.itemsize if self.t > ell else 0)
-        step = max(BLOCK_BYTES // per_row, 1)
-        out = np.zeros(total, dtype=np.min_scalar_type(binom(m, ell)))
+        thr = below * (self.t + 1 - ell)
+        for offset, cols in colex_blocks(self.n, m, max(BLOCK_BYTES // per_row, 1)):
+            yield offset, self._block_counts(cols, ell, thr, keep, acc)
 
-        def judge(counts, sums, rank):
-            bad = sums < thr
-            if keep is not None:
-                bad &= np.take(keep, rank)
-            counts += bad
+    def _block_counts(self, cols: np.ndarray, ell: int, thr: int, keep, acc) -> np.ndarray:
+        """bad_counts of one block, whose arrays go before the next is built."""
+        m, rows = cols.shape
+        counts = np.zeros(rows, dtype=np.min_scalar_type(binom(m, ell)))
 
-        for lo in range(0, total, step):
-            part, counts = cols[:, lo:lo + step], out[lo:lo + step]
-            rows = part.shape[1]
-            xwords = vertex_words(part, len(self.words))
-            positions = itertools.combinations(range(m), ell)
-            held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
-            word = np.empty(rows, dtype=np.uint64)
-            for P, rank in tuple_ranks(part, self.t, self.n):
-                sums = np.zeros(rows, acc)
-                for link, x in zip(self.words, xwords):
-                    np.take(link, rank, out=word, mode="clip")
-                    word &= x
-                    sums += np.bitwise_count(word)
-                if self.t == ell:
-                    judge(counts, sums, rank)
-                else:
-                    for S in itertools.combinations(P, ell):
-                        held[S] += sums
-            for S, rank in tuple_ranks(part, ell, self.n) if held else ():
-                judge(counts, held[S], rank)
-        return out
+        def bad(sums, rank):
+            low = sums < thr
+            return low if keep is None else low & np.take(keep, rank)
+
+        xwords = vertex_words(cols, len(self.words))
+        positions = itertools.combinations(range(m), ell)
+        held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
+        word = np.empty(rows, dtype=np.uint64)
+        for P, rank in tuple_ranks(cols, self.t, self.n):
+            sums = np.zeros(rows, acc)
+            for link, x in zip(self.words, xwords):
+                np.take(link, rank, out=word, mode="clip")
+                word &= x
+                sums += np.bitwise_count(word)
+            if self.t == ell:
+                counts += bad(sums, rank)
+            else:
+                for S in itertools.combinations(P, ell):
+                    held[S] += sums
+        for S, rank in tuple_ranks(cols, ell, self.n) if held else ():
+            counts += bad(held[S], rank)
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +425,11 @@ def extract_exhaustive(
     refuse_above(binom(G.n, m), what, enum_budget, _RAISE_BUDGET)
     _, need = good_threshold(p, delta, m, ell, G.r)
 
-    # X is good when (r - l) deg_X(S) >= (r - l) need for every l-subset S of X
-    links = _LinkWords(G.n, G.edge_array.T)
-    thr = need * (G.r - ell)
-    good: list[int] = []
-    for offset, cols in _colex_blocks(G.n, m):
-        good += (np.flatnonzero(links.bad_counts(cols, ell, thr, None) == 0) + offset).tolist()
+    # X is good when no l-subset S of X has deg_X(S) below need
+    scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, need, None)
+    good = itertools.chain.from_iterable(
+        (np.flatnonzero(counts == 0) + offset).tolist() for offset, counts in scan
+    )
     return ExhaustiveExtraction(m=m, ell=ell, threshold=need, good_ranks=tuple(good))
 
 
@@ -452,11 +456,8 @@ def _count_poor_free(n: int, m: int, ell: int, poor: np.ndarray) -> int:
     """
     if not poor.shape[1]:
         return binom(n, m)
-    links = _LinkWords(n, poor)
-    return sum(
-        int(np.count_nonzero(links.bad_counts(cols, ell - 1, 1, None) == binom(m, ell - 1)))
-        for _, cols in _colex_blocks(n, m)
-    )
+    scan = _LinkWords(n, poor).bad_counts(m, ell - 1, 1, None)
+    return sum(int(np.count_nonzero(counts == binom(m, ell - 1))) for _, counts in scan)
 
 
 def audit_eq3(
@@ -513,17 +514,23 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
     link = rest - np.searchsorted(np.array(S, dtype=rows.dtype), rest, side="right")
     if k == 1:
         return _tail_count(len(link), G.n - ell - len(link), m - ell, cap)
-    # inside T the link edges number the link sum of the empty set over k
-    links = _LinkWords(G.n - ell, link.T)
-    return sum(
-        int(np.count_nonzero(links.bad_counts(cols, 0, (cap + 1) * k, None)))
-        for _, cols in _colex_blocks(G.n - ell, m - ell)
-    )
+    # inside T the link edges number the degree of the empty set
+    scan = _LinkWords(G.n - ell, link.T).bad_counts(m - ell, 0, cap + 1, None)
+    return sum(int(np.count_nonzero(counts)) for _, counts in scan)
 
 
-def _tail_bound_factor(delta: Fraction, m: int, r: int, ell: int) -> float:
-    """exp(-delta^2 m / (2 (r - l)^2)); delta < 1 keeps the exponent within m."""
-    return math.exp(-float(delta * delta * m) / (2 * (r - ell) ** 2))
+def _tail_bound(total: int, delta: Fraction, m: int, r: int, ell: int) -> float:
+    """total exp(-delta^2 m / (2 (r - l)^2)) as a float, inf only past the
+    float range; delta < 1 keeps the exponent within m.  A total past the
+    float range goes in by its logarithm."""
+    x = float(delta * delta * m) / (2 * (r - ell) ** 2)
+    try:
+        return total * math.exp(-x)
+    except OverflowError:
+        try:
+            return math.exp(math.log(total) - x)
+        except OverflowError:
+            return math.inf
 
 
 def _within_tail_bound(lhs: int, total: int, x: Fraction) -> bool:
@@ -567,7 +574,7 @@ def audit_eq2_phi(
     return AuditReport(
         inequality_id="eq2_phi_bound",
         lhs=lhs,
-        rhs=total * _tail_bound_factor(delta, m, G.r, ell),
+        rhs=_tail_bound(total, delta, m, G.r, ell),
         holds=_within_tail_bound(lhs, total, x),
         context={
             "n": G.n,
@@ -613,14 +620,10 @@ def audit_bad_total(
     elif cap >= 0 and rich_count:
         # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
         # with S rich and bad in X: one pass over X
-        links = _LinkWords(G.n, G.edge_array.T)
-        thr = (cap + 1) * (G.r - ell)
-        for _, cols in _colex_blocks(G.n, m):
-            lhs += int(links.bad_counts(cols, ell, thr, rich).sum())
+        scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, cap + 1, rich)
+        lhs = sum(int(counts.sum()) for _, counts in scan)
     rhs = Fraction(binom(G.n, m), 2)
-    intermediate = (
-        binom(G.n, m) * binom(m, ell) * _tail_bound_factor(delta, m, G.r, ell)
-    )
+    intermediate = _tail_bound(binom(G.n, m) * binom(m, ell), delta, m, G.r, ell)
     return AuditReport(
         inequality_id="bad_total_bound",
         lhs=lhs,

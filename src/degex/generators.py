@@ -111,5 +111,7 @@ def partition_deletion(G: Hypergraph, N: int) -> tuple[Hypergraph, PartitionSpec
 
 def deletion_bound(n: int, N: int) -> int:
     """Pigeonhole cap N * n * C(ceil(n/N), 2) on deleted triples (r = 3)."""
+    if N < 1:
+        raise ValidationError(f"need N >= 1, got N={N}")
     ceil_part = -(-n // N)
     return N * n * binom(ceil_part, 2)

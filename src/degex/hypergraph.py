@@ -16,11 +16,13 @@ of canonical rows (the generators and induced) use the trusted from_rows.
 Canonical output sorts vertices within each edge and orders edges by colex
 rank.  UTF-8, LF line endings.
 
-load and parse read ASCII digit fields and whitespace in bulk with numpy, as
-bytes: one scan of the non-digit bytes finds every field and line end, and
-edges already in colex order, as dump writes them, are not sorted again.  Any
-other text, and any text with an error, goes through the line parser, which
-reports the first bad line.
+parse reads text the way load reads a file: it encodes the text as UTF-8
+and takes the one bytes path, which turns CR and CRLF line ends into LF and
+reads ASCII digit fields and whitespace in bulk with numpy: one scan of the
+non-digit bytes finds every field and line end, and edges already in colex
+order, as dump writes them, are not sorted again.  Any other UTF-8 text, and
+any text with an error, goes through the line parser, which reports the
+first bad line.
 """
 
 from __future__ import annotations
@@ -261,23 +263,10 @@ def _parse_lines(text: str) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
-def parse(text: str) -> Hypergraph:
-    """Parse .hg text. Raises FormatError with a line number on bad input."""
-    G = _parse_bulk(text.encode("ascii")) if text.isascii() else None
-    return G if G is not None else _parse_lines(text)
-
-
-def serialize(G: Hypergraph) -> str:
-    """Canonical .hg text: parse(serialize(G)) == G and the text is a fixpoint."""
-    line = " ".join(["%d"] * G.r) + "\n"
-    return f"{G.r} {G.n}\n" + (line * G.edge_count) % tuple(G.edge_array.ravel().tolist())
-
-
-def load(path) -> Hypergraph:
-    """Read a .hg file.  Lines may end in LF, CRLF or CR; text that is not
-    UTF-8 raises FormatError with the line of the first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_bytes(data: bytes) -> Hypergraph:
+    """Parse .hg bytes, for load and parse alike: CR and CRLF become LF,
+    ASCII goes to the bulk reader, and text it declines, once checked to be
+    UTF-8, to the line parser."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     G = _parse_bulk(data) if data.isascii() else None
@@ -291,6 +280,25 @@ def load(path) -> Hypergraph:
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
     return _parse_lines(text)
+
+
+def parse(text: str) -> Hypergraph:
+    """Parse .hg text as load reads its UTF-8 bytes.  Raises FormatError with
+    a line number on bad input; a lone surrogate is not UTF-8."""
+    return _parse_bytes(text.encode("utf-8", "surrogatepass"))
+
+
+def serialize(G: Hypergraph) -> str:
+    """Canonical .hg text: parse(serialize(G)) == G and the text is a fixpoint."""
+    line = " ".join(["%d"] * G.r) + "\n"
+    return f"{G.r} {G.n}\n" + (line * G.edge_count) % tuple(G.edge_array.ravel().tolist())
+
+
+def load(path) -> Hypergraph:
+    """Read a .hg file.  Lines may end in LF, CRLF or CR; text that is not
+    UTF-8 raises FormatError with the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        return _parse_bytes(fh.read())
 
 
 def dump(G: Hypergraph, path, header_comment: str | None = None) -> None:

@@ -5,8 +5,11 @@ import json
 import math
 import pathlib
 import random
+import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -419,6 +422,45 @@ class TestAudit:
         assert code == 2
         assert out == ""
         assert err == f"error: need 0 < delta < 1, got 1{'0' * 200}\n"
+
+    @pytest.mark.parametrize("which, flag", [("eq2", ("--subset", "0,1")),
+                                             ("bad-total", ("--ell", "2"))], ids=["eq2", "bad-total"])
+    @pytest.mark.parametrize("degree, p, delta", [(2, "0", "1/2"), (600, "1/2", "1/4")],
+                             ids=["finite", "infinite"])
+    def test_bound_past_the_float_range_at_l_r_minus_1(self, capsys, tmp_path, which, flag, degree, p, delta):
+        # n = 1100, m = 600: C(1098, 598) and C(1100, 600) are past the float
+        # range, and at l = r-1 nothing is enumerated to refuse first.  The
+        # shown bounds are floats, inf past the float range; holds is exact.
+        path = tmp_path / "g.hg"
+        path.write_text("3 1100\n" + "".join(f"0 1 {v}\n" for v in range(2, 2 + degree)))
+        code, out, err = run(capsys, "audit", "--in", str(path), "--which", which, *flag,
+                             "--m", "600", "--p", p, "--delta", delta)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)  # one JSON report
+        # every pair but S = {0, 1} has degree at most 1, poor at p = 1/2, and
+        # S is bad in S + T when T holds at most floor((p - delta) 598) of
+        # its link vertices: never at p = 0, and at most 149 of 600 at p = 1/2
+        cap = math.floor((Fraction(p) - Fraction(delta)) * 598)
+        phi = sum(math.comb(degree, j) * math.comb(1098 - degree, 598 - j) for j in range(cap + 1))
+        assert payload["lhs"] == phi
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Fraction(delta) ** 2 * 600 / 2
+            decay = (-Decimal(x.numerator) / x.denominator).exp()
+            if which == "eq2":
+                bound = math.comb(1098, 598) * decay
+                assert payload["holds"] is (phi <= bound)
+                shown = payload["rhs"]
+            else:
+                half = Fraction(math.comb(1100, 600), 2)
+                assert payload["rhs"] == {"num": half.numerator, "den": half.denominator}
+                assert payload["holds"] is (2 * phi <= math.comb(1100, 600))
+                bound = math.comb(1100, 600) * math.comb(600, 2) * decay
+                shown = payload["context"]["intermediate_bound"]
+        if bound < Decimal(sys.float_info.max):
+            assert math.isclose(shown, float(bound), rel_tol=1e-12)
+        else:
+            assert shown == math.inf and '": Infinity' in out
 
     @pytest.mark.parametrize("delta", ["0", "1", "-1/2", "2"])
     @pytest.mark.parametrize(
@@ -985,6 +1027,9 @@ class TestExitContract:
     @example((["stats", "--ell=2"], True, b"3 100000000\n0 1 2\n"))
     @example((["qr", "--mode=sampled", "--kind=12", "--p=1/2"], True, b"3 100000000\n0 1 2\n"))
     @example((["audit", "--which=eq3", "--ell=1", "--m=3", "--p=1/2"], True, b"3 100000000\n0 1 2\n"))
+    # a bound past the float range, where nothing is enumerated to refuse first
+    @example((["audit", "--which=bad-total", "--ell=2", "--m=600", "--p=0", "--delta=1/2"], True,
+              b"3 1100\n0 1 2\n0 1 3\n"))
     @settings(max_examples=250, deadline=None)
     def test_exits_are_0_2_or_3_and_failures_write_one_line(self, tmp_path_factory, drawn):
         argv, reads, text = drawn

@@ -217,6 +217,14 @@ class TestEpsMinDegree:
         with pytest.raises(ValidationError):
             eps_min_degree(EXAMPLE, 2, -1)
 
+    def test_negative_exceptions_rejected(self):
+        # np.partition would read index -1 as the largest degree, 5 here
+        table = degree_table(erdos_renyi(8, 3, "1/2", seed=1), 2)
+        assert kth_min_degree(table, len(table.degrees) - 1) == 5
+        for exceptions in (-1, -len(table.degrees), -len(table.degrees) - 1):
+            with pytest.raises(ValidationError, match=f"exceptions must be nonnegative, got {exceptions}"):
+                kth_min_degree(table, exceptions)
+
     def test_cap_when_everything_may_fail(self):
         assert eps_min_degree(EXAMPLE, 2, 1) == binom(3, 1)
         assert eps_min_degree(build(6, 3, []), 2, 2) == binom(4, 1)

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from degex import extraction
 from degex.combinatorics import (
-    Links, binom, colex_rank, colex_unrank, ksubsets, random_ksubset, subset_mask,
+    Links, binom, colex_blocks, colex_rank, colex_unrank, ksubsets, random_ksubset, subset_mask,
 )
 from degex.degree import degree_of, min_degree, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
     _attempt_seed,
-    _colex_blocks,
     _count_poor_free,
     _induced_min_degree,
     _LinkWords,
@@ -397,12 +396,20 @@ class TestLinkTable:
 # block enumeration
 
 
+def scan_blocks(G, ell, m):
+    """(offset, rows) of each block the m-subset scan of G's links walks."""
+    scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, 1, None)
+    return [(offset, len(counts)) for offset, counts in scan]
+
+
 def block_masks(n, m):
-    """(rank, mask) of each m-subset the block enumerator yields, in its order."""
+    """(rank, mask) of each m-subset of the blocks the scan walks for rows of
+    one word and no held sums (t = l, n <= 64), in their order."""
     out = []
-    for offset, cols in _colex_blocks(n, m):
+    rows = max(extraction.BLOCK_BYTES // 8, 1)
+    for offset, cols in colex_blocks(n, m, rows):
         assert cols.shape[0] == m
-        assert 1 <= cols.shape[1] <= max(extraction.BLOCK_BYTES // 8, 1)
+        assert 1 <= cols.shape[1] <= rows
         assert cols.dtype.kind == "u" and n - 1 <= np.iinfo(cols.dtype).max
         assert (np.diff(cols.astype(np.int64), axis=0) > 0).all()  # ascending rows
         out += [(offset + i, subset_mask(X)) for i, X in enumerate(cols.T.tolist())]
@@ -413,8 +420,8 @@ def block_good(G, ell, m, need):
     """Whether each m-subset, in colex order, is good, by the block scorer."""
     links = _LinkWords(G.n, G.edge_array.T)
     good = []
-    for _, cols in _colex_blocks(G.n, m):
-        good += (links.bad_counts(cols, ell, need * (G.r - ell), None) == 0).tolist()
+    for _, counts in links.bad_counts(m, ell, need, None):
+        good += (counts == 0).tolist()
     return good
 
 
@@ -455,10 +462,17 @@ class TestBlockEnumeration:
 
     def test_blocks_fill_at_most_the_rows(self):
         rows = extraction.BLOCK_BYTES // 8
-        assert len(list(_colex_blocks(200, 2))) == 1
-        sizes = [cols.shape[1] for _, cols in _colex_blocks(100, 3)]
-        assert len(sizes) <= math.ceil(binom(100, 3) / rows) + 1
-        assert max(sizes) <= rows and sum(sizes) == binom(100, 3)
+        # C(58, 3) = 30856 subsets of many colex parts fill one block of rows
+        # of one word; at n = 100 rows take two words
+        assert len(scan_blocks(erdos_renyi(58, 3, Fraction(1, 10), seed=95), 2, 3)) == 1
+        blocks = scan_blocks(erdos_renyi(100, 3, Fraction(1, 10), seed=96), 2, 3)
+        sizes = [size for _, size in blocks]
+        assert len(sizes) <= math.ceil(binom(100, 3) / (rows // 2)) + 1
+        assert max(sizes) <= rows // 2 and sum(sizes) == binom(100, 3)
+        assert blocks == [(offset, cols.shape[1]) for offset, cols in colex_blocks(100, 3, rows // 2)]
+        # for t > l a row also holds its C(m, l) link sums, of one byte here
+        sizes = [size for _, size in scan_blocks(erdos_renyi(20, 3, Fraction(1, 2), seed=97), 1, 8)]
+        assert max(sizes) <= rows // 2 and sum(sizes) == binom(20, 8) and len(sizes) > 1
 
     def test_small_budget_spans_many_blocks(self, monkeypatch):
         G = erdos_renyi(11, 3, Fraction(3, 5), seed=90)
@@ -474,9 +488,9 @@ class TestBlockEnumeration:
             )
 
         whole = run()
-        assert len(list(_colex_blocks(11, 6))) == 1
+        assert len(scan_blocks(G, 2, 6)) == 1
         monkeypatch.setattr(extraction, "BLOCK_BYTES", 64)
-        assert len(list(_colex_blocks(11, 6))) > 50
+        assert len(scan_blocks(G, 2, 6)) > 50
         assert run() == whole
         assert whole[0].count > 0 and whole[2].lhs > 0 and whole[3].lhs > 0
 
@@ -710,7 +724,7 @@ class TestAuditEq2Phi:
                 delta = Fraction(crossing) + step
                 holds = _within_tail_bound(4, 5, delta * delta * m / 2)
                 d = Decimal(delta.numerator) / delta.denominator
-                assert 5 * extraction._tail_bound_factor(delta, m, 2, 1) == 4.0
+                assert extraction._tail_bound(5, delta, m, 2, 1) == 4.0
                 assert holds is (4 <= 5 * (-d * d * m / 2).exp())
                 assert holds is (step > 0)
 

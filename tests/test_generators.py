@@ -222,6 +222,12 @@ class TestPartitionDeletion:
                     deleted = G.edge_count - H.edge_count
                     assert deleted <= deletion_bound(n, N)
 
+    def test_deletion_bound_out_of_range(self):
+        for N in (0, -1):
+            with pytest.raises(ValidationError, match=f"need N >= 1, got N={N}"):
+                deletion_bound(5, N)
+        assert deletion_bound(5, 6) == 0  # parts of at most one vertex
+
     def test_no_large_positive_codegree_subgraph(self):
         # every (N+1)-subset contains two vertices of one part, whose pair
         # has codegree 0 after deletion

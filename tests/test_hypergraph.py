@@ -359,6 +359,17 @@ class TestLoad:
         with open(path, encoding="utf-8") as fh:
             expected = parse(fh.read())
         assert load(path) == expected == build(5, 3, [(0, 1, 2), (2, 3, 4)])
+        assert parse(data.decode("utf-8")) == expected  # the line ends as written
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 5\n0 1 \ud800\n", 2),
+        ("# \udfff\n3 5\n0 1 2\n", 1),  # in a comment, before edges the bulk reader takes
+        ("3 5\r0 1 2\r# \ud800\r", 3),
+    ])
+    def test_parse_of_a_lone_surrogate_is_format_error_at_its_line(self, text, line):
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            parse(text)
+        assert exc.value.line == line
 
     @pytest.mark.parametrize("data, line", [
         (b"3 5\n0 1 \xff\n", 2),
