@@ -66,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, out_required=False):
-        p.add_argument("--in", dest="input", metavar="PATH", help=".hg input file")
+    def add_io(p, out_required=False, reads=True):
+        if reads:
+            p.add_argument("--in", dest="input", metavar="PATH", help=".hg input file")
         p.add_argument(
             "--out", dest="output", metavar="PATH", required=out_required,
             help="output file (default: stdout)",
@@ -82,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen_er.add_argument("--r", type=int, default=3)
     gen_er.add_argument("--p", type=_fraction_arg, required=True)
     gen_er.add_argument("--seed", type=int, required=True)
-    add_io(gen_er)
+    add_io(gen_er, reads=False)
 
     gen_complete = gen_sub.add_parser("complete", help="complete r-graph")
     gen_complete.add_argument("--n", type=int, required=True)
     gen_complete.add_argument("--r", type=int, default=3)
-    add_io(gen_complete)
+    add_io(gen_complete, reads=False)
 
     gen_pd = gen_sub.add_parser(
         "partition-del", help="delete edges doubling up inside a balanced partition"
@@ -156,6 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser that main reuses: building one takes about 2 ms."""
     return build_parser()
+
+
+def _refuse_unread(flags: dict, chosen: str, kind: str) -> None:
+    """Refuse a flag that is set but that the chosen mode or audit never reads,
+    before any input is read: flags maps each flag to (its value, the choices
+    that read it)."""
+    for flag, (value, readers) in flags.items():
+        if value is not None and chosen not in readers:
+            raise ValidationError(f"{flag} applies only to {' and '.join(readers)} {kind}")
 
 
 def _cmd_gen(args) -> None:
@@ -232,6 +242,9 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_audit(args) -> None:
+    _refuse_unread({"--ell": (args.ell, ("eq3", "bad-total")),
+                    "--delta": (args.delta, ("eq2", "bad-total")),
+                    "--subset": (args.subset, ("eq2",))}, args.which, "audits")
     G = _load_input(args.input)
     if args.which == "eq3":
         if args.ell is None:
@@ -258,11 +271,9 @@ def _cmd_qr(args) -> None:
     if args.mode == "sampled" and args.kind == "111":
         raise ValidationError("sampled mode is only available for --kind 12")
     threads = None if args.threads == 1 else args.threads
-    only = {"--trials": (args.trials, "sampled"), "--seed": (args.seed, "sampled"),
-            "--exact-limit": (args.exact_limit, "exact"), "--threads": (threads, "exact")}
-    for flag, (value, mode) in only.items():
-        if value is not None and mode != args.mode:
-            raise ValidationError(f"{flag} applies only to {mode} mode")
+    _refuse_unread({"--trials": (args.trials, ("sampled",)), "--seed": (args.seed, ("sampled",)),
+                    "--exact-limit": (args.exact_limit, ("exact",)),
+                    "--threads": (threads, ("exact",))}, args.mode, "mode")
     G = _load_input(args.input)
     if args.mode == "exact":
         exact = deviation_12_exact if args.kind == "12" else deviation_111_exact

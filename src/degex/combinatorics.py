@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -207,8 +206,9 @@ class Links:
     as a vertex column, and verts[i] holds v, one vertex of link(T).  A vertex
     set of [0, n) is ceil(n / 64) uint64 words, v being bit v & 63 of word v >> 6.
     table() places the links by the rank of T; masks() and blocks() read one
-    grouping of the incidences by T, built on first use, and fill only the
-    words that hold a vertex.
+    grouping of the incidences by T, built on first use, and fill all the
+    words of each link.  So a caller bounds its words by n: extract_random
+    relabels a sparse vertex range to the vertices on some edge first.
     """
 
     def __init__(self, n: int, ends: np.ndarray):
@@ -231,10 +231,10 @@ class Links:
         return words
 
     @functools.cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The incidences grouped by T in colex order, as (keys, starts, held,
-        verts): run g holds the vertices verts[starts[g]:starts[g + 1]] of
-        link(T) for the T in keys[:, g], and every vertex lies in a word of held.
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The incidences grouped by T in colex order, as (keys, starts, verts):
+        run g holds the vertices verts[starts[g]:starts[g + 1]] of link(T) for
+        the T in keys[:, g].
 
         With b the bit length of n - 1, r fields of b bits hold an incidence
         in one integer: T's largest vertex in the top field, v in the lowest.
@@ -259,38 +259,37 @@ class Links:
             order, new = colex_order(self.sets)
             starts = np.flatnonzero(new)
             keys, verts = np.take(self.sets, order[starts], axis=1), self.verts[order]
-        # the words that hold a vertex: word 0 alone, if any, below 65 vertices
-        held = np.unique(verts >> 6) if self.width > 1 else np.arange(min(len(verts), 1))
-        return keys, np.append(starts, len(verts)), held, verts
+        return keys, np.append(starts, len(verts)), verts
 
-    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The T with a nonempty link in colex order, `rows` at a time, as (keys,
-        held, words): keys holds the T as vertex columns and words[i] word
-        held[i] of each link(T); no link has a vertex in another word.  No
-        rank is taken, so any n is exact."""
-        keys, starts, held, verts = self._runs
+        words): keys holds the T as vertex columns and words[w] word w of each
+        link(T), for every w < width.  No rank is taken, so any n is exact."""
+        keys, starts, verts = self._runs
         for lo in range(0, keys.shape[1], rows):
             hi = min(lo + rows, keys.shape[1])
             run = verts[starts[lo]:starts[hi]]
             bits = np.left_shift(np.uint64(1), run & 63, dtype=np.uint64)
-            words = np.empty((len(held), hi - lo), dtype=np.uint64)
-            for i, w in enumerate(held):
-                # word w of link(T): the OR of the bits of T's run of vertices in that word
-                part = bits if len(held) == 1 else np.where(run >> 6 == w, bits, 0)
-                np.bitwise_or.reduceat(part, starts[lo:hi] - starts[lo], out=words[i])
-            yield keys[:, lo:hi], held, words
+            words = np.zeros((self.width, hi - lo), dtype=np.uint64)
+            if self.width == 1:  # link(T): the OR of the bits of T's run of vertices
+                np.bitwise_or.reduceat(bits, starts[lo:hi] - starts[lo], out=words[0])
+            else:  # each bit ORed into its word of its T's link
+                group = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+                np.bitwise_or.at(words, (run >> 6, group), bits)
+            yield keys[:, lo:hi], words
 
     def masks(self) -> dict[tuple[int, ...], int]:
-        """Each nonempty link(T) as an int, bit v for vertex v, keyed by tuple T."""
-        out = {}
-        for keys, held, words in self.blocks(max(len(self.verts), 1)):  # at most one block
-            ints = None
-            for w, word in zip(held.tolist(), words):
-                part = [x << 64 * w for x in word.tolist()] if w else word.tolist()
-                ints = part if ints is None else list(map(operator.or_, ints, part))
+        """Each nonempty link(T) as an int, bit v for vertex v, keyed by tuple T:
+        its words, low word first, are the int's bytes (mask_words reversed)."""
+        for keys, words in self.blocks(max(len(self.verts), 1)):  # at most one block
+            if self.width == 1:
+                ints = words[0].tolist()
+            else:
+                links = np.ascontiguousarray(words.T, dtype="<u8").view(f"V{8 * self.width}")
+                ints = [int.from_bytes(link, "little") for link in links.ravel().tolist()]
             # each T as a tuple; for r = 1, the one T is the empty set
-            out.update(zip(zip(*keys.tolist()) if self.t else itertools.repeat(()), ints))
-        return out
+            return dict(zip(zip(*keys.tolist()) if self.t else itertools.repeat(()), ints))
+        return {}
 
 
 def vertex_words(cols: np.ndarray, width: int) -> np.ndarray:

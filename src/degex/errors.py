@@ -3,8 +3,9 @@
 The CLI maps these onto exit codes: ValidationError (and subclasses) exit 2,
 LimitExceeded exits 3, anything else exits 1.  Every size refusal goes
 through refuse_above before anything of that size is allocated: tables,
-generated subsets, sampled trials and link masks against MAX_ENTRIES, and
-enumerations and exact sweeps against the caller's budget or limit.
+generated subsets, sampled trials, link masks, exact (1,2) rows and exact
+sweep tasks against MAX_ENTRIES, and enumerations and exact sweeps against
+the caller's budget or limit.
 """
 
 # Most entries any table, generator or trial batch may hold: 80 MB of int64.

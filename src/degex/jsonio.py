@@ -34,28 +34,15 @@ def dumps(obj) -> str:
 
 
 def _encode(obj, nl: str) -> str:
-    """obj as JSON; nl is a newline plus the indent of the line obj starts on."""
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is str:
-        return _string(obj)
-    if kind is tuple or kind is list:
-        return _array(obj, nl)
-    if kind is Fraction:
-        return _fraction(obj, nl)
-    if kind is dict:
-        return _object(obj, nl)
+    """obj as JSON; nl is a newline plus the indent of the line obj starts on.
+    A Fraction or dataclass that is also a dict, array or scalar is written
+    as the Fraction or dataclass."""
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if kind is float:
-        return _float(obj)
-    # dataclasses and subclasses: a Fraction or dataclass that is also a
-    # dict, array or scalar is written as the Fraction or dataclass
     if isinstance(obj, Fraction):
         return _fraction(obj, nl)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -70,7 +57,7 @@ def _encode(obj, nl: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float(obj)
-    raise TypeError(f"cannot serialize {kind.__name__}")
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _float(x: float) -> str:

@@ -233,14 +233,17 @@ def _sweep_task(rows_of, args: tuple, num: int, den: int, ymask: int, xmask: int
     return -score, xmask, ymask | group
 
 
-def _exact_best(rows_of, args: tuple, num: int, den: int, n: int, yblocks: Iterable[int],
+def _exact_best(rows_of, args: tuple, num: int, den: int, n: int, yblocks: Sequence[int],
                 threads: int) -> tuple:
     """The least _sweep_task result over the Y blocks and the values of enough top
-    bits of X for a task a worker, run in min(threads, os.cpu_count()) processes."""
+    bits of X for a task a worker, run in min(threads, os.cpu_count()) processes.
+    More than MAX_ENTRIES tasks are refused before the task list is built."""
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
     low_bits = n - min((workers - 1).bit_length(), n)
+    refuse_above(len(yblocks) << n - low_bits,
+                 f"exact sweep tasks over {len(yblocks)} blocks of Y * {1 << n - low_bits} of X")
     task = functools.partial(_sweep_task, rows_of, args, num, den, low_bits=low_bits)
     ys, xs = zip(*itertools.product(yblocks, range(0, 1 << n, 1 << low_bits)))
     if min(workers, len(xs)) == 1:
@@ -322,9 +325,10 @@ def deviation_12_exact(G: Hypergraph, p, exact_limit: int | None = None,
     """Exact maximum (1,2) deviation over all (X, P), with a witness.
 
     The 2^n loop over X refuses above `exact_limit` vertices (default 22);
-    use deviation_12_sampled past that.  threads > 1 splits the top bits of
-    X across at most os.cpu_count() processes; results are identical for
-    every thread count.
+    use deviation_12_sampled past that.  Rows of more than MAX_ENTRIES
+    entries are refused too, whatever the limit.  threads > 1 splits the
+    top bits of X across at most os.cpu_count() processes; results are
+    identical for every thread count.
     """
     _require_3graph(G)
     p = to_probability(p)
@@ -333,6 +337,7 @@ def deviation_12_exact(G: Hypergraph, p, exact_limit: int | None = None,
                  "use deviation_12_sampled or raise the limit")
     num, den = p.numerator, p.denominator
     n = G.n
+    refuse_above(n * binom(n, 2), f"exact (1,2) rows over {n} * C({n}, 2) entries")
     best, best_mask, _ = _exact_best(_rows_12, (n, G.edge_array.T), num, den, n, [0], threads)
     scaled, X, P = _witness_12(G, best_mask, num, den)
     return _report("12", p, n, -best, scaled, (X, P), "exact")
@@ -363,7 +368,7 @@ def _sampled_best(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> tu
     total, below, below_sum = np.zeros((3, trials), dtype=np.int64)
 
     linked = 0
-    for _, held, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
+    for _, words in links.blocks(max(BLOCK_BYTES // (8 * max(links.width, 1)), 1)):
         block = words.shape[1]
         linked += block
         trial_block = max(BLOCK_BYTES // (8 * block), 1)
@@ -371,9 +376,9 @@ def _sampled_best(G: Hypergraph, masks: Sequence[int], num: int, den: int) -> tu
             t1 = min(t0 + trial_block, trials)
             buf = np.empty((t1 - t0, block), dtype=np.uint64)
             d = np.empty(buf.shape, dtype=score.count)
-            for i, (w, word) in enumerate(zip(held, words)):
+            for w, word in enumerate(words):
                 np.bitwise_and(xwords[t0:t1, w, None], word, out=buf)
-                if i:
+                if w:
                     d += np.bitwise_count(buf)
                 else:
                     np.bitwise_count(buf, out=d)
@@ -447,7 +452,8 @@ def deviation_111_exact(G: Hypergraph, p, exact_limit: int | None = None,
     For each block of Y by its top bits, one grouped sweep over X scores the
     per-vertex weights e_{XY}(z) - p|X||Y| of every Y in it, with Z optimal
     analytically (4^n states in all).  threads splits the tasks as in
-    deviation_12_exact.  Refuses above `exact_limit` vertices (default 13).
+    deviation_12_exact.  Refuses above `exact_limit` vertices (default 13),
+    and above MAX_ENTRIES tasks whatever the limit.
     """
     _require_3graph(G)
     p = to_probability(p)

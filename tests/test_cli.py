@@ -82,6 +82,15 @@ class TestGen:
         assert sidecar["parts"] == [[0, 2], [2, 4], [4, 6]]
         assert sidecar["deleted_edges"] == 12
 
+    @pytest.mark.parametrize("argv", [("er", "--p", "1/2", "--seed", "1"), ("complete",)],
+                             ids=["er", "complete"])
+    def test_in_is_not_a_flag_of_a_generator_that_reads_nothing(self, capsys, tmp_path, argv):
+        # only partition-del reads a graph
+        missing = tmp_path / "missing.hg"
+        code, out, err = run(capsys, "gen", *argv, "--n", "5", "--r", "3", "--in", str(missing))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"unrecognized arguments: --in {missing}")
+
     def test_missing_input_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "gen", "partition-del", "--in", str(tmp_path / "nope.hg"),
@@ -385,6 +394,19 @@ class TestAudit:
         assert code == 2
         assert "subset" in err
 
+    @pytest.mark.parametrize("which, flags, named, readers", [
+        ("eq2", ("--subset", "0,1", "--delta", "1/4", "--ell", "3"), "--ell", "eq3 and bad-total"),
+        ("eq3", ("--ell", "2", "--delta", "1/4"), "--delta", "eq2 and bad-total"),
+        ("bad-total", ("--ell", "2", "--delta", "1/4", "--subset", "0,1"), "--subset", "eq2"),
+    ], ids=["ell", "delta", "subset"])
+    def test_a_flag_the_audit_never_reads_is_exit_2(self, capsys, example_file, tmp_path, which,
+                                                     flags, named, readers):
+        for path in (example_file, tmp_path / "missing.hg"):  # refused before the input is read
+            code, out, err = run(capsys, "audit", "--which", which, *flags, "--m", "4",
+                                 "--p", "1/2", "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: {named} applies only to {readers} audits\n"
+
     def test_eq2(self, capsys, example_file):
         code, out, _ = run(
             capsys, "audit", "--in", example_file, "--which", "eq2",
@@ -617,6 +639,31 @@ class TestQr:
         assert code == 3
         code, _, _ = run(capsys, *qr, "12")
         assert code == 0
+
+    @pytest.mark.parametrize("kind, n, what, count", [
+        ("12", 272, "exact (1,2) rows over 272 * C(272, 2) entries", 272 * math.comb(272, 2)),
+        # 2^31 sets Y in blocks of 2^7, one task each on one thread
+        ("111", 31, "exact sweep tasks over 16777216 blocks of Y * 1 of X", 2**24),
+    ], ids=["12", "111"])
+    def test_a_raised_limit_is_refused_past_the_entry_cap(self, capsys, tmp_path, kind, n, what,
+                                                         count):
+        # the vertex limit lets these through, but the (1,2) rows or the task
+        # list alone would pass MAX_ENTRIES, and no sweep of 2^n sets ends
+        path = tmp_path / "g.hg"
+        path.write_text(f"3 {n}\n0 1 2\n3 4 5\n")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "qr", "--in", str(path), "--kind", kind, "--p", "1/2",
+                                 "--exact-limit", str(n))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == f"error: {what} = {count} exceeds the limit of 10000000\n"
+        assert elapsed < 5
+        assert peak < 4 * BLOCK_BYTES
 
     def test_threads_flag_identical_output(self, capsys, tmp_path):
         g = tmp_path / "g.hg"

@@ -190,10 +190,9 @@ def python_links(edges):
     return links
 
 
-def words_int(words, held=None):
-    """The int whose 64-bit words, low word first, are `words`, or whose
-    words held[i] are words[i] and whose other words are 0."""
-    return sum(x << 64 * w for w, x in zip(range(len(words)) if held is None else held.tolist(), words))
+def words_int(words):
+    """The int whose 64-bit words, low word first, are `words`."""
+    return sum(x << 64 * w for w, x in enumerate(words))
 
 
 class TestLinks:
@@ -215,15 +214,21 @@ class TestLinks:
         edges = sorted(set(data.draw(st.lists(edge, min_size=2 if n == 10**8 else 0, max_size=most))))
         links = Links(n, columns(edges, r, n))
         expected = python_links(edges)
-        rows = data.draw(st.integers(1, 8))
-        blocks = list(links.blocks(rows))
-        assert all(keys.shape[1] == rows for keys, _, _ in blocks[:-1])
-        keys = [tuple(T) for K, _, _ in blocks for T in K.T.tolist()]
-        assert keys == sorted(expected, key=lambda T: T[::-1])  # colex order
-        words = [words_int(w, held) for _, held, W in blocks for w in W.T.tolist()]
-        assert dict(zip(keys, words)) == expected
-        assert links.masks() == expected
-        assert list(links.masks()) == keys
+        keys, starts, verts = links._runs
+        runs = keys.shape[1]
+        assert [tuple(T) for T in keys.T.tolist()] == sorted(expected, key=lambda T: T[::-1])  # colex
+        for T, lo, hi in zip(keys.T.tolist(), starts.tolist(), starts[1:].tolist()):
+            assert sorted(verts[lo:hi].tolist()) == list(mask_vertices(expected[tuple(T)]))
+        if links.width * runs <= 1 << 20:
+            rows = data.draw(st.integers(1, 8))
+            blocks = list(links.blocks(rows))
+            assert all(K.shape[1] == rows for K, _ in blocks[:-1])
+            assert all(W.shape == (links.width, K.shape[1]) for K, W in blocks)
+            keys = [tuple(T) for K, _ in blocks for T in K.T.tolist()]
+            words = [words_int(w) for _, W in blocks for w in W.T.tolist()]
+            assert dict(zip(keys, words)) == expected
+            assert links.masks() == expected
+            assert list(links.masks()) == keys
         if binom(n, r - 1) * links.width <= 1 << 20:
             table = links.table()
             assert table.shape == (links.width, binom(n, r - 1))
