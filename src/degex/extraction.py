@@ -20,18 +20,19 @@ Extraction and the auditors rest on one identity: link(T) holds the v with
 T + {v} an edge, and an edge e with S <= e <= X counts once for each vertex
 of e outside S, so deg_X(S) is the sum of |link(T) & X| over the (r-1)-sets
 S <= T <= X, over r - l (one popcount for l = r-1).  combinatorics.Links
-builds the links in two forms.  Exhaustive extraction, eq3, phi_S for
-l < r-1 and the sum of phi_S run one scan of the m-subsets
-(_LinkWords.bad_counts): it walks its own colex blocks against a dense table
-of link words by rank and counts the l-subsets of each X whose degree falls
-below a bound the caller gives, applying the factor t + 1 - l of its
-t-graph itself.  eq3 scans the poor l-sets as an l-graph, the sum of phi_S
-over rich S counts the rich S <= X bad in X, and for l = r-1 phi_S is a
-closed form in |link(S)|.  Each attempt of extract_random is scored from a
-dict of link bitmasks keyed by the tuple T (_induced_min_degree), which
-takes no rank and so is exact at any n; when the vertices outnumber the
-link incidences, the masks are over only the vertices on some edge
-(_live_labels).
+builds the links in two forms.  Exhaustive extraction, phi_S for l < r-1
+and the sum of phi_S run one scan of the m-subsets (_LinkWords.bad_counts):
+it walks its own colex blocks against a dense table of link words by rank
+and counts the l-subsets of each X whose degree falls below a bound the
+caller gives, applying the factor t + 1 - l of its t-graph itself.  The sum
+of phi_S over rich S counts the rich S <= X bad in X, and for l = r-1 phi_S
+is a closed form in |link(S)|.  eq3 scans nothing: it counts the
+independent m-sets of the poor l-graph by branching on vertices, from the
+links of the poor sets as bitmasks (_count_poor_free).  Each attempt of
+extract_random is scored from a dict of link bitmasks keyed by the tuple T
+(_induced_min_degree), which takes no rank and so is exact at any n; when
+the vertices outnumber the link incidences, the masks are over only the
+vertices on some edge (_live_labels).
 """
 
 from __future__ import annotations
@@ -332,9 +333,9 @@ def extract_random(
 class _LinkWords:
     """words[w, rank of T] holds word w of link(T), for every t-subset T of
     [0, n), of the (t+1)-graph whose edges are held as vertex columns ends
-    (Links): G, eq3's poor l-graph or the link of S.  bad_counts is the one
-    scan of m-subsets behind exhaustive extraction and the auditors: it walks
-    its own colex blocks and turns the caller's degree bound into a link-sum
+    (Links): G or the link of S.  bad_counts is the one scan of m-subsets
+    behind exhaustive extraction and the tail-bound auditors: it walks its
+    own colex blocks and turns the caller's degree bound into a link-sum
     threshold with the factor t + 1 - l."""
 
     def __init__(self, n: int, ends: np.ndarray):
@@ -449,15 +450,73 @@ class AuditReport:
 
 
 def _count_poor_free(n: int, m: int, ell: int, poor: np.ndarray) -> int:
-    """m-subsets of [0, n) holding none of the poor l-subsets (vertex columns).
+    """m-subsets of [0, n) holding none of the poor l-subsets (vertex columns):
+    the independent m-sets of the poor l-graph, counted by branching.
 
-    The poor sets are the edges of an l-graph: X holds none of them iff no
-    (l-1)-subset of X has a poor link vertex in X, a link sum below 1.
+    A state (cand, k, held) still takes k vertices from the mask cand, all
+    below those taken.  Its top vertex v is left out or taken (_branches):
+
+        count(cand, k) = count(cand - v, k) + count(cand - v - forced(v), k - 1)
+
+    A poor set P is a rule (U, W): once U is taken, no vertex of W may be.
+    It comes from Links(n, poor).masks() at T = P less its least vertex,
+    which W holds, and joins held, with U = T less v, when its top v is
+    taken; forced(v) is the W of the rules whose U is then empty.  For l = 2
+    U is always empty, so held is too; for l = 1 the poor vertices are out
+    from the start.  A state settles as 0 when cand holds fewer than k
+    vertices, and as C(|cand|, k) when k < 2 or no rule can still apply.
+
+    The walk keeps its own stacks, of at most three states for each vertex
+    of cand, and memoizes counted states in a dict bounded to about
+    BLOCK_BYTES, dropping the oldest first.
     """
-    if not poor.shape[1]:
-        return binom(n, m)
-    scan = _LinkWords(n, poor).bad_counts(m, ell - 1, 1, None)
-    return sum(int(np.count_nonzero(counts == binom(m, ell - 1))) for _, counts in scan)
+    links = Links(n, poor).masks()
+    cand = (1 << n) - 1 & ~links.pop((), 0)
+    tops: dict[int, list[tuple[int, int]]] = {}
+    for T, W in links.items():
+        if W := W & (1 << T[0]) - 1:
+            tops.setdefault(1 << T[-1], []).append((subset_mask(T[:-1]), W))
+    live, memo, cap = sum(tops), {}, BLOCK_BYTES // (n // 8 + 128)
+    todo, values = [(cand, m, ())], []
+    while todo:
+        state = todo.pop()
+        if type(state) is list:  # the sum of the two branches below it
+            value = memo[state[0]] = values.pop() + values.pop()
+            if len(memo) > cap:
+                del memo[next(iter(memo))]
+            values.append(value)
+            continue
+        cand, k, held = state
+        if (size := cand.bit_count()) < k or k < 2 or not held and not cand & live:
+            values.append(math.comb(size, k))
+        elif state in memo:
+            values.append(memo[state])
+        else:
+            todo += [[state], *_branches(state, tops)]
+    return values[0]
+
+
+def _state(cand: int, k: int, rules: list) -> tuple:
+    """The state (cand, k, held) after rules (U, W): with the W of the rules
+    whose U is taken out of cand, and the rest that can still apply, W cut
+    to cand and the W of one U merged, in order."""
+    if not rules:
+        return cand, k, ()
+    held: dict[int, int] = {}
+    for U, W in rules:
+        held[U] = held.get(U, 0) | W
+    cand &= ~held.pop(0, 0)
+    rest = ((U, W & cand) for U, W in held.items() if W & cand and not U & ~cand)
+    return cand, k, tuple(sorted(rest))
+
+
+def _branches(state: tuple, tops: dict) -> list:
+    """The two states below one of _count_poor_free: its top vertex v left
+    out, and taken with the rules of the poor sets topped by v."""
+    cand, k, held = state
+    bit = 1 << cand.bit_length() - 1
+    rules = [(U & ~bit, W) for U, W in held] + tops.get(bit, [])
+    return [_state(cand ^ bit, k, held), _state(cand ^ bit, k - 1, rules)]
 
 
 def audit_eq3(

@@ -289,9 +289,22 @@ def parse(text: str) -> Hypergraph:
 
 
 def serialize(G: Hypergraph) -> str:
-    """Canonical .hg text: parse(serialize(G)) == G and the text is a fixpoint."""
-    line = " ".join(["%d"] * G.r) + "\n"
-    return f"{G.r} {G.n}\n" + (line * G.edge_count) % tuple(G.edge_array.ravel().tolist())
+    """Canonical .hg text: parse(serialize(G)) == G and the text is a fixpoint.
+
+    Each vertex is a row of a digit matrix, the place of 10^i in column
+    width - 1 - i and its separator, space or newline, in the last column;
+    the text is the places each value reaches and every separator.  The
+    powers of 10 take the dtype of the edge array, which holds them, as it
+    holds the largest value.
+    """
+    vals = G.edge_array.reshape(-1, 1)
+    width = len(str(vals.max())) if vals.size else 1
+    powers = np.array([10**i for i in reversed(range(width))], dtype=vals.dtype)
+    text = np.full((len(vals), width + 1), ord(" "), dtype=np.uint8)
+    text[:, :-1] = vals // powers % 10 + ord("0")
+    text[G.r - 1::G.r, -1] = ord("\n")
+    keep = np.hstack([vals >= powers[:-1], np.ones((len(vals), 2), dtype=bool)])
+    return f"{G.r} {G.n}\n" + text[keep].tobytes().decode("ascii")
 
 
 def load(path) -> Hypergraph:

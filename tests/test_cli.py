@@ -800,6 +800,9 @@ REFUSALS = {
                       "--budget", "7"), 7 * math.comb(4, 2), "--enum-budget"),
     "eq3": (None, ("audit", "--which", "eq3", "--ell", "2", "--m", "4", "--p", "1/2"),
             math.comb(10, 4), "--enum-budget"),
+    # l = 1 counts C(rich, m) in closed form, and is refused alike
+    "eq3-l1": (None, ("audit", "--which", "eq3", "--ell", "1", "--m", "4", "--p", "1/2"),
+               math.comb(10, 4), "--enum-budget"),
     "eq2": (None, ("audit", "--which", "eq2", "--subset", "0", "--m", "4", "--p", "0",
                    "--delta", "1/4"), math.comb(9, 3), "--enum-budget"),
     "bad-total": (None, ("audit", "--which", "bad-total", "--ell", "1", "--m", "4", "--p", "1/2",

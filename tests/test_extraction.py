@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degex import extraction
+from degex import degree, extraction
 from degex.combinatorics import (
     Links, binom, colex_blocks, colex_rank, colex_unrank, ksubsets, random_ksubset, subset_mask,
 )
@@ -432,6 +432,22 @@ def oracle_good(G, ell, m, need):
     return [_induced_min_degree(links, G.r, X, ell, subset_mask(X)) >= need for X in ksubsets(G.n, m)]
 
 
+def scan_poor_free(n, m, ell, poor):
+    """m-subsets of [0, n) holding none of the poor l-subsets (vertex columns),
+    by the m-subset scan: X holds none of them iff no (l-1)-subset of X has a
+    poor link vertex in X, a link sum below 1.  The reference for the branch
+    count of _count_poor_free."""
+    if not poor.shape[1]:
+        return binom(n, m)
+    scan = _LinkWords(n, poor).bad_counts(m, ell - 1, 1, None)
+    return sum(int(np.count_nonzero(counts == binom(m, ell - 1))) for _, counts in scan)
+
+
+def poor_pairs(pairs, n):
+    """The poor 2-sets `pairs` as vertex columns."""
+    return np.array(sorted(pairs), dtype=np.min_scalar_type(n)).reshape(-1, 2).T
+
+
 def draw_graph(data, n, r):
     possible = list(itertools.combinations(range(n), r))
     keep = data.draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
@@ -534,17 +550,21 @@ class TestBlockEnumeration:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_poor_free_count_matches_isdisjoint(self, data):
+        # the branch count against a brute force over itertools.combinations
+        # and against the m-subset scan it replaced
         n = data.draw(st.integers(1, 10))
         ell = data.draw(st.integers(1, min(3, n)))
         m = data.draw(st.integers(ell, n))
         subsets = list(itertools.combinations(range(n), ell))
         poor = set(data.draw(st.lists(st.sampled_from(subsets), max_size=len(subsets))))
         expected = sum(
-            1 for X in ksubsets(n, m) if poor.isdisjoint(itertools.combinations(X, ell))
+            1 for X in itertools.combinations(range(n), m)
+            if poor.isdisjoint(itertools.combinations(X, ell))
         )
+        cols = np.array(sorted(poor), dtype=np.min_scalar_type(n)).reshape(-1, ell).T
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
-            cols = np.array(sorted(poor), dtype=np.min_scalar_type(n)).reshape(-1, ell).T
             assert _count_poor_free(n, m, ell, cols) == expected
+            assert scan_poor_free(n, m, ell, cols) == expected
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -658,6 +678,75 @@ class TestAuditEq3:
     def test_budget_refusal(self):
         with pytest.raises(LimitExceeded):
             audit_eq3(erdos_renyi(12, 3, Fraction(1, 2), seed=0), 2, 6, Fraction(1, 2), enum_budget=10)
+
+    def test_lhs_matches_the_scan(self):
+        for seed, (n, m, d) in enumerate(((15, 7, Fraction(3, 10)), (16, 8, Fraction(1, 2)),
+                                          (17, 8, Fraction(7, 10)), (12, 6, Fraction(1, 5)))):
+            G = erdos_renyi(n, 3, d, seed=400 + seed)
+            for ell, p in ((1, Fraction(1, 2)), (2, d), (2, Fraction(1, 4))):
+                table = degree.degree_table(G, ell)
+                poor = table.sets()[:, table.poor(p)]
+                assert audit_eq3(G, ell, m, p).lhs == scan_poor_free(n, m, ell, poor)
+
+
+class TestPoorFreeBranchCount:
+    # (poor pairs on [0, n), the number of their independent m-sets) for
+    # poor graphs whose counts have closed forms
+    SHAPES = {
+        "matching": (lambda n: [(2 * i, 2 * i + 1) for i in range(n // 2)],
+                     lambda n, m: binom(n // 2, m) * 2**m),
+        "star": (lambda n: [(0, v) for v in range(1, n)], lambda n, m: binom(n - 1, m)),
+        "path": (lambda n: [(v, v + 1) for v in range(n - 1)], lambda n, m: binom(n - m + 1, m)),
+        "one edge": (lambda n: [(0, 1)], lambda n, m: binom(n, m) - binom(n - 2, m - 2)),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [24, 26, 28])
+    def test_adversarial_shapes_take_few_branches(self, shape, n):
+        # without the memo, one edge at n = 24, m = 12 takes 9.1 M branches
+        pairs, count = self.SHAPES[shape]
+        m = n // 2
+        with mock.patch.object(extraction, "_branches", wraps=extraction._branches) as branches:
+            assert _count_poor_free(n, m, 2, poor_pairs(pairs(n), n)) == count(n, m)
+        assert 0 < branches.call_count <= n * m
+
+    @pytest.mark.parametrize("n, m", [(3000, 2), (2000, 1999)])
+    def test_depth_is_not_recursion(self, n, m):
+        # one branch level a vertex: thousands deep, past the default
+        # recursion limit of 1000; the traced peak, link masks included,
+        # stays within 32 BLOCK_BYTES
+        for shape in ("path", "one edge"):
+            pairs, count = self.SHAPES[shape]
+            tracemalloc.start()
+            try:
+                assert _count_poor_free(n, m, 2, poor_pairs(pairs(n), n)) == count(n, m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * extraction.BLOCK_BYTES
+
+    @pytest.mark.parametrize("n, m, lhs", [(3000, 2, 3000), (2000, 1999, 0)])
+    def test_audit_at_thousands_of_vertices(self, n, m, lhs):
+        # disjoint triangles, p = 10^-6: the 3 pairs of each are rich, and
+        # every other pair poor.  The scan agrees (18 s and 11 s on a
+        # 2-vCPU VM, too slow for tier-1)
+        G = build(n, 3, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n // 3)])
+        report = audit_eq3(G, 2, m, Fraction(1, 10**6))
+        assert report.lhs == lhs
+        assert report.context["poor_count"] == binom(n, 2) - 3 * (n // 3)
+
+    def test_a_small_memo_drops_states_and_agrees(self, monkeypatch):
+        # a matching on 20 vertices, counted again with a memo of 2 states
+        pairs, expected = poor_pairs(self.SHAPES["matching"][0](20), 20), binom(10, 6) * 2**6
+
+        def branches():
+            with mock.patch.object(extraction, "_branches", wraps=extraction._branches) as spy:
+                assert _count_poor_free(20, 6, 2, pairs) == expected
+            return spy.call_count
+
+        whole = branches()
+        monkeypatch.setattr(extraction, "BLOCK_BYTES", 2 * (20 // 8 + 128))
+        assert branches() > whole
 
 
 class TestAuditEq2Phi:

@@ -20,6 +20,13 @@ def brute_induced_edge_count(G, X):
     return sum(1 for e in G.edges if xset.issuperset(e))
 
 
+def percent_serialize(G):
+    """.hg text by one % template over a tuple of every vertex, the reference
+    for serialize's digit matrix."""
+    line = " ".join(["%d"] * G.r) + "\n"
+    return f"{G.r} {G.n}\n" + (line * G.edge_count) % tuple(G.edge_array.ravel().tolist())
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(0, 8))
@@ -201,6 +208,7 @@ class TestTextFormat:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, G):
         text = serialize(G)
+        assert text == percent_serialize(G)
         assert parse(text) == G
         assert serialize(parse(text)) == text
 
@@ -234,6 +242,23 @@ class TestTextFormat:
             tracemalloc.stop()
         assert G.edges == ((0, 1, 2),) and G.n == 10**9
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("G", [erdos_renyi(n, 3, "3/10", seed=n) for n in (10, 44, 60)]
+                             + [erdos_renyi(300, 2, "1/2", seed=3)], ids=repr)
+    def test_serialize_matches_the_percent_formatter(self, G):
+        # the digit-matrix writer against one % template over every vertex
+        assert serialize(G) == percent_serialize(G)
+        assert serialize(parse(serialize(G))) == serialize(G)
+
+    @pytest.mark.parametrize("label", [0, 9, 10, 99, 100, 255, 256, 2**63, 2**64 - 1, 2**64 + 4])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_serialize_at_every_digit_count_and_dtype(self, label, r):
+        # uint8 to uint64 edge arrays and, past 2^64, Python ints
+        n = label + r + 1
+        G = Hypergraph(n, r, [range(r), range(label, label + r), range(n - r, n)])
+        assert (G.edge_array.dtype == object) == (n > 2**64)
+        assert serialize(G) == percent_serialize(G)
+        assert parse(serialize(G)) == G
 
     def test_header_past_int64(self):
         n = 10**30

@@ -156,17 +156,23 @@ def gray_tie_sweep():
 
 def reference_sampled_scores(G, masks, num, den):
     """The per-trial path that qr._sampled_best replaces: each trial counts
-    den * d_X over every pair from the link incidences (x, uv) and scores it
-    with a reference sweep of zero bits."""
+    d_X(uv) over the pairs uv in an edge from the link incidences (x, uv),
+    and scores it in Python ints as a sweep of zero bits does, at step
+    c = num |X|: (sum over all C(n, 2) pairs of |den d - c| + |den sum(d) -
+    c C(n, 2)|) // 2, where each pair on no edge adds |0 - c| = c."""
     # each edge a < b < c gives x the pair uv, u < v, of colex rank C(v, 2) + u
     a, b, c = G.edge_array.T.astype(np.intp)
     verts = np.concatenate([a, b, c])
     ranks = np.concatenate([c * (c - 1) // 2 + b, c * (c - 1) // 2 + a, b * (b - 1) // 2 + a])
+    pairs, which = np.unique(ranks, return_inverse=True)
+    width = binom(G.n, 2)
     scores = []
     for mask in masks:
         inside = np.isin(verts, mask_vertices(mask))
-        d = np.bincount(ranks[inside], minlength=binom(G.n, 2)).astype(object)
-        scores.append(reference_sweep(None, num, d * den, mask, 0)[0])
+        d = np.bincount(which[inside], minlength=len(pairs)).tolist()
+        step = num * mask.bit_count()
+        spread = sum(abs(den * dv - step) for dv in d) + (width - len(d)) * step
+        scores.append((spread + abs(den * sum(d) - step * width)) // 2)
     return scores
 
 
