@@ -21,7 +21,7 @@ T + {v} an edge, and an edge e with S <= e <= X counts once for each vertex
 of e outside S, so deg_X(S) is the sum of |link(T) & X| over the (r-1)-sets
 S <= T <= X, over r - l (one popcount for l = r-1).  combinatorics.Links
 builds the links in two forms.  Exhaustive extraction, phi_S for l < r-1
-and the sum of phi_S run one scan of the m-subsets (_LinkWords.bad_counts):
+and the sum of phi_S run one scan of the m-subsets (_bad_counts):
 it walks its own colex blocks against a dense table of link words by rank
 and counts the l-subsets of each X whose degree falls below a bound the
 caller gives, applying the factor t + 1 - l of its t-graph itself.  The sum
@@ -293,10 +293,7 @@ def extract_random(
     links = Links(count, rows.T).masks()
     best_deg = -1
     best_subset: tuple[int, ...] = ()
-    success = False
-    attempts = 0
     for attempt in range(1, budget + 1):
-        attempts = attempt
         rng = random.Random(_attempt_seed(seed, attempt))
         X = random_ksubset(G.n, m, rng)
         labels, xmask = (X, subset_mask(X)) if live is None else _live_labels(live, X)
@@ -305,9 +302,8 @@ def extract_random(
             best_deg = achieved
             best_subset = X
         if achieved >= need:
-            success = True
-            best_subset = X
             break
+    success = best_deg >= need
 
     sub, _ = G.induced(best_subset)
     verified = min_degree(sub, ell)
@@ -321,7 +317,7 @@ def extract_random(
         subset=best_subset,
         achieved_min_degree=verified,
         threshold=need,
-        attempts=attempts,
+        attempts=attempt,
         seed=seed,
     )
 
@@ -330,64 +326,60 @@ def extract_random(
 # The m-subset scan
 
 
-class _LinkWords:
-    """words[w, rank of T] holds word w of link(T), for every t-subset T of
-    [0, n), of the (t+1)-graph whose edges are held as vertex columns ends
-    (Links): G or the link of S.  bad_counts is the one scan of m-subsets
-    behind exhaustive extraction and the tail-bound auditors: it walks its
-    own colex blocks and turns the caller's degree bound into a link-sum
-    threshold with the factor t + 1 - l."""
+def _bad_counts(n: int, ends: np.ndarray, m: int, ell: int, below: int, keep
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """The one scan of m-subsets, behind exhaustive extraction and the
+    tail-bound auditors, of the (t+1)-graph on [0, n) whose edges are held
+    as vertex columns ends (Links): G or the link of S.  Walk the m-subsets
+    X of [0, n) in colex blocks, yielding each block's first rank and, for
+    each X of the block, the number of l-subsets S of X, with keep[rank of
+    S] unless keep is None, whose degree deg_X(S) is below `below`.
 
-    def __init__(self, n: int, ends: np.ndarray):
-        t, width = len(ends) - 1, -(-n // 64)
-        refuse_above(binom(n, t) * width, f"the link table over C({n}, {t}) * {width} words")
-        self.n, self.t, self.words = n, t, Links(n, ends).table()
+    The scan reads words[w, rank of T], word w of link(T) for every t-subset
+    T, a table refused before it is built.  An edge e with S <= e <= X
+    counts once for each of its t + 1 - l vertices outside S, so the link
+    sum of S, the sum of |link(T) & X| over the t-subsets T with
+    S <= T <= X, is (t + 1 - l) deg_X(S).  For t > l every S holds its sum
+    until the last T; a block's words and sums fit BLOCK_BYTES.
+    """
+    t, width = len(ends) - 1, -(-n // 64)
+    refuse_above(binom(n, t) * width, f"the link table over C({n}, {t}) * {width} words")
+    words = Links(n, ends).table()
+    acc = np.min_scalar_type(binom(m - ell, t - ell) * m)  # bounds every link sum
+    per_row = 8 * width + (binom(m, ell) * acc.itemsize if t > ell else 0)
+    thr = below * (t + 1 - ell)
+    for offset, cols in colex_blocks(n, m, max(BLOCK_BYTES // per_row, 1)):
+        yield offset, _block_counts(words, n, t, cols, ell, thr, keep, acc)
 
-    def bad_counts(self, m: int, ell: int, below: int, keep) -> Iterator[tuple[int, np.ndarray]]:
-        """Walk the m-subsets X of [0, n) in colex blocks, yielding each
-        block's first rank and, for each X of the block, the number of
-        l-subsets S of X, with keep[rank of S] unless keep is None, whose
-        degree deg_X(S) is below `below`.
 
-        An edge e with S <= e <= X counts once for each of its t + 1 - l
-        vertices outside S, so the link sum of S, the sum of |link(T) & X|
-        over the t-subsets T with S <= T <= X, is (t + 1 - l) deg_X(S).  For
-        t > l every S holds its sum until the last T; a block's words and
-        sums fit BLOCK_BYTES.
-        """
-        acc = np.min_scalar_type(binom(m - ell, self.t - ell) * m)  # bounds every link sum
-        per_row = 8 * len(self.words) + (binom(m, ell) * acc.itemsize if self.t > ell else 0)
-        thr = below * (self.t + 1 - ell)
-        for offset, cols in colex_blocks(self.n, m, max(BLOCK_BYTES // per_row, 1)):
-            yield offset, self._block_counts(cols, ell, thr, keep, acc)
+def _block_counts(words: np.ndarray, n: int, t: int, cols: np.ndarray, ell: int, thr: int,
+                  keep, acc) -> np.ndarray:
+    """_bad_counts of one block, whose arrays go before the next is built."""
+    m, rows = cols.shape
+    counts = np.zeros(rows, dtype=np.min_scalar_type(binom(m, ell)))
 
-    def _block_counts(self, cols: np.ndarray, ell: int, thr: int, keep, acc) -> np.ndarray:
-        """bad_counts of one block, whose arrays go before the next is built."""
-        m, rows = cols.shape
-        counts = np.zeros(rows, dtype=np.min_scalar_type(binom(m, ell)))
+    def bad(sums, rank):
+        low = sums < thr
+        return low if keep is None else low & np.take(keep, rank)
 
-        def bad(sums, rank):
-            low = sums < thr
-            return low if keep is None else low & np.take(keep, rank)
-
-        xwords = vertex_words(cols, len(self.words))
-        positions = itertools.combinations(range(m), ell)
-        held = {S: np.zeros(rows, acc) for S in positions} if self.t > ell else {}
-        word = np.empty(rows, dtype=np.uint64)
-        for P, rank in tuple_ranks(cols, self.t, self.n):
-            sums = np.zeros(rows, acc)
-            for link, x in zip(self.words, xwords):
-                np.take(link, rank, out=word, mode="clip")
-                word &= x
-                sums += np.bitwise_count(word)
-            if self.t == ell:
-                counts += bad(sums, rank)
-            else:
-                for S in itertools.combinations(P, ell):
-                    held[S] += sums
-        for S, rank in tuple_ranks(cols, ell, self.n) if held else ():
-            counts += bad(held[S], rank)
-        return counts
+    xwords = vertex_words(cols, len(words))
+    positions = itertools.combinations(range(m), ell)
+    held = {S: np.zeros(rows, acc) for S in positions} if t > ell else {}
+    word = np.empty(rows, dtype=np.uint64)
+    for P, rank in tuple_ranks(cols, t, n):
+        sums = np.zeros(rows, acc)
+        for link, x in zip(words, xwords):
+            np.take(link, rank, out=word, mode="clip")
+            word &= x
+            sums += np.bitwise_count(word)
+        if t == ell:
+            counts += bad(sums, rank)
+        else:
+            for S in itertools.combinations(P, ell):
+                held[S] += sums
+    for S, rank in tuple_ranks(cols, ell, n) if held else ():
+        counts += bad(held[S], rank)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +419,7 @@ def extract_exhaustive(
     _, need = good_threshold(p, delta, m, ell, G.r)
 
     # X is good when no l-subset S of X has deg_X(S) below need
-    scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, need, None)
+    scan = _bad_counts(G.n, G.edge_array.T, m, ell, need, None)
     good = itertools.chain.from_iterable(
         (np.flatnonzero(counts == 0) + offset).tolist() for offset, counts in scan
     )
@@ -574,7 +566,7 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
     if k == 1:
         return _tail_count(len(link), G.n - ell - len(link), m - ell, cap)
     # inside T the link edges number the degree of the empty set
-    scan = _LinkWords(G.n - ell, link.T).bad_counts(m - ell, 0, cap + 1, None)
+    scan = _bad_counts(G.n - ell, link.T, m - ell, 0, cap + 1, None)
     return sum(int(np.count_nonzero(counts)) for _, counts in scan)
 
 
@@ -679,7 +671,7 @@ def audit_bad_total(
     elif cap >= 0 and rich_count:
         # the sum of phi_S over rich S counts the pairs S <= X, X an m-subset,
         # with S rich and bad in X: one pass over X
-        scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, cap + 1, rich)
+        scan = _bad_counts(G.n, G.edge_array.T, m, ell, cap + 1, rich)
         lhs = sum(int(counts.sum()) for _, counts in scan)
     rhs = Fraction(binom(G.n, m), 2)
     intermediate = _tail_bound(binom(G.n, m) * binom(m, ell), delta, m, G.r, ell)

@@ -411,7 +411,7 @@ def deviation_12_sampled(G: Hypergraph, p, trials: int, seed: int) -> Discrepanc
     refuse_above(pairs, f"sampled (1,2) scoring over C({n}, 2) pairs")
     refuse_above(trials * width, f"sampled (1,2) scoring over {trials} trials * {width} words")
     rng = random.Random(seed)
-    masks = [rng.getrandbits(n) if n else 0 for _ in range(trials)]
+    masks = [rng.getrandbits(n) for _ in range(trials)]
     best, hit = _sampled_best(G, masks, num, den)
     best_mask = min(itertools.compress(masks, hit.tolist()))
     scaled, X, P = _witness_12(G, best_mask, num, den)

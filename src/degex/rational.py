@@ -9,11 +9,11 @@ value; strings use Fraction's parser ("3/4", "0.25").
 from fractions import Fraction
 from math import isqrt
 
+from .errors import ValidationError
+
 
 def to_fraction(value, name: str = "value") -> Fraction:
     """Convert value to an exact Fraction, rejecting NaN/infinities."""
-    from .errors import ValidationError
-
     if isinstance(value, Fraction):
         return value
     try:
@@ -24,8 +24,6 @@ def to_fraction(value, name: str = "value") -> Fraction:
 
 def to_probability(value) -> Fraction:
     """Convert a probability p with to_fraction and check that it lies in [0, 1]."""
-    from .errors import ValidationError
-
     p = to_fraction(value, "p")
     if not 0 <= p <= 1:
         raise ValidationError(f"p must be in [0, 1], got {p}")

@@ -29,6 +29,8 @@ from degex.quasirandomness import (
     deviation_12_exact,
 )
 
+from oracles import brute_dev111, brute_dev12, naive_eps_min
+
 
 def report(line: str) -> None:
     print(f"[acceptance] {line}")
@@ -57,12 +59,7 @@ def test_criterion_1_degree_oracle_suite():
             cap = table.max_possible
             for tenth in range(11):
                 eps = Fraction(tenth, 10)
-                k = math.floor(eps * total)
-                best = 0
-                for d in range(cap + 2):
-                    if sum(1 for x in table.degrees if x < d) <= k:
-                        best = d
-                expected = min(best, cap)
+                expected = naive_eps_min(table.degrees, math.floor(eps * total), cap)
                 assert eps_min_degree(G, ell, eps) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"criterion 1 took {elapsed:.1f}s, cap is 30s"
@@ -202,60 +199,6 @@ def test_criterion_5_m0_formula():
 
 # ---------------------------------------------------------------------------
 # 6. discrepancy maximizers against full brute force
-
-
-def brute_dev12(G, p):
-    p = Fraction(p)
-    num, den = p.numerator, p.denominator
-    n = G.n
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    best = 0
-    for xmask in range(1 << n):
-        X = [v for v in range(n) if xmask >> v & 1]
-        d = [
-            sum(1 for x in X if x != u and x != v and G.has_edge((x, u, v)))
-            for (u, v) in pairs
-        ]
-        e = 0
-        pmask = 0
-        for i in range(1, 1 << len(pairs)):
-            j = (i & -i).bit_length() - 1
-            if pmask >> j & 1:
-                pmask ^= 1 << j
-                e -= d[j]
-            else:
-                pmask ^= 1 << j
-                e += d[j]
-            dev = abs(den * e - num * len(X) * pmask.bit_count())
-            if dev > best:
-                best = dev
-    return Fraction(best, den)
-
-
-def brute_dev111(G, p):
-    p = Fraction(p)
-    num, den = p.numerator, p.denominator
-    n = G.n
-    perms = list(itertools.permutations(range(3)))
-    best = 0
-    for xmask in range(1 << n):
-        kx = xmask.bit_count()
-        for ymask in range(1 << n):
-            ky = ymask.bit_count()
-            for zmask in range(1 << n):
-                e = 0
-                for edge in G.edges:
-                    for px, py, pz in perms:
-                        if (
-                            xmask >> edge[px] & 1
-                            and ymask >> edge[py] & 1
-                            and zmask >> edge[pz] & 1
-                        ):
-                            e += 1
-                dev = abs(den * e - num * kx * ky * zmask.bit_count())
-                if dev > best:
-                    best = dev
-    return Fraction(best, den)
 
 
 def test_criterion_6_discrepancy_oracle_equivalence():

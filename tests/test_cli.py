@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,11 +18,26 @@ from hypothesis import strategies as st
 
 import degex.cli
 from degex.cli import build_parser, main
-from degex.combinatorics import BLOCK_BYTES, random_ksubset
+from degex.combinatorics import BLOCK_BYTES, binom, random_ksubset
 from degex.degree import degree_of
 from degex.errors import LimitExceeded, ValidationError, refuse_above
 from degex.extraction import _attempt_seed
-from degex.hypergraph import load, parse
+from degex.hypergraph import build, load, parse
+from degex.quasirandomness import e111, e12
+
+from oracles import (
+    brute_bad_total,
+    brute_dev111,
+    brute_dev12,
+    brute_min_induced_degree,
+    brute_phi,
+    brute_poor_free,
+    brute_poor_pairs,
+    brute_rich_sets,
+    counter_degree_table,
+    naive_eps_min,
+    subset_degrees,
+)
 
 
 def run(capsys, *argv):
@@ -1112,3 +1128,146 @@ class TestExitContract:
         else:
             assert stderr == ""
             assert self.call(argv, outputs) == (code, stdout, stderr, written)
+
+
+# ---------------------------------------------------------------------------
+# the whole CLI against the brute-force references
+
+# the argv head of each command that the differential draws
+ORACLE_COMMANDS = {
+    "stats": ["stats"],
+    "exhaustive": ["extract", "--mode=exhaustive"],
+    "random": ["extract", "--mode=random"],
+    "eq3": ["audit", "--which=eq3"],
+    "eq2": ["audit", "--which=eq2"],
+    "bad-total": ["audit", "--which=bad-total"],
+    "12": ["qr", "--kind=12"],
+    "111": ["qr", "--kind=111"],
+}
+
+
+@st.composite
+def oracle_runs(draw):
+    """A tiny graph, a command whose every number the references in
+    oracles.py recompute, and its flags, all valid: n <= 6 and r = 2-4, or
+    for qr a 3-graph on n <= 5 for (1,2) and n <= 4 for (1,1,1)."""
+    command = draw(st.sampled_from(sorted(ORACLE_COMMANDS)))
+    r = 3 if command in ("12", "111") else draw(st.integers(2, 4))
+    n = draw(st.integers(r, {"12": 5, "111": 4}.get(command, 6)))
+    subsets = list(itertools.combinations(range(n), r))
+    keep = draw(st.integers(0, 2 ** len(subsets) - 1))
+    G = build(n, r, [e for i, e in enumerate(subsets) if keep >> i & 1])
+    unit = st.fractions(0, 1, max_denominator=6)
+    ell = draw(st.integers(1, r - 1))
+    p, m, delta = draw(unit), draw(st.integers(ell, n)), draw(unit.filter(lambda d: 0 < d < 1))
+    if command == "stats":
+        return G, command, {"ell": ell, "eps": draw(st.fractions(0, 2, max_denominator=6)), "p": p}
+    if command in ("12", "111"):
+        return G, command, {"p": p}
+    if command == "eq3":
+        return G, command, {"ell": ell, "m": m, "p": p}
+    if command == "eq2":
+        # p at most deg(S) / C(n - l, r - l) keeps S rich
+        S = draw(st.sampled_from(list(itertools.combinations(range(n), ell))))
+        p = Fraction(draw(st.integers(0, subset_degrees(G, ell)[S])), binom(n - ell, r - ell))
+        return G, command, {"subset": S, "m": m, "p": p, "delta": delta}
+    flags = {"ell": ell, "m": m, "p": p, "delta": delta}
+    if command == "random":
+        flags.update(budget=draw(st.integers(1, 5)), seed=draw(st.integers(0, 99)))
+    return G, command, flags
+
+
+def oracle_report(G, command, flags, got):
+    """The report the references give for command on G with flags.  The
+    subset of a random extraction and a deviation's witness come from got,
+    the printed report, and are checked here."""
+    n, r, p = G.n, G.r, flags["p"]
+    if command in ("12", "111"):
+        D, count = (brute_dev12(G, p), e12) if command == "12" else (brute_dev111(G, p), e111)
+        witness = got["witness"]
+        assert witness[0] == sorted(set(witness[0]))
+        assert abs(count(G, *witness) - p * math.prod(map(len, witness))) == D
+        return {"kind": command, "p": p, "D": D, "eps_star": D / n**3, "witness": witness,
+                "mode": "exact", "trials": None, "seed": None}
+    ell = len(flags["subset"]) if command == "eq2" else flags["ell"]
+    total = binom(n, ell)
+    if command == "stats":
+        degrees, cap = counter_degree_table(G, ell), binom(n - ell, r - ell)
+        exceptions = math.floor(flags["eps"] * total)
+        poor = len(brute_poor_pairs(G, ell, p))
+        return {
+            "n": n, "r": r, "ell": ell, "edge_count": len(G.edges), "min_degree": min(degrees),
+            "max_possible_degree": cap, "eps": flags["eps"],
+            "eps_min_degree": naive_eps_min(degrees, exceptions, cap),
+            "eps_min_degree_capped": exceptions >= total, "p": p,
+            "histogram": {str(d): c for d, c in sorted(Counter(degrees).items())},
+            "poor_count": poor, "poor_fraction": Fraction(poor, total),
+            "poor_fraction_float": poor / total,
+        }
+    m, delta = flags["m"], flags.get("delta", 0)
+    boundary = (p - delta) * binom(m - ell, r - ell)
+    need = math.floor(boundary) + 1
+    if command == "exhaustive":
+        colex = sorted(itertools.combinations(range(n), m), key=lambda X: X[::-1])
+        good = [rank for rank, X in enumerate(colex) if brute_min_induced_degree(G, X, ell) >= need]
+        return {"m": m, "ell": ell, "threshold": need, "good_ranks": good}
+    if command == "random":
+        X, attempts = got["subset"], got["attempts"]
+        assert len(X) == m and X == sorted(set(X)) and set(X) <= set(range(n))
+        achieved = brute_min_induced_degree(G, X, ell)
+        assert 1 <= attempts <= flags["budget"]
+        assert achieved >= need or attempts == flags["budget"]
+        return {"success": achieved >= need, "subset": X, "achieved_min_degree": achieved,
+                "threshold": need, "attempts": attempts, "seed": flags["seed"]}
+    context = {"n": n, "r": r, "ell": ell, "m": m, "p": p}
+    if command == "eq3":
+        poor = brute_poor_pairs(G, ell, p)
+        lhs = brute_poor_free(n, m, ell, poor)
+        eps_eff = Fraction(len(poor), total)
+        rhs = (1 - eps_eff * m**ell) * binom(n, m)
+        return {"inequality_id": "eq3_rich_count", "lhs": lhs, "rhs": rhs, "holds": lhs >= rhs,
+                "context": {**context, "poor_count": len(poor), "eps_eff": eps_eff}}
+    # total exp(-x), as a float and, for holds, at 60 digits
+    x = delta * delta * m / (2 * (r - ell) ** 2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        shrink = (-Decimal(x.numerator) / x.denominator).exp()
+    if command == "eq2":
+        S, extensions = flags["subset"], binom(n - ell, m - ell)
+        lhs = brute_phi(G, S, m, boundary)
+        return {"inequality_id": "eq2_phi_bound", "lhs": lhs,
+                "rhs": pytest.approx(extensions * math.exp(-float(x)), rel=1e-12),
+                "holds": lhs <= extensions * shrink,
+                "context": {**context, "delta": delta, "S": list(S),
+                            "deg_S": subset_degrees(G, ell)[S], "boundary": boundary}}
+    lhs, rhs = brute_bad_total(G, ell, m, p, delta), Fraction(binom(n, m), 2)
+    rich = len(brute_rich_sets(G, ell, p))
+    bound = binom(n, m) * binom(m, ell) * math.exp(-float(x))
+    return {"inequality_id": "bad_total_bound", "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs,
+            "context": {**context, "delta": delta, "rich_count": rich, "poor_count": total - rich,
+                        "intermediate_bound": pytest.approx(bound, rel=1e-12)}}
+
+
+def as_fraction(obj):
+    """A {"num", "den"} object of the JSON reports as a Fraction."""
+    return Fraction(obj["num"], obj["den"]) if obj.keys() == {"num", "den"} else obj
+
+
+class TestOracleDifferential:
+    """Every number a command prints equals the brute-force references'."""
+
+    @given(oracle_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_every_number_matches_the_oracles(self, tmp_path_factory, run):
+        G, command, flags = run
+        src = tmp_path_factory.getbasetemp() / "oracle.hg"
+        src.write_text(f"{G.r} {G.n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in G.edges))
+        argv = [*ORACLE_COMMANDS[command], "--in", str(src)]
+        for flag, value in flags.items():
+            argv.append(f"--{flag}={','.join(map(str, value)) if flag == 'subset' else value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert err.getvalue() == ""
+        got = json.loads(out.getvalue(), object_hook=as_fraction)
+        assert got == oracle_report(G, command, flags, got)

@@ -24,6 +24,8 @@ from degex.errors import ValidationError
 from degex.generators import complete, erdos_renyi
 from degex.hypergraph import build
 
+from oracles import counter_degree_table, naive_eps_min
+
 EXAMPLE = build(5, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)])
 
 
@@ -37,15 +39,6 @@ def reference_csv(table):
         (rank, " ".join(map(str, S)), d) for rank, (S, d) in enumerate(zip(subsets, table.degrees))
     )
     return out.getvalue()
-
-
-def naive_eps_min(degrees, exceptions, cap):
-    """Try every d: the largest d with at most `exceptions` entries below it."""
-    best = 0
-    for d in range(cap + 2):
-        if sum(1 for x in degrees if x < d) <= exceptions:
-            best = d
-    return min(best, cap) if best > cap else best
 
 
 class TestDegreeOf:
@@ -85,15 +78,6 @@ class TestDegreeOf:
                 if G.has_edge(S + T)
             )
             assert degree_of(G, S) == ext
-
-
-def counter_degree_table(G, ell):
-    """Reference table: a Counter of the l-sub-tuples of the edges, read out
-    over the l-subsets in colex order."""
-    counts = Counter(
-        itertools.chain.from_iterable(itertools.combinations(e, ell) for e in G.edges)
-    )
-    return tuple(counts[S] for S in ksubsets(G.n, ell))
 
 
 class TestDegreeTable:

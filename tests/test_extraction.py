@@ -3,7 +3,6 @@ import json
 import math
 import random
 import tracemalloc
-from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
@@ -21,9 +20,9 @@ from degex.degree import degree_of, min_degree, poor_sets
 from degex.errors import LimitExceeded, ValidationError
 from degex.extraction import (
     _attempt_seed,
+    _bad_counts,
     _count_poor_free,
     _induced_min_degree,
-    _LinkWords,
     _live_labels,
     _phi_count,
     _within_tail_bound,
@@ -39,44 +38,16 @@ from degex.generators import complete, erdos_renyi
 from degex.hypergraph import build
 from degex.jsonio import dumps
 
+from oracles import (
+    brute_bad_total,
+    brute_min_induced_degree,
+    brute_phi,
+    brute_poor_free,
+    brute_poor_pairs,
+    brute_rich_sets,
+)
+
 EXAMPLE = build(5, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)])
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def brute_min_induced_degree(G, X, ell):
-    """min l-degree of G[X], from per-subset degree_of calls."""
-    H, _ = G.induced(X)
-    return min(degree_of(H, S) for S in itertools.combinations(range(H.n), ell))
-
-
-def brute_poor_pairs(G, ell, p):
-    """l-subsets below the density threshold, from scratch."""
-    p = Fraction(p)
-    cap = binom(G.n - ell, G.r - ell)
-    return {
-        S
-        for S in itertools.combinations(range(G.n), ell)
-        if degree_of(G, S) < p * cap
-    }
-
-
-def brute_phi(G, S, m, p, delta):
-    """Bad (m-l)-extensions of S, counted with frozensets."""
-    ell = len(S)
-    boundary = (Fraction(p) - Fraction(delta)) * binom(m - ell, G.r - ell)
-    sset = set(S)
-    nbrs = [frozenset(e) - sset for e in G.edges if sset <= set(e)]
-    rest = [v for v in range(G.n) if v not in sset]
-    count = 0
-    for T in itertools.combinations(rest, m - ell):
-        tset = set(T)
-        inside = sum(1 for nb in nbrs if nb <= tset)
-        if inside <= boundary:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +285,7 @@ class TestLinkTable:
     def test_induced_min_degree_matches_oracle(self, data):
         r = data.draw(st.integers(2, 5))
         n = data.draw(st.integers(r, 8))
-        possible = list(itertools.combinations(range(n), r))
-        keep = data.draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
-        G = build(n, r, itertools.compress(possible, keep))
+        G = draw_graph(data, n, r)
         X = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
         links = Links(G.n, G.edge_array.T).masks()
         # the links over the vertices on some edge, as extract_random labels them
@@ -398,7 +367,7 @@ class TestLinkTable:
 
 def scan_blocks(G, ell, m):
     """(offset, rows) of each block the m-subset scan of G's links walks."""
-    scan = _LinkWords(G.n, G.edge_array.T).bad_counts(m, ell, 1, None)
+    scan = _bad_counts(G.n, G.edge_array.T, m, ell, 1, None)
     return [(offset, len(counts)) for offset, counts in scan]
 
 
@@ -418,9 +387,8 @@ def block_masks(n, m):
 
 def block_good(G, ell, m, need):
     """Whether each m-subset, in colex order, is good, by the block scorer."""
-    links = _LinkWords(G.n, G.edge_array.T)
     good = []
-    for _, counts in links.bad_counts(m, ell, need, None):
+    for _, counts in _bad_counts(G.n, G.edge_array.T, m, ell, need, None):
         good += (counts == 0).tolist()
     return good
 
@@ -439,13 +407,13 @@ def scan_poor_free(n, m, ell, poor):
     count of _count_poor_free."""
     if not poor.shape[1]:
         return binom(n, m)
-    scan = _LinkWords(n, poor).bad_counts(m, ell - 1, 1, None)
+    scan = _bad_counts(n, poor, m, ell - 1, 1, None)
     return sum(int(np.count_nonzero(counts == binom(m, ell - 1))) for _, counts in scan)
 
 
-def poor_pairs(pairs, n):
-    """The poor 2-sets `pairs` as vertex columns."""
-    return np.array(sorted(pairs), dtype=np.min_scalar_type(n)).reshape(-1, 2).T
+def poor_columns(sets, n, ell):
+    """The poor l-sets `sets` as vertex columns."""
+    return np.array(sorted(sets), dtype=np.min_scalar_type(n)).reshape(-1, ell).T
 
 
 def draw_graph(data, n, r):
@@ -557,11 +525,8 @@ class TestBlockEnumeration:
         m = data.draw(st.integers(ell, n))
         subsets = list(itertools.combinations(range(n), ell))
         poor = set(data.draw(st.lists(st.sampled_from(subsets), max_size=len(subsets))))
-        expected = sum(
-            1 for X in itertools.combinations(range(n), m)
-            if poor.isdisjoint(itertools.combinations(X, ell))
-        )
-        cols = np.array(sorted(poor), dtype=np.min_scalar_type(n)).reshape(-1, ell).T
+        expected = brute_poor_free(n, m, ell, poor)
+        cols = poor_columns(poor, n, ell)
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
             assert _count_poor_free(n, m, ell, cols) == expected
             assert scan_poor_free(n, m, ell, cols) == expected
@@ -577,12 +542,7 @@ class TestBlockEnumeration:
         G = draw_graph(data, n, r)
         S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=ell, max_size=ell))))
         boundary = Fraction(data.draw(st.integers(-2, 4 * binom(m - ell, r - ell) + 2)), 4)
-        rest = [v for v in range(n) if v not in S]
-        expected = sum(
-            1
-            for T in itertools.combinations(rest, m - ell)
-            if sum(1 for e in G.edges if set(S) <= set(e) <= set(S + T)) <= boundary
-        )
+        expected = brute_phi(G, S, m, boundary)
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
             assert _phi_count(G, S, m, boundary) == expected
 
@@ -594,13 +554,7 @@ class TestBlockEnumeration:
         expected = [rank for rank, good in enumerate(oracle_good(G, 2, 3, need)) if good]
         assert list(res.good_ranks) == expected
         assert 0 < res.count < binom(70, 3)
-        degrees = Counter(
-            itertools.chain.from_iterable(itertools.combinations(e, 2) for e in G.edges)
-        )
-        poor = {S for S in itertools.combinations(range(70), 2) if degrees[S] < p * 68}
-        assert audit_eq3(G, 2, 3, p).lhs == sum(
-            1 for X in ksubsets(70, 3) if poor.isdisjoint(itertools.combinations(X, 2))
-        )
+        assert audit_eq3(G, 2, 3, p).lhs == brute_poor_free(70, 3, 2, brute_poor_pairs(G, 2, p))
         # m = n - 2: rows of two words, the first of them full
         H = erdos_renyi(70, 2, Fraction(1, 2), seed=94)
         res = extract_exhaustive(H, 1, 68, Fraction(2, 5), Fraction(1, 100))
@@ -660,13 +614,7 @@ class TestAuditEq3:
             G = erdos_renyi(10, 3, Fraction(1, 2), seed=200 + seed)
             p = Fraction(1, 2)
             report = audit_eq3(G, 2, 5, p)
-            poor = brute_poor_pairs(G, 2, p)
-            expected = sum(
-                1
-                for X in itertools.combinations(range(10), 5)
-                if not any(set(S) <= set(X) for S in poor)
-            )
-            assert report.lhs == expected
+            assert report.lhs == brute_poor_free(10, 5, 2, brute_poor_pairs(G, 2, p))
 
     def test_holds_on_random_instances(self):
         for seed in range(30):
@@ -707,7 +655,7 @@ class TestPoorFreeBranchCount:
         pairs, count = self.SHAPES[shape]
         m = n // 2
         with mock.patch.object(extraction, "_branches", wraps=extraction._branches) as branches:
-            assert _count_poor_free(n, m, 2, poor_pairs(pairs(n), n)) == count(n, m)
+            assert _count_poor_free(n, m, 2, poor_columns(pairs(n), n, 2)) == count(n, m)
         assert 0 < branches.call_count <= n * m
 
     @pytest.mark.parametrize("n, m", [(3000, 2), (2000, 1999)])
@@ -719,7 +667,7 @@ class TestPoorFreeBranchCount:
             pairs, count = self.SHAPES[shape]
             tracemalloc.start()
             try:
-                assert _count_poor_free(n, m, 2, poor_pairs(pairs(n), n)) == count(n, m)
+                assert _count_poor_free(n, m, 2, poor_columns(pairs(n), n, 2)) == count(n, m)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -737,7 +685,7 @@ class TestPoorFreeBranchCount:
 
     def test_a_small_memo_drops_states_and_agrees(self, monkeypatch):
         # a matching on 20 vertices, counted again with a memo of 2 states
-        pairs, expected = poor_pairs(self.SHAPES["matching"][0](20), 20), binom(10, 6) * 2**6
+        pairs, expected = poor_columns(self.SHAPES["matching"][0](20), 20, 2), binom(10, 6) * 2**6
 
         def branches():
             with mock.patch.object(extraction, "_branches", wraps=extraction._branches) as spy:
@@ -764,16 +712,11 @@ class TestAuditEq2Phi:
     def test_matches_brute_oracle(self):
         G = erdos_renyi(14, 3, Fraction(3, 5), seed=70)
         p, delta = Fraction(11, 20), Fraction(1, 5)
-        cap = binom(12, 1)
-        rich = [
-            S
-            for S in itertools.combinations(range(14), 2)
-            if degree_of(G, S) >= p * cap
-        ]
+        rich = brute_rich_sets(G, 2, p)
         assert rich  # the regime should have rich pairs
         for S in rich[:5]:
             report = audit_eq2_phi(G, S, 8, p, delta)
-            assert report.lhs == brute_phi(G, S, 8, p, delta)
+            assert report.lhs == brute_phi(G, S, 8, (p - delta) * binom(6, 1))
             assert report.rhs == pytest.approx(
                 binom(12, 6) * math.exp(-float(delta) ** 2 * 8 / 2)
             )
@@ -786,7 +729,7 @@ class TestAuditEq2Phi:
             key=lambda s: degree_of(G, s),
         )
         report = audit_eq2_phi(G, S, 7, Fraction(1, 2), Fraction(1, 5))
-        assert report.lhs == brute_phi(G, S, 7, Fraction(1, 2), Fraction(1, 5))
+        assert report.lhs == brute_phi(G, S, 7, Fraction(3, 10) * binom(5, 2))
 
     def test_holds_is_exact_past_float_precision(self):
         # C = 2^60 + 129 rounds up to 2^60 + 256 as a float, so a float
@@ -836,13 +779,7 @@ class TestAuditBadTotal:
         G = erdos_renyi(12, 3, Fraction(3, 5), seed=72)
         p, delta = Fraction(1, 2), Fraction(3, 10)
         report = audit_bad_total(G, 2, 6, p, delta)
-        poor = brute_poor_pairs(G, 2, p)
-        expected = sum(
-            brute_phi(G, S, 6, p, delta)
-            for S in itertools.combinations(range(12), 2)
-            if S not in poor
-        )
-        assert report.lhs == expected
+        assert report.lhs == brute_bad_total(G, 2, 6, p, delta)
         assert report.rhs == Fraction(binom(12, 6), 2)
         assert report.context["intermediate_bound"] == pytest.approx(
             binom(12, 6) * binom(6, 2) * math.exp(-float(delta) ** 2 * 6 / 2)
@@ -862,9 +799,8 @@ class TestAuditBadTotal:
         for G, m, p, delta in cases:
             ell = 2
             report = audit_bad_total(G, ell, m, p, delta)
-            poor = brute_poor_pairs(G, ell, p)
-            rich = [S for S in itertools.combinations(range(G.n), ell) if S not in poor]
-            assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
+            assert report.lhs == brute_bad_total(G, ell, m, p, delta)
+            rich = brute_rich_sets(G, ell, p)
             cap = math.floor((p - delta) * (m - ell))
             for S in rich:
                 a = degree_of(G, S)
@@ -879,11 +815,8 @@ class TestAuditBadTotal:
         for ell, m, p, delta in ((2, 6, Fraction(1, 2), Fraction(1, 5)),
                                  (1, 5, Fraction(1, 2), Fraction(1, 10))):
             report = audit_bad_total(G, ell, m, p, delta)
-            poor = brute_poor_pairs(G, ell, p)
-            rich = [S for S in itertools.combinations(range(9), ell) if S not in poor]
-            assert rich
-            assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
-            assert report.lhs > 0
+            # lhs > 0 needs a rich S
+            assert report.lhs == brute_bad_total(G, ell, m, p, delta) > 0
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -899,10 +832,8 @@ class TestAuditBadTotal:
         delta = Fraction(data.draw(st.integers(1, 15)), 16)
         with mock.patch.object(extraction, "BLOCK_BYTES", data.draw(BUDGETS)):
             report = audit_bad_total(G, ell, m, p, delta)
-        poor = brute_poor_pairs(G, ell, p)
-        rich = [S for S in itertools.combinations(range(n), ell) if S not in poor]
-        assert report.context["rich_count"] == len(rich)
-        assert report.lhs == sum(brute_phi(G, S, m, p, delta) for S in rich)
+        assert report.context["rich_count"] == len(brute_rich_sets(G, ell, p))
+        assert report.lhs == brute_bad_total(G, ell, m, p, delta)
 
     def test_good_count_dominates_poorfree_minus_bad(self):
         for seed in range(8):

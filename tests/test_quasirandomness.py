@@ -27,65 +27,13 @@ from degex.quasirandomness import (
     e12,
 )
 
+from oracles import brute_dev111, brute_dev12
+
 SINGLE_EDGE = build(3, 3, [(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles: enumerate every (X, P) / (X, Y, Z) explicitly
-
-
-def brute_dev12(G, p):
-    p = Fraction(p)
-    num, den = p.numerator, p.denominator
-    n = G.n
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    best = 0  # scaled by den
-    for xmask in range(1 << n):
-        X = [v for v in range(n) if xmask >> v & 1]
-        d = [
-            sum(1 for x in X if x != u and x != v and G.has_edge((x, u, v)))
-            for (u, v) in pairs
-        ]
-        e = 0
-        pmask = 0
-        for i in range(1, 1 << len(pairs)):
-            j = (i & -i).bit_length() - 1
-            if pmask >> j & 1:
-                pmask ^= 1 << j
-                e -= d[j]
-            else:
-                pmask ^= 1 << j
-                e += d[j]
-            dev = abs(den * e - num * len(X) * pmask.bit_count())
-            if dev > best:
-                best = dev
-    return Fraction(best, den)
-
-
-def brute_dev111(G, p):
-    p = Fraction(p)
-    num, den = p.numerator, p.denominator
-    n = G.n
-    perms = list(itertools.permutations(range(3)))
-    best = 0
-    for xmask in range(1 << n):
-        kx = xmask.bit_count()
-        for ymask in range(1 << n):
-            ky = ymask.bit_count()
-            for zmask in range(1 << n):
-                e = 0
-                for edge in G.edges:
-                    for px, py, pz in perms:
-                        if (
-                            xmask >> edge[px] & 1
-                            and ymask >> edge[py] & 1
-                            and zmask >> edge[pz] & 1
-                        ):
-                            e += 1
-                dev = abs(den * e - num * kx * ky * zmask.bit_count())
-                if dev > best:
-                    best = dev
-    return Fraction(best, den)
+# references for the sweep, the sampled scorer and the witness
 
 
 def reference_sweep(rows, step, start, mask, low_bits):
