@@ -1,6 +1,8 @@
 """Exact k-subset combinatorics: binomials, colex ranking, enumeration, sampling.
 
-Subsets of [0, n) are represented as strictly increasing tuples of ints.
+Subsets of [0, n) are represented as strictly increasing tuples of ints;
+vertex_indices reads the vertices that any entry point takes, of any integer
+type, as ints.
 Ranks are colexicographic: subsets are compared by their largest differing
 element, so the rank of a k-subset does not depend on n.  Concretely
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -51,10 +54,17 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def vertex_indices(vertices: Iterable[int], what: str) -> list[int]:
+    """The vertices read with operator.index: 2.5 or "2" is a ValidationError."""
+    vertices = tuple(vertices)
+    try:
+        return list(map(operator.index, vertices))
+    except TypeError:
+        raise ValidationError(f"{what} {vertices} has a vertex that is not an integer") from None
+
+
 def _check_subset(S: Sequence[int]) -> None:
     for i, v in enumerate(S):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"subset elements must be ints, got {v!r}")
         if v < 0:
             raise ValidationError(f"subset elements must be nonnegative, got {v}")
         if i > 0 and S[i - 1] >= v:
@@ -64,8 +74,8 @@ def _check_subset(S: Sequence[int]) -> None:
 
 
 def colex_rank(S: Sequence[int]) -> SubsetId:
-    """Colex rank of a strictly increasing k-subset."""
-    S = tuple(S)
+    """Colex rank of a strictly increasing k-subset of any integer type."""
+    S = vertex_indices(S, "subset")
     _check_subset(S)
     rank = sum(math.comb(v, j + 1) for j, v in enumerate(S))
     return SubsetId(rank, len(S))

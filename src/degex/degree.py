@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import binom, colex_blocks, tuple_ranks
+from .combinatorics import binom, colex_blocks, tuple_ranks, vertex_indices
 from .errors import ValidationError, refuse_above
-from .hypergraph import Hypergraph, vertex_indices
+from .hypergraph import Hypergraph
 from .rational import to_fraction, to_probability
 
 

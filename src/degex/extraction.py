@@ -57,6 +57,7 @@ from .combinatorics import (
     random_ksubset,
     subset_mask,
     tuple_ranks,
+    vertex_indices,
     vertex_words,
 )
 from . import degree
@@ -441,6 +442,14 @@ class AuditReport:
     context: dict = field(default_factory=dict)
 
 
+def _report(inequality_id: str, lhs, rhs, holds: bool, G: Hypergraph, ell: int, m: int, p,
+            **context) -> AuditReport:
+    """The one AuditReport builder: its context holds n, r, ell, m and p,
+    then the audit's own keys, in order."""
+    context = {"n": G.n, "r": G.r, "ell": ell, "m": m, "p": p, **context}
+    return AuditReport(inequality_id, lhs, rhs, holds, context)
+
+
 def _count_poor_free(n: int, m: int, ell: int, poor: np.ndarray) -> int:
     """m-subsets of [0, n) holding none of the poor l-subsets (vertex columns):
     the independent m-sets of the poor l-graph, counted by branching.
@@ -527,21 +536,8 @@ def audit_eq3(
     lhs = _count_poor_free(G.n, m, ell, poor)
     eps_eff = Fraction(poor.shape[1], len(table.degrees))
     rhs = (1 - eps_eff * m**ell) * binom(G.n, m)
-    return AuditReport(
-        inequality_id="eq3_rich_count",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs,
-        context={
-            "n": G.n,
-            "r": G.r,
-            "ell": ell,
-            "m": m,
-            "p": p,
-            "poor_count": poor.shape[1],
-            "eps_eff": eps_eff,
-        },
-    )
+    return _report("eq3_rich_count", lhs, rhs, lhs >= rhs, G, ell, m, p,
+                   poor_count=poor.shape[1], eps_eff=eps_eff)
 
 
 def _tail_count(a: int, rest: int, k: int, cap: int) -> int:
@@ -550,9 +546,8 @@ def _tail_count(a: int, rest: int, k: int, cap: int) -> int:
 
 
 def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) -> int:
-    """phi_S: (m-l)-subsets T of V minus S with deg_{S+T}(S) <= boundary."""
+    """phi_S for l < r-1: (m-l)-subsets T of V minus S with deg_{S+T}(S) <= boundary."""
     ell = len(S)
-    k = G.r - ell
     cap = math.floor(boundary)  # deg <= boundary iff deg <= floor(boundary)
     if cap < 0:
         return 0
@@ -561,10 +556,8 @@ def _phi_count(G: Hypergraph, S: tuple[int, ...], m: int, boundary: Fraction) ->
     # counts the link edges inside T
     rows = G.edge_array
     through = rows[degree.edges_through(G, S)]
-    rest = through[~np.isin(through, S)].reshape(-1, k)  # row order is kept
+    rest = through[~np.isin(through, S)].reshape(-1, G.r - ell)  # row order is kept
     link = rest - np.searchsorted(np.array(S, dtype=rows.dtype), rest, side="right")
-    if k == 1:
-        return _tail_count(len(link), G.n - ell - len(link), m - ell, cap)
     # inside T the link edges number the degree of the empty set
     scan = _bad_counts(G.n - ell, link.T, m - ell, 0, cap + 1, None)
     return sum(int(np.count_nonzero(counts)) for _, counts in scan)
@@ -605,7 +598,7 @@ def audit_eq2_phi(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> AuditReport:
     """Exact phi_S against the martingale tail bound (diagnostic, not asserted)."""
-    S = tuple(sorted(S))
+    S = tuple(sorted(vertex_indices(S, "subset")))
     ell = len(S)
     p, delta = _check_extract_args(G, ell, m, p, delta)
     deg = degree_of(G, S)
@@ -614,31 +607,19 @@ def audit_eq2_phi(
         raise ValidationError(
             f"S={S} is poor (deg {deg} < {p * max_possible}); the bound only covers rich subsets"
         )
-    # for l = r-1, phi_S is a closed form and enumerates nothing
-    count = binom(G.n - ell, m - ell) if ell < G.r - 1 else 0
-    what = f"audit_eq2_phi with C({G.n - ell}, {m - ell})"
-    refuse_above(count, what, enum_budget, _RAISE_BUDGET)
-    boundary, _ = good_threshold(p, delta, m, ell, G.r)
-    lhs = _phi_count(G, S, m, boundary)
     total = binom(G.n - ell, m - ell)
+    closed = ell == G.r - 1  # phi_S is a closed form in a = |link(S)| = deg(S)
+    what = f"audit_eq2_phi with C({G.n - ell}, {m - ell})"
+    refuse_above(0 if closed else total, what, enum_budget, _RAISE_BUDGET)
+    boundary, _ = good_threshold(p, delta, m, ell, G.r)
+    if closed:
+        lhs = _tail_count(deg, G.n - ell - deg, m - ell, math.floor(boundary))
+    else:
+        lhs = _phi_count(G, S, m, boundary)
     x = delta * delta * m / (2 * (G.r - ell) ** 2)  # rhs shows total * exp(-x)
-    return AuditReport(
-        inequality_id="eq2_phi_bound",
-        lhs=lhs,
-        rhs=_tail_bound(total, delta, m, G.r, ell),
-        holds=_within_tail_bound(lhs, total, x),
-        context={
-            "n": G.n,
-            "r": G.r,
-            "ell": ell,
-            "m": m,
-            "p": p,
-            "delta": delta,
-            "S": S,
-            "deg_S": deg,
-            "boundary": boundary,
-        },
-    )
+    return _report("eq2_phi_bound", lhs, _tail_bound(total, delta, m, G.r, ell),
+                   _within_tail_bound(lhs, total, x), G, ell, m, p,
+                   delta=delta, S=S, deg_S=deg, boundary=boundary)
 
 
 def audit_bad_total(
@@ -675,20 +656,6 @@ def audit_bad_total(
         lhs = sum(int(counts.sum()) for _, counts in scan)
     rhs = Fraction(binom(G.n, m), 2)
     intermediate = _tail_bound(binom(G.n, m) * binom(m, ell), delta, m, G.r, ell)
-    return AuditReport(
-        inequality_id="bad_total_bound",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        context={
-            "n": G.n,
-            "r": G.r,
-            "ell": ell,
-            "m": m,
-            "p": p,
-            "delta": delta,
-            "rich_count": rich_count,
-            "poor_count": len(table.degrees) - rich_count,
-            "intermediate_bound": intermediate,
-        },
-    )
+    return _report("bad_total_bound", lhs, rhs, lhs <= rhs, G, ell, m, p, delta=delta,
+                   rich_count=rich_count, poor_count=len(table.degrees) - rich_count,
+                   intermediate_bound=intermediate)

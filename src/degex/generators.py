@@ -26,7 +26,7 @@ import numpy as np
 
 from .combinatorics import BLOCK_BYTES, binom, colex_blocks
 from .errors import ValidationError, refuse_above
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_shape
 from .rational import to_probability
 
 # r-subsets a block: one 64-bit draw each fits BLOCK_BYTES
@@ -45,8 +45,7 @@ def complete(n: int, r: int) -> Hypergraph:
 def erdos_renyi(n: int, r: int, p, seed: int) -> Hypergraph:
     """Each r-subset is an edge independently with probability p, seeded."""
     p = to_probability(p)
-    if r < 1:
-        raise ValidationError(f"uniformity must be at least 1, got {r}")
+    _check_shape(n, r)
     refuse_above(binom(n, r), f"generating over C({n}, {r})")
     rng = random.Random(seed)
     cut = math.ceil(p * (1 << 53))  # a draw k / 2^53 is below p iff k < cut

@@ -34,17 +34,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .combinatorics import colex_order
+from .combinatorics import colex_order, vertex_indices
 from .errors import FormatError, ValidationError
-
-
-def vertex_indices(vertices: Iterable[int], what: str) -> list[int]:
-    """The vertices read with operator.index: 2.5 or "2" is a ValidationError."""
-    vertices = tuple(vertices)
-    try:
-        return list(map(operator.index, vertices))
-    except TypeError:
-        raise ValidationError(f"{what} {vertices} has a vertex that is not an integer") from None
 
 
 def _canonical_edge(edge: Iterable[int], n: int, r: int) -> tuple[int, ...]:

@@ -84,6 +84,12 @@ class TestGen:
             assert err.startswith("error: generating over C(1000000000, 3)")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [("er", "--p", "1/2", "--seed", "1"), ("complete",)],
+                             ids=["er", "complete"])
+    def test_negative_vertex_count_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv, "--n", "-1", "--r", "3")
+        assert (code, out, err) == (2, "", "error: vertex count must be nonnegative, got -1\n")
+
     def test_partition_del(self, capsys, tmp_path):
         k6 = tmp_path / "k6.hg"
         run(capsys, "gen", "complete", "--n", "6", "--r", "3", "--out", str(k6))

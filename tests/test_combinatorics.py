@@ -23,6 +23,7 @@ from degex.combinatorics import (
     vertex_words,
 )
 from degex.errors import ValidationError
+from degex.generators import erdos_renyi
 
 
 def columns(sets, k, n):
@@ -107,6 +108,16 @@ class TestColex:
     def test_duplicate_rejected(self):
         with pytest.raises(ValidationError):
             colex_rank((1, 1))
+
+    def test_edge_array_row_ranks_like_its_tuple(self):
+        G = erdos_renyi(9, 3, "1/2", seed=3)
+        for row, edge in zip(G.edge_array, G.edges):
+            assert colex_rank(row) == colex_rank(edge)
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_non_integer_vertex_rejected(self, bad):
+        with pytest.raises(ValidationError, match="has a vertex that is not an integer"):
+            colex_rank((0, bad))
 
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValidationError):

@@ -709,6 +709,19 @@ class TestAuditEq2Phi:
         with pytest.raises(ValidationError, match="poor"):
             audit_eq2_phi(G, (3, 4), 5, Fraction(1, 2), Fraction(1, 10))
 
+    def test_non_integer_subset_rejected(self):
+        # checked before S is sorted, which would raise TypeError
+        with pytest.raises(ValidationError, match="has a vertex that is not an integer"):
+            audit_eq2_phi(complete(6, 3), [0, "a"], 4, 0, Fraction(1, 2))
+
+    def test_closed_form_reads_the_edges_through_s_once(self):
+        # at l = r-1, phi_S comes from deg(S): only degree_of finds the edges through S
+        G = erdos_renyi(10, 3, Fraction(7, 10), seed=74)
+        with mock.patch.object(degree, "edges_through", wraps=degree.edges_through) as through:
+            report = audit_eq2_phi(G, (0, 1), 6, Fraction(1, 2), Fraction(1, 10))
+        assert through.call_count == 1
+        assert report.lhs == brute_phi(G, (0, 1), 6, report.context["boundary"]) > 0
+
     def test_matches_brute_oracle(self):
         G = erdos_renyi(14, 3, Fraction(3, 5), seed=70)
         p, delta = Fraction(11, 20), Fraction(1, 5)
